@@ -18,12 +18,13 @@ from .arith import (
     ordered_factorization_count,
     ordered_factorizations,
 )
-from .core import CapacityError, CountRequest, CountResult, DiscrepancyError, Method
+from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method
 from .count import (
     count_all_methods,
     count_by_factorization_sum,
     count_by_gruber,
     count_by_recursion,
+    count_table,
     run_count,
 )
 from .hnf import (
@@ -38,8 +39,6 @@ from .qcalc import (
     format_qpolynomial,
     gauss_binomial,
     gauss_binomial_at,
-    q_factorial,
-    q_integer,
 )
 from .series import (
     DirichletCoefficients,
@@ -57,12 +56,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "CountRequest",
     "CountResult",
     "DEFAULT_ENUMERATION_CAP",
     "DEFAULT_TRIAL_DIVISION_BOUND",
     "DirichletCoefficients",
     "DiscrepancyError",
+    "ExactnessError",
     "Factorization",
     "HnfMatrix",
     "Method",
@@ -74,6 +73,7 @@ __all__ = [
     "count_by_factorization_sum",
     "count_by_gruber",
     "count_by_recursion",
+    "count_table",
     "dirichlet_coefficients",
     "divisors",
     "enumerate_hnf",
@@ -87,8 +87,6 @@ __all__ = [
     "lhs_product",
     "ordered_factorization_count",
     "ordered_factorizations",
-    "q_factorial",
-    "q_integer",
     "rhs_sum",
     "run_count",
     "validate_hnf",

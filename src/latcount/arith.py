@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterator, Sequence
 
-from .core import CapacityError
+from .core import CapacityError, check_args
 
 DEFAULT_TRIAL_DIVISION_BOUND = 10**7
 
@@ -63,17 +63,6 @@ class Factorization:
             previous = p
         if prod(p**e for p, e in self.factors) != self.value:
             raise ValueError(f"factors do not multiply to {self.value}")
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def exponent_of(self, p: int) -> int:
-        """The exponent of prime p in value (0 if p does not divide it)."""
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
 
 
 def is_prime(p: int, bound: int | None = None) -> bool:
@@ -149,8 +138,7 @@ def ordered_factorization_count(m: int, n: int, bound: int | None = None) -> int
 
     Equals the product over prime exponents r of C(r + n - 1, n - 1).
     """
-    if n < 1:
-        raise ValueError(f"tuple length n must be >= 1, got {n}")
+    check_args(n)
     fact = factorize(m, bound)
     return prod(comb(e + n - 1, n - 1) for _, e in fact.factors)
 
@@ -162,8 +150,7 @@ def ordered_factorizations(m: int, n: int, bound: int | None = None) -> Iterator
     is lazy; consumers that only fold over it never hold more than one
     tuple at a time.
     """
-    if n < 1:
-        raise ValueError(f"tuple length n must be >= 1, got {n}")
+    check_args(n)
     divs = divisors(m, bound)
     yield from _ordered_factorizations(m, n, divs)
 

@@ -2,37 +2,28 @@
 
 Subcommands: count, enumerate, table, verify, series, euler-factor.
 All results go to stdout (one record per line, deterministic order);
-diagnostics go to stderr.  Exit codes: 0 success, 2 invalid arguments,
-3 capacity bound exceeded, 4 cross-method discrepancy or property failure.
+diagnostics go to stderr.  Exit codes: 0 success, 1 the output pipe closed
+early, 2 invalid arguments, 3 capacity bound exceeded, 4 cross-method
+discrepancy, failed exactness check or property failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 
 from .arith import ENV_TRIAL_DIVISION_BOUND
-from .core import CapacityError, CountRequest, DiscrepancyError, Method
-from .count import (
-    count_all_methods,
-    count_by_factorization_sum,
-    count_by_gruber,
-    count_by_recursion,
-    run_count,
-)
+from .core import CapacityError, DiscrepancyError, ExactnessError, Method
+from .count import FORMULA_METHODS, check_agreement, count_all_methods, count_table, run_count
 from .hnf import DEFAULT_ENUMERATION_CAP, enumerate_hnf
-from .series import (
-    dirichlet_coefficients,
-    euler_factor,
-    lhs_product,
-    rhs_sum,
-    verify_generating_identity,
-)
+from .series import euler_factor, lhs_product, rhs_sum, verify_generating_identity
 from .qcalc import gauss_binomial
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_MISMATCH = 4
@@ -40,24 +31,19 @@ EXIT_MISMATCH = 4
 FORMATS = ("plain", "csv", "json-lines")
 
 
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(low: int):
+    """An argparse type that accepts integers >= low."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-def nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _jsonl(record: dict) -> str:
@@ -78,8 +64,7 @@ def cmd_count(args) -> int:
         for result in results:
             print(_count_record(args.format, args.n, args.m, str(result.method), result.value))
         return EXIT_OK
-    method = Method(args.method)
-    result = run_count(CountRequest(args.n, args.m, method))
+    result = run_count(args.n, args.m, args.method)
     if args.format == "plain":
         print(result.value)
     else:
@@ -113,38 +98,23 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    method = Method(args.method)
-    if method is Method.DIRICHLET:
-        # one convolution pass covers the whole table
-        coefficients = dirichlet_coefficients(args.n, args.max_m)
-        values = [coefficients[m] for m in range(1, args.max_m + 1)]
-    else:
-        values = [
-            run_count(CountRequest(args.n, m, method)).value for m in range(1, args.max_m + 1)
-        ]
+    # The whole table is computed before the first line, so a failure prints none.
+    values = [result.value for result in count_table(args.n, args.max_m, args.method)]
     for m, value in enumerate(values, start=1):
         if args.format == "csv":
             print(f"{m},{value}")
         elif args.format == "json-lines":
-            print(_jsonl({"n": args.n, "m": m, "method": str(method), "value": str(value)}))
+            print(_jsonl({"n": args.n, "m": m, "method": args.method, "value": str(value)}))
         else:
             print(f"{m} {value}")
     return EXIT_OK
 
 
 def _verify_cross_methods(n_max: int, m_max: int):
-    # One convolution table per n; the per-m methods are compared against it.
     for n in range(1, n_max + 1):
-        coefficients = dirichlet_coefficients(n, m_max)
-        for m in range(1, m_max + 1):
-            values = [
-                (Method.DIRICHLET.value, coefficients[m]),
-                (Method.FACTORIZATION_SUM.value, count_by_factorization_sum(n, m).value),
-                (Method.GRUBER.value, count_by_gruber(n, m).value),
-                (Method.RECURSION.value, count_by_recursion(n, m).value),
-            ]
-            if len({value for _, value in values}) > 1:
-                raise DiscrepancyError(n, m, values)
+        tables = [count_table(n, m_max, method) for method in FORMULA_METHODS]
+        for m, results in enumerate(zip(*tables), start=1):
+            check_agreement(n, m, results)
 
 
 def _verify_symmetry(bound: int):
@@ -231,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     method_names = [m.value for m in Method]
 
     p_count = sub.add_parser("count", help="compute the sublattice count f_n(m)")
-    p_count.add_argument("--n", type=positive_int, required=True, help="lattice dimension")
-    p_count.add_argument("--m", type=positive_int, required=True, help="sublattice index")
+    p_count.add_argument("--n", type=int_at_least(1), required=True, help="lattice dimension")
+    p_count.add_argument("--m", type=int_at_least(1), required=True, help="sublattice index")
     p_count.add_argument("--method", choices=method_names, default=Method.GRUBER.value)
     p_count.add_argument(
         "--all", action="store_true", help="run every method and cross-check the values"
@@ -241,34 +211,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(handler=cmd_count)
 
     p_enum = sub.add_parser("enumerate", help="stream the normal-form basis matrices")
-    p_enum.add_argument("--n", type=positive_int, required=True)
-    p_enum.add_argument("--m", type=positive_int, required=True)
-    p_enum.add_argument("--limit", type=nonnegative_int, help="stop after this many matrices")
+    p_enum.add_argument("--n", type=int_at_least(1), required=True)
+    p_enum.add_argument("--m", type=int_at_least(1), required=True)
+    p_enum.add_argument("--limit", type=int_at_least(0), help="stop after this many matrices")
     p_enum.add_argument("--format", choices=FORMATS, default="plain")
     p_enum.set_defaults(handler=cmd_enumerate)
 
     p_table = sub.add_parser("table", help="tabulate f_n(m) for m = 1..max-m")
-    p_table.add_argument("--n", type=positive_int, required=True)
-    p_table.add_argument("--max-m", type=positive_int, required=True)
+    p_table.add_argument("--n", type=int_at_least(1), required=True)
+    p_table.add_argument("--max-m", type=int_at_least(1), required=True)
     p_table.add_argument("--method", choices=method_names, default=Method.GRUBER.value)
     p_table.add_argument("--format", choices=FORMATS, default="plain")
     p_table.set_defaults(handler=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the cross-method and identity checks")
-    p_verify.add_argument("--n-max", type=positive_int, required=True)
-    p_verify.add_argument("--m-max", type=positive_int, required=True)
-    p_verify.add_argument("--t-order", type=nonnegative_int, required=True)
+    p_verify.add_argument("--n-max", type=int_at_least(1), required=True)
+    p_verify.add_argument("--m-max", type=int_at_least(1), required=True)
+    p_verify.add_argument("--t-order", type=int_at_least(0), required=True)
     p_verify.set_defaults(handler=cmd_verify)
 
     p_series = sub.add_parser("series", help="print both sides of the generating identity")
-    p_series.add_argument("--n", type=positive_int, required=True)
-    p_series.add_argument("--t-order", type=nonnegative_int, required=True)
+    p_series.add_argument("--n", type=int_at_least(1), required=True)
+    p_series.add_argument("--t-order", type=int_at_least(0), required=True)
     p_series.set_defaults(handler=cmd_series)
 
     p_euler = sub.add_parser("euler-factor", help="local factor of the count series at a prime")
-    p_euler.add_argument("--p", type=positive_int, required=True, help="a prime")
-    p_euler.add_argument("--n", type=positive_int, required=True)
-    p_euler.add_argument("--k-max", type=nonnegative_int, required=True)
+    p_euler.add_argument("--p", type=int_at_least(1), required=True, help="a prime")
+    p_euler.add_argument("--n", type=int_at_least(1), required=True)
+    p_euler.add_argument("--k-max", type=int_at_least(0), required=True)
     p_euler.add_argument("--format", choices=FORMATS, default="plain")
     p_euler.set_defaults(handler=cmd_euler_factor)
 
@@ -276,14 +246,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Exact counts, and --m itself, may run past the 4300-digit default.
+        sys.set_int_max_str_digits(0)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # interpreter's final flush is quiet, as the signal module docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except DiscrepancyError as exc:
+    except ExactnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as exc:

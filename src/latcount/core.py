@@ -15,7 +15,16 @@ class CapacityError(RuntimeError):
     """
 
 
-class DiscrepancyError(RuntimeError):
+class ExactnessError(RuntimeError):
+    """An exact computation failed one of its own checks.
+
+    Raised when a division that the theory says is exact leaves a remainder,
+    or when two routes to the same number disagree.  This always signals a
+    bug; it is never raised for malformed input.
+    """
+
+
+class DiscrepancyError(ExactnessError):
     """Two counting methods disagreed on the same (n, m).
 
     This always signals a bug somewhere: the methods are provably equal.
@@ -30,6 +39,14 @@ class DiscrepancyError(RuntimeError):
         super().__init__(f"methods disagree for n={n}, m={m}: {detail}")
 
 
+def check_args(n: int, m: int | None = None) -> None:
+    """Reject a dimension n, or an index m when given, below 1 with ValueError."""
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
+    if m is not None and m < 1:
+        raise ValueError(f"index m must be >= 1, got {m}")
+
+
 class Method(str, Enum):
     """The five ways of computing the sublattice count."""
 
@@ -41,21 +58,6 @@ class Method(str, Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class CountRequest:
-    """A single counting query: dimension n, sublattice index m, method."""
-
-    n: int
-    m: int
-    method: Method
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension n must be >= 1, got {self.n}")
-        if self.m < 1:
-            raise ValueError(f"index m must be >= 1, got {self.m}")
 
 
 @dataclass(frozen=True)

@@ -11,39 +11,35 @@ All four methods compute the same multiplicative function:
   * Dirichlet          -- coefficient extraction from the zeta-factor
     convolution (lives in latcount.series).
 
-They are provably equal, so `count_all_methods` treats any disagreement as
+They are provably equal, so `check_agreement` treats any disagreement as
 an internal bug and raises DiscrepancyError.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .arith import divisors, factorize, ordered_factorizations
-from .core import CapacityError, CountRequest, CountResult, DiscrepancyError, Method
+from .core import CountResult, DiscrepancyError, ExactnessError, Method, check_args
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
-from .series import count_by_dirichlet
+from .series import count_by_dirichlet, dirichlet_coefficients
 
 __all__ = [
-    "CountRequest",
     "CountResult",
     "Method",
+    "check_agreement",
     "count_all_methods",
     "count_by_factorization_sum",
     "count_by_gruber",
     "count_by_recursion",
+    "count_table",
     "run_count",
 ]
 
 
-def _check_args(n: int, m: int) -> None:
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"index m must be >= 1, got {m}")
-
-
 def count_by_factorization_sum(n: int, m: int) -> CountResult:
     """Sum d_1^0 d_2^1 ... d_n^(n-1) over all ordered factorizations of m."""
-    _check_args(n, m)
+    check_args(n, m)
     total = 0
     tuples = 0
     for parts in ordered_factorizations(m, n):
@@ -62,7 +58,7 @@ def count_by_recursion(n: int, m: int) -> CountResult:
     case.  Levels are filled bottom-up over the divisors of m, so the
     memo table lives only for the duration of this call.
     """
-    _check_args(n, m)
+    check_args(n, m)
     divs = divisors(m)
     sub_divisors = {d: [e for e in divs if d % e == 0] for d in divs}
     values = {d: 1 for d in divs}
@@ -83,10 +79,10 @@ def count_by_gruber(n: int, m: int) -> CountResult:
 
     Each running per-prime product is an integer, so the divisions are
     performed stepwise and checked; an inexact division or a mismatch
-    between the two forms raises RuntimeError (an implementation bug,
+    between the two forms raises ExactnessError (an implementation bug,
     never bad input).
     """
-    _check_args(n, m)
+    check_args(n, m)
     fact = factorize(m)
 
     first = 1
@@ -95,7 +91,7 @@ def count_by_gruber(n: int, m: int) -> CountResult:
         for j in range(1, r + 1):
             local, remainder = divmod(local * (p ** (n + j - 1) - 1), p**j - 1)
             if remainder:
-                raise RuntimeError(
+                raise ExactnessError(
                     f"inexact division in first product form at p={p}, j={j} (n={n}, m={m})"
                 )
         first *= local
@@ -106,13 +102,13 @@ def count_by_gruber(n: int, m: int) -> CountResult:
         for j in range(1, n):
             local, remainder = divmod(local * (p ** (r + j) - 1), p**j - 1)
             if remainder:
-                raise RuntimeError(
+                raise ExactnessError(
                     f"inexact division in second product form at p={p}, j={j} (n={n}, m={m})"
                 )
         second *= local
 
     if first != second:
-        raise RuntimeError(
+        raise ExactnessError(
             f"product forms disagree for n={n}, m={m}: {first} versus {second}"
         )
     return CountResult(first, Method.GRUBER, work_stats={"primes": len(fact.factors)})
@@ -123,14 +119,38 @@ _DISPATCH = {
     Method.RECURSION: count_by_recursion,
     Method.GRUBER: count_by_gruber,
     Method.DIRICHLET: count_by_dirichlet,
+    Method.HNF: count_by_enumeration,
 }
 
+# Every method but enumeration, whose work is the count itself.
+FORMULA_METHODS = (Method.DIRICHLET, Method.FACTORIZATION_SUM, Method.GRUBER, Method.RECURSION)
 
-def run_count(request: CountRequest) -> CountResult:
-    """Run the single method named by the request."""
-    if request.method is Method.HNF:
-        return count_by_enumeration(request.n, request.m)
-    return _DISPATCH[request.method](request.n, request.m)
+
+def run_count(n: int, m: int, method: Method | str) -> CountResult:
+    """Run the single named method."""
+    return _DISPATCH[Method(method)](n, m)
+
+
+def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResult]:
+    """The results of one method for m = 1 .. max_m, in order of m.
+
+    Dirichlet fills the whole table from one convolution pass before this
+    returns; every other method runs once per m, as the results are consumed.
+    """
+    check_args(n, max_m)
+    method = Method(method)
+    if method is Method.DIRICHLET:
+        return (CountResult(value, method) for _, value in dirichlet_coefficients(n, max_m))
+    count = _DISPATCH[method]
+    return (count(n, m) for m in range(1, max_m + 1))
+
+
+def check_agreement(n: int, m: int, results: Iterable[CountResult]) -> list[CountResult]:
+    """Sort the results by method name; raise DiscrepancyError unless all values agree."""
+    results = sorted(results, key=lambda r: r.method.value)
+    if len({r.value for r in results}) > 1:
+        raise DiscrepancyError(n, m, [(r.method.value, r.value) for r in results])
+    return results
 
 
 def count_all_methods(
@@ -146,20 +166,13 @@ def count_all_methods(
     everything else always runs.  Results come back sorted by method name
     so the aggregation order never depends on evaluation order.
     """
-    _check_args(n, m)
+    gruber = count_by_gruber(n, m)
     results = [
         count_by_factorization_sum(n, m),
         count_by_recursion(n, m),
-        count_by_gruber(n, m),
+        gruber,
         count_by_dirichlet(n, m),
     ]
-    if include_enumeration:
-        predicted = results[2].value
-        if predicted <= enumeration_cap:
-            results.append(count_by_enumeration(n, m, cap=enumeration_cap))
-    results.sort(key=lambda r: r.method.value)
-
-    values = {r.value for r in results}
-    if len(values) > 1:
-        raise DiscrepancyError(n, m, [(r.method.value, r.value) for r in results])
-    return results
+    if include_enumeration and gruber.value <= enumeration_cap:
+        results.append(count_by_enumeration(n, m, cap=enumeration_cap))
+    return check_agreement(n, m, results)

@@ -21,7 +21,7 @@ from math import prod
 from typing import Iterator
 
 from .arith import ordered_factorizations
-from .core import CapacityError, CountResult, Method
+from .core import CapacityError, CountResult, Method, check_args
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -76,29 +76,20 @@ def validate_hnf(matrix: HnfMatrix, m: int) -> bool:
     return matrix.determinant() == m
 
 
-def enumerate_hnf(n: int, m: int, column_bounds: bool = False) -> Iterator[HnfMatrix]:
+def enumerate_hnf(n: int, m: int) -> Iterator[HnfMatrix]:
     """Yield every normal-form matrix of dimension n and determinant m, once.
 
     Order is lexicographic in (diagonal tuple, then row-major sub-diagonal
     entries).  The stream is lazy: f_n(m) matrices come out in total, so the
     caller is responsible for bounding consumption.
-
-    With ``column_bounds=True`` each sub-diagonal entry is reduced modulo
-    the diagonal entry of its *column* instead of its row.  That variant
-    yields the same total count (the two conventions are exchanged by
-    reversing the diagonal) but different matrices; only the default
-    row-bound form is what ``validate_hnf`` checks.
     """
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"index m must be >= 1, got {m}")
+    check_args(n, m)
     for diagonal in ordered_factorizations(m, n):
         # one range per sub-diagonal slot, in row-major order
         slot_bounds = []
         for i in range(n):
             for j in range(i):
-                slot_bounds.append(diagonal[j] if column_bounds else diagonal[i])
+                slot_bounds.append(diagonal[i])
         for fill in product(*(range(bound) for bound in slot_bounds)):
             rows = []
             pos = 0

@@ -6,9 +6,9 @@ recurrence
     B(m, k) = B(m-1, k-1) + q^k * B(m-1, k),    B(m, 0) = B(m, m) = 1,
 
 which stays inside integer polynomial arithmetic; the textbook quotient of
-q-factorials is kept around only as a test oracle.  Evaluated q-binomials
-(`gauss_binomial_at`) take an independent route through exact integer
-division so the two can cross-check each other.
+q-factorials lives only in tests/oracles.py, as a test oracle.  Evaluated
+q-binomials (`gauss_binomial_at`) take an independent route through exact
+integer division so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 import functools
 from math import comb
 from typing import Iterable
+
+from .core import ExactnessError
 
 
 class QPolynomial:
@@ -80,14 +82,6 @@ class QPolynomial:
         for i, c in enumerate(b):
             coeffs[i] += c
         return QPolynomial(coeffs)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -156,23 +150,6 @@ def format_qpolynomial(poly: QPolynomial) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
-def q_integer(m: int) -> QPolynomial:
-    """The q-integer [m]_q = 1 + q + ... + q^(m-1); [0]_q is the zero polynomial."""
-    if m < 0:
-        raise ValueError(f"q_integer needs m >= 0, got {m}")
-    return QPolynomial((1,) * m)
-
-
-def q_factorial(m: int) -> QPolynomial:
-    """The q-factorial [m]_q! = [1]_q [2]_q ... [m]_q; [0]_q! = 1."""
-    if m < 0:
-        raise ValueError(f"q_factorial needs m >= 0, got {m}")
-    result = QPolynomial.one()
-    for j in range(1, m + 1):
-        result = result * q_integer(j)
-    return result
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_binomial(m: int, k: int) -> QPolynomial:
     if k == 0 or k == m:
@@ -208,8 +185,9 @@ def gauss_binomial_at(m: int, k: int, q0: int) -> int:
 
         prod_{j=1..k} (q0^(m-k+j) - 1) / (q0^j - 1)
 
-    is an integer after every step, and each division is checked.  At
-    q0 = 1 this is the ordinary binomial coefficient C(m, k).
+    is an integer after every step, and each division is checked: an
+    inexact one raises ExactnessError.  At q0 = 1 this is the ordinary
+    binomial coefficient C(m, k).
     """
     if m < 0 or k < 0:
         raise ValueError(f"gauss_binomial_at needs m, k >= 0, got m={m}, k={k}")
@@ -222,5 +200,6 @@ def gauss_binomial_at(m: int, k: int, q0: int) -> int:
     value = 1
     for j in range(1, k + 1):
         value, remainder = divmod(value * (q0 ** (m - k + j) - 1), q0**j - 1)
-        assert remainder == 0, f"inexact division in gauss_binomial_at({m}, {k}, {q0})"
+        if remainder:
+            raise ExactnessError(f"inexact division in gauss_binomial_at({m}, {k}, {q0})")
     return value

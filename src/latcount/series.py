@@ -19,7 +19,7 @@ from functools import reduce
 from typing import Iterator, Sequence
 
 from .arith import is_prime
-from .core import CountResult, Method
+from .core import CountResult, Method, check_args
 from .qcalc import QPolynomial, gauss_binomial, gauss_binomial_at
 
 
@@ -85,14 +85,6 @@ class TSeries:
                     coeffs[i + j] = coeffs[i + j] + a * b
         return TSeries(coeffs)
 
-    def truncate(self, order: int) -> "TSeries":
-        """Drop terms above t^order; order must not exceed the current one."""
-        if not 0 <= order <= self.truncation_order:
-            raise ValueError(
-                f"cannot truncate order-{self.truncation_order} series to {order}"
-            )
-        return TSeries(self._coeffs[: order + 1])
-
     def render_lines(self) -> list[str]:
         """One line per t-power: "t^k: <polynomial>"."""
         return [f"t^{k}: {poly}" for k, poly in enumerate(self._coeffs)]
@@ -112,8 +104,7 @@ def geometric_factor(k: int, truncation_order: int) -> TSeries:
 
 def lhs_product(n: int, truncation_order: int) -> TSeries:
     """The product of geometric factors for k = 0 .. n-1, truncated."""
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
+    check_args(n)
     return reduce(
         TSeries.__mul__,
         (geometric_factor(k, truncation_order) for k in range(n)),
@@ -122,8 +113,7 @@ def lhs_product(n: int, truncation_order: int) -> TSeries:
 
 def rhs_sum(n: int, truncation_order: int) -> TSeries:
     """The q-binomial series: sum_{k=0..K} [n+k-1 choose k]_q t^k."""
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
+    check_args(n)
     if truncation_order < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation_order}")
     return TSeries([gauss_binomial(n + k - 1, k) for k in range(truncation_order + 1)])
@@ -141,8 +131,7 @@ def euler_factor(p: int, n: int, truncation_order: int) -> list[int]:
     sublattice count at the prime power p^k.  Composite p would silently
     break the Euler-product interpretation, so it is rejected.
     """
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
+    check_args(n)
     if truncation_order < 0:
         raise ValueError(f"truncation order must be >= 0, got {truncation_order}")
     if not is_prime(p):
@@ -188,10 +177,7 @@ def dirichlet_coefficients(n: int, limit: int) -> DirichletCoefficients:
     m -> m^i for each shift i = 1 .. n-1.  Entry m is the sublattice count
     f_n(m).  The double loop over multiples is O(M log M) per shift.
     """
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    check_args(n, limit)
     values = [1] * (limit + 1)
     values[0] = 0
     for i in range(1, n):

@@ -86,20 +86,19 @@ def poly_divide_exact(numerator, denominator):
     return quotient
 
 
+def q_factorial(j):
+    """Coefficients of [j]_q! = [1]_q [2]_q ... [j]_q, with [i]_q = 1 + ... + q^(i-1)."""
+    poly = [1]
+    for i in range(1, j + 1):
+        poly = poly_mul(poly, [1] * i)
+    return poly
+
+
 def qbinomial_by_quotient(m, k):
     """The q-binomial as coefficients, straight from the factorial quotient."""
-    def q_int(j):
-        return [1] * j
-
-    def q_fact(j):
-        poly = [1]
-        for i in range(1, j + 1):
-            poly = poly_mul(poly, q_int(i))
-        return poly
-
     if k > m:
         return []
-    return poly_divide_exact(q_fact(m), poly_mul(q_fact(m - k), q_fact(k)))
+    return poly_divide_exact(q_factorial(m), poly_mul(q_factorial(m - k), q_factorial(k)))
 
 
 def brute_hnf_matrices(n, m, entry_bound):

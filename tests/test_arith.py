@@ -85,13 +85,6 @@ class TestFactorizationType:
         with pytest.raises(ValueError, match="exponent"):
             Factorization(3, ((3, 0),))
 
-    def test_exponent_lookup(self):
-        fact = factorize(360)
-        assert fact.exponent_of(2) == 3
-        assert fact.exponent_of(3) == 2
-        assert fact.exponent_of(7) == 0
-        assert fact.primes == (2, 3, 5)
-
 
 class TestIsPrime:
     def test_small_values(self):

@@ -4,14 +4,17 @@ Byte-level goldens run the real interpreter via subprocess; fault-injection
 cases drive cli.main() in process so internals can be monkeypatched.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import latcount.cli as cli
-from latcount import DiscrepancyError
+import latcount.count
+from latcount import CountResult, DiscrepancyError, Method, gauss_binomial_at
 
 
 def run_cli(*args, env_extra=None):
@@ -86,6 +89,42 @@ class TestCount:
         assert code == 4
         assert "disagree" in capsys.readouterr().err
 
+    def test_gruber_product_mismatch_exits_4(self, monkeypatch, capsys):
+        class Shifting:
+            """A factorization whose factors change between Gruber's two passes."""
+
+            def __init__(self):
+                self.passes = iter((((2, 1),), ((3, 1),)))
+
+            @property
+            def factors(self):
+                return next(self.passes)
+
+        monkeypatch.setattr(latcount.count, "factorize", lambda m: Shifting())
+        code = cli.main(["count", "--n", "2", "--m", "2"])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: product forms disagree")
+
+    def test_value_past_the_int_str_digit_limit(self):
+        # f_20(2^1000) = [1019 choose 1000]_2 has about 5,700 digits
+        proc = run_cli("count", "--n", "20", "--m", str(2**1000))
+        assert proc.returncode == 0, proc.stderr
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert int(proc.stdout) == gauss_binomial_at(1019, 1000, 2)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    def test_index_past_the_int_str_digit_limit(self):
+        proc = run_cli("count", "--n", "1", "--m", "1" + "0" * 4400)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
+
 
 class TestEnumerate:
     def test_two_by_two_golden(self):
@@ -121,6 +160,24 @@ class TestEnumerate:
             {"n": 2, "m": 2, "matrix": "2,0;0,1"},
         ]
         assert records[-1] == {"count": 3}
+
+    def test_closed_pipe_exits_1_quietly(self):
+        # f_3(360) = 624,650 lines: far more than a pipe buffer holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "latcount", "enumerate", "--n", "3", "--m", "360"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"1,0,0;0,1,0;0,0,360\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert stderr == b""
 
 
 class TestTable:
@@ -165,6 +222,23 @@ class TestVerify:
         out = capsys.readouterr().out
         # smallest counterexample in scan order
         assert "generating-identity: fail at n=1 t-order=0" in out
+
+    def test_cross_method_fault_exits_4(self, monkeypatch, capsys):
+        real_table = cli.count_table
+
+        def skewed_table(n, max_m, method):
+            table = list(real_table(n, max_m, method))
+            if method is Method.GRUBER and n == 2:
+                table[5] = CountResult(999, Method.GRUBER)
+            return table
+
+        monkeypatch.setattr(cli, "count_table", skewed_table)
+        code = cli.main(["verify", "--n-max", "2", "--m-max", "8", "--t-order", "1"])
+        assert code == 4
+        assert (
+            "cross-method-agreement: fail at n=2 m=6 (methods disagree for n=2, m=6: "
+            "dirichlet=12, factorization-sum=12, gruber=999, recursion=12)"
+        ) in capsys.readouterr().out
 
 
 class TestSeries:
@@ -212,3 +286,11 @@ class TestDeterminism:
         second = run_cli(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no check in the package may be one.
+    for path in sorted(Path(latcount.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"assert statements in {path.name} at lines {lines}"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import latcount.count
 from latcount import (
-    CountRequest,
     CountResult,
     DiscrepancyError,
     Method,
@@ -15,6 +14,7 @@ from latcount import (
     count_by_factorization_sum,
     count_by_gruber,
     count_by_recursion,
+    count_table,
     dirichlet_coefficients,
     gauss_binomial_at,
     run_count,
@@ -168,16 +168,32 @@ class TestHarness:
 
 class TestRequestDispatch:
     def test_request_validation(self):
-        with pytest.raises(ValueError):
-            CountRequest(0, 5, Method.GRUBER)
-        with pytest.raises(ValueError):
-            CountRequest(2, 0, Method.GRUBER)
+        for method in Method:
+            with pytest.raises(ValueError):
+                run_count(0, 5, method)
+            with pytest.raises(ValueError):
+                run_count(2, 0, method)
 
     def test_dispatch_each_method(self):
         for method in Method:
-            result = run_count(CountRequest(2, 6, method))
+            result = run_count(2, 6, method)
             assert result.value == 12
             assert result.method == method
+        assert run_count(2, 6, "recursion").method is Method.RECURSION
+
+    def test_table_matches_single_counts(self):
+        expected = [count_by_gruber(3, m).value for m in range(1, 13)]
+        for method in Method:
+            table = list(count_table(3, 12, method))
+            assert [r.method for r in table] == [method] * 12
+            assert [r.value for r in table] == expected
+
+    def test_table_rejects_bad_arguments(self):
+        for method in Method:
+            with pytest.raises(ValueError):
+                count_table(0, 5, method)
+            with pytest.raises(ValueError):
+                count_table(2, 0, method)
 
     def test_result_requires_positive_value(self):
         with pytest.raises(ValueError):

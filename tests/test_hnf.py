@@ -119,27 +119,6 @@ class TestEnumerate:
             next(enumerate_hnf(2, 0))
 
 
-class TestColumnBoundVariant:
-    def test_same_totals_different_matrices(self):
-        for n in range(1, 5):
-            for m in range(1, 13):
-                row_bound = list(enumerate_hnf(n, m))
-                col_bound = list(enumerate_hnf(n, m, column_bounds=True))
-                assert len(row_bound) == len(col_bound)
-
-    def test_per_diagonal_counts_reverse(self):
-        n = 3
-        for diagonal, group in groupby(
-            enumerate_hnf(n, 12, column_bounds=True), key=lambda mx: mx.diagonal
-        ):
-            expected = math.prod(d ** (n - 1 - j) for j, d in enumerate(diagonal))
-            assert sum(1 for _ in group) == expected
-
-    def test_variant_matrices_can_fail_row_validation(self):
-        col_bound = enumerate_hnf(2, 2, column_bounds=True)
-        assert any(not validate_hnf(mx, 2) for mx in col_bound)
-
-
 class TestCountByEnumeration:
     def test_examples(self):
         assert count_by_enumeration(2, 2, cap=100).value == 3
