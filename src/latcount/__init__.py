@@ -32,6 +32,7 @@ from .hnf import (
     HnfMatrix,
     count_by_enumeration,
     enumerate_hnf,
+    enumerate_lines,
     validate_hnf,
 )
 from .qcalc import (
@@ -77,6 +78,7 @@ __all__ = [
     "dirichlet_coefficients",
     "divisors",
     "enumerate_hnf",
+    "enumerate_lines",
     "euler_factor",
     "factorize",
     "format_qpolynomial",

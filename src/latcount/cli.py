@@ -17,8 +17,15 @@ from itertools import islice
 
 from .arith import ENV_TRIAL_DIVISION_BOUND
 from .core import CapacityError, DiscrepancyError, ExactnessError, Method
-from .count import FORMULA_METHODS, check_agreement, count_all_methods, count_table, run_count
-from .hnf import DEFAULT_ENUMERATION_CAP, enumerate_hnf
+from .count import (
+    FORMULA_METHODS,
+    check_agreement,
+    count_all_methods,
+    count_by_gruber,
+    count_table,
+    run_count,
+)
+from .hnf import DEFAULT_ENUMERATION_CAP, enumerate_lines
 from .series import euler_factor, lhs_product, rhs_sum, verify_generating_identity
 from .qcalc import gauss_binomial
 
@@ -29,6 +36,10 @@ EXIT_CAPACITY = 3
 EXIT_MISMATCH = 4
 
 FORMATS = ("plain", "csv", "json-lines")
+
+# enumerate prints this many lines per call.  Chunks stay small, so that peak
+# memory and the time to the first line stay close to one print per line.
+CHUNK_LINES = 256
 
 
 def int_at_least(low: int):
@@ -73,21 +84,28 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    stream = enumerate_hnf(args.n, args.m)
-    if args.limit is not None:
-        stream = islice(stream, args.limit)
-    emitted = 0
-    for matrix in stream:
-        emitted += 1
-        if args.limit is None and emitted > DEFAULT_ENUMERATION_CAP:
+    # f_1(m) = 1; any larger dimension gets its count predicted before any output.
+    if args.limit is None and args.n > 1:
+        predicted = count_by_gruber(args.n, args.m).value
+        if predicted > DEFAULT_ENUMERATION_CAP:
             raise CapacityError(
-                f"enumeration exceeded the default cap {DEFAULT_ENUMERATION_CAP}; "
+                f"enumeration of (n={args.n}, m={args.m}) would emit {predicted} matrices, "
+                f"above the default cap {DEFAULT_ENUMERATION_CAP}; "
                 f"pass --limit to stream a bounded prefix"
             )
-        if args.format == "json-lines":
-            print(_jsonl({"n": args.n, "m": args.m, "matrix": matrix.to_line()}))
-        else:
-            print(matrix.to_line())
+    lines = enumerate_lines(args.n, args.m)
+    if args.limit is not None:
+        lines = islice(lines, args.limit)
+    # Each chunk is printed as one string: the lines joined by sep, inside head and end.
+    head, sep, end = "", "\n", ""
+    if args.format == "json-lines":
+        # the same bytes as _jsonl({"n": n, "m": m, "matrix": line}): a line needs no escaping
+        head = f'{{"n":{args.n},"m":{args.m},"matrix":"'
+        sep, end = '"}\n' + head, '"}'
+    emitted = 0
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        emitted += len(chunk)
+        print(head + sep.join(chunk) + end)
     if args.format == "json-lines":
         print(_jsonl({"count": emitted}))
     elif args.format == "csv":

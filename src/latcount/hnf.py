@@ -11,19 +11,32 @@ so counting those matrices counts sublattices, and enumerating them lists
 every sublattice once.  Enumeration order is deterministic: diagonals in
 lexicographic order, then a row-major odometer over the entries below the
 diagonal.
+
+The odometer is lazy.  Per diagonal it holds one open iterator and one
+prefix per level (a row for matrices, a sub-diagonal entry for text lines),
+so O(n^2) of each, plus each level's pieces: the values 0 .. d-1 of an entry
+bounded by d, listed once per diagonal when d <= LISTED_BOUND and made again
+on every pass otherwise.  Memory therefore grows neither with the d^(n-1)
+matrices of a diagonal nor with m.  Outputs share the prefix of earlier
+levels: the text of a row is made once per prefix of earlier rows, and each
+further line costs one concatenation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import chain, repeat
 from math import prod
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .arith import ordered_factorizations
 from .core import CapacityError, CountResult, Method, check_args
 
 DEFAULT_ENUMERATION_CAP = 10**6
+
+# A level with at most this many entries keeps their pieces in a list.
+LISTED_BOUND = 4096
 
 
 @dataclass(frozen=True)
@@ -39,6 +52,14 @@ class HnfMatrix:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if len(self.rows) != self.n or any(len(row) != self.n for row in self.rows):
             raise ValueError(f"need a {self.n}x{self.n} matrix, got {self.rows!r}")
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "HnfMatrix":
+        """Build without the checks in __post_init__, from rows already in shape."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "n", n)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -76,6 +97,77 @@ def validate_hnf(matrix: HnfMatrix, m: int) -> bool:
     return matrix.determinant() == m
 
 
+Level = Callable[[], Iterator]
+
+
+def _odometer(start, levels: list[Level]) -> Iterator:
+    """Yield start + p_0 + p_1 + ... for each choice of p_k from levels[k], the last fastest.
+
+    Each level is a function returning a fresh iterator over its pieces,
+    none of them None.  Only one iterator and one prefix per level are held.
+    """
+    *outer, last = levels
+    prefixes = [start]
+    iterators: list[Iterator] = []
+    while True:
+        depth = len(iterators)
+        if depth < len(outer):
+            iterators.append(outer[depth]())
+        else:
+            yield from map(prefixes[depth].__add__, last())
+        while iterators:
+            piece = next(iterators[-1], None)
+            if piece is not None:
+                break
+            iterators.pop()
+        else:
+            return
+        del prefixes[len(iterators) :]
+        prefixes.append(prefixes[-1] + piece)
+
+
+def _entry_level(bound: int, piece: Callable[[int], object]) -> Level:
+    """The level whose pieces are piece(a) for a = 0 .. bound-1."""
+    if bound <= LISTED_BOUND:
+        return list(map(piece, range(bound))).__iter__
+    return partial(map, piece, range(bound))
+
+
+def _row_levels(diagonal: tuple[int, ...]) -> list[Level]:
+    """One level per row, each piece a 1-tuple holding the row."""
+    n = len(diagonal)
+    levels = [[((diagonal[0],) + (0,) * (n - 1),)].__iter__]
+    for i in range(1, n):
+        d = diagonal[i]
+        tail = (d,) + (0,) * (n - 1 - i)
+        entries = [_entry_level(d, lambda a: (a,))] * (i - 1)
+        entries.append(_entry_level(d, lambda a, tail=tail: (a,) + tail))
+        # zip over one iterator wraps each row in a 1-tuple
+        levels.append(lambda entries=entries: zip(_odometer((), entries)))
+    return levels
+
+
+def _text_levels(diagonal: tuple[int, ...]) -> list[Level]:
+    """One level per sub-diagonal entry, its pieces the entry's text with the separators."""
+    n = len(diagonal)
+    levels = [[f"{diagonal[0]}" + ",0" * (n - 1)].__iter__]
+    for i in range(1, n):
+        d = diagonal[i]
+        tail = f",{d}" + ",0" * (n - 1 - i)
+        formats = [";{}"] + [",{}"] * (i - 1)
+        formats[-1] += tail
+        levels.extend(_entry_level(d, text.format) for text in formats)
+    return levels
+
+
+def _stream(n: int, m: int, start, levels: Callable[[tuple[int, ...]], list[Level]]) -> Iterator:
+    """The odometer's output over every diagonal of (n, m), diagonals in lexicographic order."""
+    check_args(n, m)
+    return chain.from_iterable(
+        _odometer(start, levels(diagonal)) for diagonal in ordered_factorizations(m, n)
+    )
+
+
 def enumerate_hnf(n: int, m: int) -> Iterator[HnfMatrix]:
     """Yield every normal-form matrix of dimension n and determinant m, once.
 
@@ -83,21 +175,16 @@ def enumerate_hnf(n: int, m: int) -> Iterator[HnfMatrix]:
     entries).  The stream is lazy: f_n(m) matrices come out in total, so the
     caller is responsible for bounding consumption.
     """
-    check_args(n, m)
-    for diagonal in ordered_factorizations(m, n):
-        # one range per sub-diagonal slot, in row-major order
-        slot_bounds = []
-        for i in range(n):
-            for j in range(i):
-                slot_bounds.append(diagonal[i])
-        for fill in product(*(range(bound) for bound in slot_bounds)):
-            rows = []
-            pos = 0
-            for i in range(n):
-                row = list(fill[pos : pos + i]) + [diagonal[i]] + [0] * (n - i - 1)
-                pos += i
-                rows.append(tuple(row))
-            yield HnfMatrix(n, tuple(rows))
+    return map(HnfMatrix._trusted, repeat(n), _stream(n, m, (), _row_levels))
+
+
+def enumerate_lines(n: int, m: int) -> Iterator[str]:
+    """Yield ``mx.to_line()`` for each ``mx`` of ``enumerate_hnf(n, m)``, in the same order.
+
+    The lines are built as text straight from the odometer, with no matrix
+    in between, and the stream is as lazy as ``enumerate_hnf``.
+    """
+    return _stream(n, m, "", _text_levels)
 
 
 def count_by_enumeration(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> CountResult:

@@ -93,12 +93,17 @@ class TSeries:
         return f"TSeries({list(self._coeffs)!r})"
 
 
+def _check_truncation_order(truncation_order: int) -> None:
+    """Reject a truncation order below 0 with ValueError."""
+    if truncation_order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {truncation_order}")
+
+
 def geometric_factor(k: int, truncation_order: int) -> TSeries:
     """The series 1 / (1 - q^k t) truncated: sum_{j=0..K} q^(k j) t^j."""
     if k < 0:
         raise ValueError(f"exponent k must be >= 0, got {k}")
-    if truncation_order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {truncation_order}")
+    _check_truncation_order(truncation_order)
     return TSeries([QPolynomial.monomial(k * j) for j in range(truncation_order + 1)])
 
 
@@ -114,8 +119,7 @@ def lhs_product(n: int, truncation_order: int) -> TSeries:
 def rhs_sum(n: int, truncation_order: int) -> TSeries:
     """The q-binomial series: sum_{k=0..K} [n+k-1 choose k]_q t^k."""
     check_args(n)
-    if truncation_order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {truncation_order}")
+    _check_truncation_order(truncation_order)
     return TSeries([gauss_binomial(n + k - 1, k) for k in range(truncation_order + 1)])
 
 
@@ -132,8 +136,7 @@ def euler_factor(p: int, n: int, truncation_order: int) -> list[int]:
     break the Euler-product interpretation, so it is rejected.
     """
     check_args(n)
-    if truncation_order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {truncation_order}")
+    _check_truncation_order(truncation_order)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return [gauss_binomial_at(n + k - 1, k, p) for k in range(truncation_order + 1)]

@@ -5,6 +5,7 @@ cases drive cli.main() in process so internals can be monkeypatched.
 """
 
 import ast
+import hashlib
 import json
 import subprocess
 import sys
@@ -29,6 +30,37 @@ def run_cli(*args, env_extra=None):
         text=True,
         env=env,
     )
+
+
+# sha256 of the stdout of `enumerate ARGS --format FMT`, recorded from the
+# printer that built an HnfMatrix and called print() once per line.  The
+# limits 255, 256, 257 and 513 sit on the edges of 256-line print chunks.
+ENUMERATE_DIGESTS = [
+    ("--n 4 --m 24", "plain", "4a7bfe87ac55aa1e8bbf64721f62ec9ed909cbb1d3ca91d8ff963528d1d1e757"),
+    ("--n 4 --m 24", "csv", "e99caa3275ef6a7d5a59b4fd078b202215f8cf7aeed7b11b376a65f6ea82c49d"),
+    ("--n 4 --m 24", "json-lines", "76f4ca79f0a10f6658e44537cb7f2fe556f5a3f832489b21fe0c534bc970b7ce"),
+    ("--n 3 --m 233", "plain", "f792d6b30abc1b2e90e0467f63eda82a87ac54168ef32265a77edafaa2c1162a"),
+    ("--n 3 --m 233", "csv", "6f712f376daa17ada346cbf1a37e467a1f477cd01e2fa9fefdb35df5cfda602a"),
+    ("--n 3 --m 233", "json-lines", "b9a67e1aa94073de70896476b68fdaeb920b1eff8b0e820406719468ac5dbd8e"),
+    ("--n 4 --m 24 --limit 0", "plain", "d15d0edf16d99d8903be3938ca01b315ca5b082184399ef866dc72f3b1fe22dd"),
+    ("--n 4 --m 24 --limit 0", "csv", "d8b11969027b22e68a0256571cdfb509e4f75f148f8956c2445d0dbc4e7fcc33"),
+    ("--n 4 --m 24 --limit 0", "json-lines", "3108e15dfc911f1a730106ee1e44c941639e0b7add838d095680425e86d086c3"),
+    ("--n 4 --m 24 --limit 1", "plain", "4bef6e5eaac0626dd09415c29b9eb091bf2b0ba230e2bfec91082e7d6559d03b"),
+    ("--n 4 --m 24 --limit 1", "csv", "0b2e39080e44160dcf54cd47d12ad0654bf774fd981b43be8fd7235c099a4070"),
+    ("--n 4 --m 24 --limit 1", "json-lines", "30a6c20d1208ec08db673f593cad9e350b951ff5f9d1bcf6e421d879c2b4fc3b"),
+    ("--n 4 --m 24 --limit 255", "plain", "183435aea9c0f565447806ea449ce704b8a329f57cd90983d0cf0442e304ffc8"),
+    ("--n 4 --m 24 --limit 255", "csv", "39a92e5d151d8474cde40f437084cecf9c53e360e7b55985b3492ee059338f53"),
+    ("--n 4 --m 24 --limit 255", "json-lines", "bf084e476bfc9c9022d90c53e42f5e95a0cf785841a5a621f3a938bb5ff0f838"),
+    ("--n 4 --m 24 --limit 256", "plain", "be02ba17949db98a5d94e70912e3c84c51c2c7bcaa38c932183e646e7bdc8cfc"),
+    ("--n 4 --m 24 --limit 256", "csv", "6e8076a6d6a8904451195150e8cf6472d4f498e7cbfb55b7101163264893a6af"),
+    ("--n 4 --m 24 --limit 256", "json-lines", "9b000fed57e2e7d9847313cf97bb593af562f40dd82a2e66cc451df3144e04a8"),
+    ("--n 4 --m 24 --limit 257", "plain", "0f4363a1739b8793f8f1c286cb66628eab3972f04054ff861fa581c6951af091"),
+    ("--n 4 --m 24 --limit 257", "csv", "629a030dd826f8361e7e265d07ae98e756f13afe2bc5f27dd66980732fcfce6e"),
+    ("--n 4 --m 24 --limit 257", "json-lines", "71eef0ee428d0b2629d58fb579443e7f04cc9fe33cb5e745fcd84ff1ea31b261"),
+    ("--n 4 --m 24 --limit 513", "plain", "a44ff4c88d83634e9a707ad70be5ce03e005be51fc7e4ffbe58e1741d131a001"),
+    ("--n 4 --m 24 --limit 513", "csv", "93e3728b99b802b118dbb22acc8a307a263fb43ae11f85dfb15815a408fa7c52"),
+    ("--n 4 --m 24 --limit 513", "json-lines", "e3188ebe63ffef2718afb5949ea7d14ce59e8b54566830385f8c8be07e1e7faa"),
+]
 
 
 class TestCount:
@@ -160,6 +192,27 @@ class TestEnumerate:
             {"n": 2, "m": 2, "matrix": "2,0;0,1"},
         ]
         assert records[-1] == {"count": 3}
+
+    def test_over_cap_is_refused_before_any_output(self):
+        # f_3(720) = 2,623,530 is over the default cap of 10^6
+        proc = run_cli("enumerate", "--n", "3", "--m", "720")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "2623530" in proc.stderr and "1000000" in proc.stderr
+
+    def test_limit_streams_past_the_cap(self):
+        proc = run_cli("enumerate", "--n", "3", "--m", "720", "--limit", "5")
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 6
+        assert lines[-1] == "count: 5"
+
+    @pytest.mark.parametrize("args, fmt, digest", ENUMERATE_DIGESTS)
+    def test_stdout_matches_recorded_digest(self, args, fmt, digest):
+        proc = run_cli("enumerate", *args.split(), "--format", fmt)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
     def test_closed_pipe_exits_1_quietly(self):
         # f_3(360) = 624,650 lines: far more than a pipe buffer holds

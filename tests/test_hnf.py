@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import groupby, islice
 
 import pytest
@@ -11,8 +12,10 @@ from latcount import (
     count_by_enumeration,
     count_by_recursion,
     enumerate_hnf,
+    enumerate_lines,
     validate_hnf,
 )
+from latcount import hnf
 from oracles import brute_hnf_matrices
 
 
@@ -119,6 +122,43 @@ class TestEnumerate:
             next(enumerate_hnf(2, 0))
 
 
+class TestOdometer:
+    def test_lines_match_to_line(self):
+        for n in range(1, 5):
+            for m in range(1, 25):
+                assert list(enumerate_lines(n, m)) == [mx.to_line() for mx in enumerate_hnf(n, m)]
+
+    def test_matrices_match_the_validating_constructor(self):
+        for n in range(1, 5):
+            for m in range(1, 25):
+                for matrix in enumerate_hnf(n, m):
+                    assert type(matrix.rows) is tuple
+                    for row in matrix.rows:
+                        assert type(row) is tuple and all(type(entry) is int for entry in row)
+                    assert matrix == HnfMatrix(n, matrix.rows)
+
+    def test_unlisted_levels_give_the_same_stream(self, monkeypatch):
+        expected = {(n, m): list(enumerate_lines(n, m)) for n in range(1, 5) for m in (7, 12, 24)}
+        monkeypatch.setattr(hnf, "LISTED_BOUND", 2)
+        for (n, m), lines in expected.items():
+            assert list(enumerate_lines(n, m)) == lines
+            assert [mx.to_line() for mx in enumerate_hnf(n, m)] == lines
+
+    # (1, 1, 1, 61) comes first and has 61^3 last rows; the first diagonal of
+    # the prime 1,000,003 has a level of 1,000,003 entries.
+    @pytest.mark.parametrize("stream", [enumerate_hnf, enumerate_lines])
+    @pytest.mark.parametrize("n, m", [(4, 61), (2, 1_000_003)])
+    def test_memory_does_not_grow_with_the_diagonal(self, stream, n, m):
+        tracemalloc.start()
+        try:
+            items = list(islice(stream(n, m), 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(items) == 10
+        assert peak < 2 * 2**20
+
+
 class TestCountByEnumeration:
     def test_examples(self):
         assert count_by_enumeration(2, 2, cap=100).value == 3
@@ -139,6 +179,10 @@ class TestCountByEnumeration:
         for n in range(1, 5):
             for m in range(1, 16):
                 assert count_by_enumeration(n, m, cap=10**5).value == count_by_recursion(n, m).value
+
+    def test_cap_stops_a_huge_enumeration(self):
+        with pytest.raises(CapacityError):
+            count_by_enumeration(6, 97, cap=10)
 
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
