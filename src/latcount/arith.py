@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 from typing import Iterator, Sequence
 
@@ -95,8 +96,14 @@ def factorize(m: int, bound: int | None = None) -> Factorization:
     """
     if m < 1:
         raise ValueError(f"cannot factor {m}: input must be a positive integer")
-    limit = trial_division_bound() if bound is None else bound
+    return _factorize(m, trial_division_bound() if bound is None else bound)
 
+
+# One command may factor the same m several times: enumerate, for instance,
+# predicts its count, streams its lines and checks the first one.  A few
+# recent results are kept so that those calls share one trial division.
+@lru_cache(maxsize=16)
+def _factorize(m: int, limit: int) -> Factorization:
     factors = []
     remaining = m
     d = 2

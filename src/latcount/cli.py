@@ -25,7 +25,7 @@ from .count import (
     count_table,
     run_count,
 )
-from .hnf import DEFAULT_ENUMERATION_CAP, enumerate_lines
+from .hnf import DEFAULT_ENUMERATION_CAP, enumerate_hnf, enumerate_lines, validate_hnf
 from .series import euler_factor, lhs_product, rhs_sum, verify_generating_identity
 from .qcalc import gauss_binomial
 
@@ -83,6 +83,16 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _check_first_line(n: int, m: int, line: str) -> None:
+    """Check the text stream's first line against the first matrix, validated and serialized."""
+    first = next(enumerate_hnf(n, m))
+    if not validate_hnf(first, m) or first.to_line() != line:
+        raise ExactnessError(
+            f"enumerate (n={n}, m={m}): the text stream starts {line!r}, "
+            f"the matrix stream {first.to_line()!r}"
+        )
+
+
 def cmd_enumerate(args) -> int:
     # f_1(m) = 1; any larger dimension gets its count predicted before any output.
     if args.limit is None and args.n > 1:
@@ -104,6 +114,8 @@ def cmd_enumerate(args) -> int:
         sep, end = '"}\n' + head, '"}'
     emitted = 0
     while chunk := list(islice(lines, CHUNK_LINES)):
+        if not emitted:
+            _check_first_line(args.n, args.m, chunk[0])
         emitted += len(chunk)
         print(head + sep.join(chunk) + end)
     if args.format == "json-lines":

@@ -47,6 +47,11 @@ class TestFactorize:
         fact = factorize(2 * 999999999989)
         assert fact.factors == ((2, 1), (999999999989, 1))
 
+    def test_repeated_calls_share_one_factorization(self):
+        p = 1_000_003
+        assert factorize(p) is factorize(p)
+        assert factorize(p, bound=2000) is not factorize(p)
+
     def test_env_var_overrides_bound(self, monkeypatch):
         monkeypatch.setenv("LATCOUNT_TRIAL_DIVISION_BOUND", "10")
         with pytest.raises(CapacityError):

@@ -207,6 +207,14 @@ class TestEnumerate:
         assert len(lines) == 6
         assert lines[-1] == "count: 5"
 
+    def test_text_stream_that_leaves_the_matrices_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "enumerate_lines", lambda n, m: iter(["1,0;1,2", "1,0;0,2"]))
+        code = cli.main(["enumerate", "--n", "2", "--m", "2"])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: enumerate (n=2, m=2): the text stream starts '1,0;1,2'")
+
     @pytest.mark.parametrize("args, fmt, digest", ENUMERATE_DIGESTS)
     def test_stdout_matches_recorded_digest(self, args, fmt, digest):
         proc = run_cli("enumerate", *args.split(), "--format", fmt)

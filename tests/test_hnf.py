@@ -137,12 +137,13 @@ class TestOdometer:
                         assert type(row) is tuple and all(type(entry) is int for entry in row)
                     assert matrix == HnfMatrix(n, matrix.rows)
 
-    def test_unlisted_levels_give_the_same_stream(self, monkeypatch):
-        expected = {(n, m): list(enumerate_lines(n, m)) for n in range(1, 5) for m in (7, 12, 24)}
-        monkeypatch.setattr(hnf, "LISTED_BOUND", 2)
-        for (n, m), lines in expected.items():
-            assert list(enumerate_lines(n, m)) == lines
-            assert [mx.to_line() for mx in enumerate_hnf(n, m)] == lines
+    def test_levels_past_the_listed_bound(self):
+        # the first diagonal, (1, 1, m), has two entry levels bounded by m
+        m = hnf.LISTED_BOUND + 1
+        head = 2 * m + 1
+        expected = [f"1,0,0;0,1,0;{a},{b},{m}" for a in range(3) for b in range(m)][:head]
+        assert list(islice(enumerate_lines(3, m), head)) == expected
+        assert [mx.to_line() for mx in islice(enumerate_hnf(3, m), head)] == expected
 
     # (1, 1, 1, 61) comes first and has 61^3 last rows; the first diagonal of
     # the prime 1,000,003 has a level of 1,000,003 entries.
