@@ -42,7 +42,6 @@ from .qcalc import (
     gauss_binomial_at,
 )
 from .series import (
-    DirichletCoefficients,
     TSeries,
     count_by_dirichlet,
     dirichlet_coefficients,
@@ -60,7 +59,6 @@ __all__ = [
     "CountResult",
     "DEFAULT_ENUMERATION_CAP",
     "DEFAULT_TRIAL_DIVISION_BOUND",
-    "DirichletCoefficients",
     "DiscrepancyError",
     "ExactnessError",
     "Factorization",

@@ -30,7 +30,10 @@ def trial_division_bound() -> int:
     raw = os.environ.get(ENV_TRIAL_DIVISION_BOUND)
     if raw is None:
         return DEFAULT_TRIAL_DIVISION_BOUND
-    bound = int(raw)
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_TRIAL_DIVISION_BOUND} must be an integer, got {raw!r}") from None
     if bound < 2:
         raise ValueError(f"{ENV_TRIAL_DIVISION_BOUND} must be >= 2, got {bound}")
     return bound
@@ -125,9 +128,9 @@ def _factorize(m: int, limit: int) -> Factorization:
     return Factorization(m, tuple(factors))
 
 
-def divisors(m: int, bound: int | None = None) -> list[int]:
+def divisors(m: int) -> list[int]:
     """All divisors of m in strictly increasing order."""
-    fact = factorize(m, bound)
+    fact = factorize(m)
     divs = [1]
     for p, e in fact.factors:
         pk = 1
@@ -140,17 +143,17 @@ def divisors(m: int, bound: int | None = None) -> list[int]:
     return divs
 
 
-def ordered_factorization_count(m: int, n: int, bound: int | None = None) -> int:
+def ordered_factorization_count(m: int, n: int) -> int:
     """How many n-tuples of positive integers multiply to m.
 
     Equals the product over prime exponents r of C(r + n - 1, n - 1).
     """
     check_args(n)
-    fact = factorize(m, bound)
+    fact = factorize(m)
     return prod(comb(e + n - 1, n - 1) for _, e in fact.factors)
 
 
-def ordered_factorizations(m: int, n: int, bound: int | None = None) -> Iterator[tuple[int, ...]]:
+def ordered_factorizations(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """Yield every n-tuple (d_1, ..., d_n) with d_1 * ... * d_n = m.
 
     Tuples come out in lexicographic order, each exactly once.  The stream
@@ -158,7 +161,7 @@ def ordered_factorizations(m: int, n: int, bound: int | None = None) -> Iterator
     tuple at a time.
     """
     check_args(n)
-    divs = divisors(m, bound)
+    divs = divisors(m)
     yield from _ordered_factorizations(m, n, divs)
 
 

@@ -71,7 +71,7 @@ def _count_record(fmt: str, n: int, m: int, method: str, value: int) -> str:
 
 def cmd_count(args) -> int:
     if args.all:
-        results = count_all_methods(args.n, args.m, include_enumeration=True)
+        results = count_all_methods(args.n, args.m)
         for result in results:
             print(_count_record(args.format, args.n, args.m, str(result.method), result.value))
         return EXIT_OK

@@ -9,9 +9,10 @@ from enum import Enum
 class CapacityError(RuntimeError):
     """A computation exceeded one of its configured resource bounds.
 
-    Raised when trial division would have to search past its bound, or when
-    an enumeration would yield more matrices than its cap.  Never raised for
-    malformed input; those get ValueError.
+    Raised when trial division would have to search past its bound, when
+    an enumeration would yield more matrices than its cap, or when a
+    Dirichlet limit is above its cap.  Never raised for malformed input;
+    those get ValueError.
     """
 
 

@@ -140,7 +140,7 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
     check_args(n, max_m)
     method = Method(method)
     if method is Method.DIRICHLET:
-        return (CountResult(value, method) for _, value in dirichlet_coefficients(n, max_m))
+        return (CountResult(value, method) for value in dirichlet_coefficients(n, max_m)[1:])
     count = _DISPATCH[method]
     return (count(n, m) for m in range(1, max_m + 1))
 
@@ -153,18 +153,13 @@ def check_agreement(n: int, m: int, results: Iterable[CountResult]) -> list[Coun
     return results
 
 
-def count_all_methods(
-    n: int,
-    m: int,
-    include_enumeration: bool = False,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[CountResult]:
+def count_all_methods(n: int, m: int) -> list[CountResult]:
     """Run every applicable method and insist that they agree.
 
-    Enumeration joins in only when requested, and is skipped automatically
-    when the (cheap) product formula predicts a count above the cap;
-    everything else always runs.  Results come back sorted by method name
-    so the aggregation order never depends on evaluation order.
+    Enumeration joins in unless the (cheap) product formula predicts a count
+    above DEFAULT_ENUMERATION_CAP; everything else always runs.  Results
+    come back sorted by method name so the aggregation order never depends
+    on evaluation order.
     """
     gruber = count_by_gruber(n, m)
     results = [
@@ -173,6 +168,6 @@ def count_all_methods(
         gruber,
         count_by_dirichlet(n, m),
     ]
-    if include_enumeration and gruber.value <= enumeration_cap:
-        results.append(count_by_enumeration(n, m, cap=enumeration_cap))
+    if gruber.value <= DEFAULT_ENUMERATION_CAP:
+        results.append(count_by_enumeration(n, m))
     return check_agreement(n, m, results)

@@ -1,19 +1,20 @@
 """Gaussian-binomial calculus over exact integer polynomials in q.
 
-The q-binomial coefficient is built with the division-free q-Pascal
-recurrence
+The q-binomial coefficient is built from the two-index q-Pascal recurrence
 
-    B(m, k) = B(m-1, k-1) + q^k * B(m-1, k),    B(m, 0) = B(m, m) = 1,
+    G[i][j] = G[i-1][j] + q^i * G[i][j-1],    G[0][j] = G[i][0] = 1,
 
-which stays inside integer polynomial arithmetic; the textbook quotient of
-q-factorials lives only in tests/oracles.py, as a test oracle.  Evaluated
-q-binomials (`gauss_binomial_at`) take an independent route through exact
-integer division so the two can cross-check each other.
+for G[i][j] = [i+j choose i]_q (Andrews, The Theory of Partitions, ch. 3).
+[m choose k] = G[k][m-k] is reached by rolling one row over i = 1 .. k, so a
+call keeps O(m-k) polynomials alive and nothing outlives it.  The recurrence
+is division-free and stays inside integer polynomial arithmetic; the
+textbook quotient of q-factorials lives only in tests/oracles.py, as a test
+oracle.  Evaluated q-binomials (`gauss_binomial_at`) take an independent
+route through exact integer division so the two can cross-check each other.
 """
 
 from __future__ import annotations
 
-import functools
 from math import comb
 from typing import Iterable
 
@@ -63,14 +64,6 @@ class QPolynomial:
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def __getitem__(self, i: int) -> int:
-        """Coefficient of q^i (0 beyond the degree)."""
-        if i < 0:
-            raise IndexError("negative powers do not occur")
-        if i >= len(self._coeffs):
-            return 0
-        return self._coeffs[i]
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
         if not isinstance(other, QPolynomial):
@@ -150,16 +143,6 @@ def format_qpolynomial(poly: QPolynomial) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_binomial(m: int, k: int) -> QPolynomial:
-    if k == 0 or k == m:
-        return QPolynomial.one()
-    if k > m:
-        return QPolynomial.zero()
-    # q-Pascal: B(m, k) = B(m-1, k-1) + q^k * B(m-1, k)
-    return _gauss_binomial(m - 1, k - 1) + _gauss_binomial(m - 1, k).shift(k)
-
-
 def gauss_binomial(m: int, k: int) -> QPolynomial:
     """The Gaussian binomial coefficient [m choose k]_q as a polynomial.
 
@@ -170,12 +153,14 @@ def gauss_binomial(m: int, k: int) -> QPolynomial:
         raise ValueError(f"gauss_binomial needs m, k >= 0, got m={m}, k={k}")
     if k > m:
         return QPolynomial.zero()
-    # Fill the memo table bottom-up so recursion depth stays O(1) even for
-    # large m (the recurrence would otherwise nest m levels deep).
-    for mm in range(2, m + 1):
-        for kk in range(1, min(mm - 1, k) + 1):
-            _gauss_binomial(mm, kk)
-    return _gauss_binomial(m, k)
+    # After pass i, row[j] = [i+j choose i]_q.  The grid is always k passes of
+    # m-k steps, never the mirror [m choose m-k], so that the symmetry checks
+    # compare two different computations.
+    row = [QPolynomial.one()] * (m - k + 1)
+    for i in range(1, k + 1):
+        for j in range(1, m - k + 1):
+            row[j] = row[j] + row[j - 1].shift(i)
+    return row[-1]
 
 
 def gauss_binomial_at(m: int, k: int, q0: int) -> int:

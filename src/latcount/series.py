@@ -6,20 +6,19 @@ sides of the identity
 
     prod_{k=0..n-1} 1 / (1 - q^k t)  =  sum_{k>=0} [n+k-1 choose k]_q t^k.
 
-DirichletCoefficients is the coefficient stream a(1..M) of a Dirichlet
-series.  The zeta factor shifted by i is just the stream m -> m^i, so the
-coefficients of zeta(s) zeta(s-1) ... zeta(s-n+1) fall out of n-1 exact
-Dirichlet convolutions; no zeta value is ever evaluated analytically.
+The other is the coefficient list a(1..M) of a Dirichlet series.  The zeta
+factor shifted by i is just the stream m -> m^i, so the coefficients of
+zeta(s) zeta(s-1) ... zeta(s-n+1) fall out of n-1 exact Dirichlet
+convolutions; no zeta value is ever evaluated analytically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .arith import is_prime
-from .core import CountResult, Method, check_args
+from .core import CapacityError, CountResult, Method, check_args
 from .qcalc import QPolynomial, gauss_binomial, gauss_binomial_at
 
 
@@ -27,7 +26,7 @@ class TSeries:
     """A power series in t, truncated at order K, with QPolynomial coefficients.
 
     Index k of ``coefficients`` holds the coefficient of t^k; the list always
-    has length K+1.  Addition and multiplication truncate back to order K, and
+    has length K+1.  Multiplication truncates back to order K, and
     equality is exact, coefficient by coefficient.  Instances are immutable.
     """
 
@@ -46,9 +45,6 @@ class TSeries:
     def coefficients(self) -> tuple[QPolynomial, ...]:
         return self._coeffs
 
-    def __getitem__(self, k: int) -> QPolynomial:
-        return self._coeffs[k]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TSeries):
             return NotImplemented
@@ -57,24 +53,12 @@ class TSeries:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def _require_same_order(self, other: "TSeries") -> None:
-        if self.truncation_order != other.truncation_order:
-            raise ValueError(
-                f"truncation orders differ: {self.truncation_order} "
-                f"versus {other.truncation_order}"
-            )
-
-    def __add__(self, other: "TSeries") -> "TSeries":
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        return TSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
-
     def __mul__(self, other: "TSeries") -> "TSeries":
         if not isinstance(other, TSeries):
             return NotImplemented
-        self._require_same_order(other)
         K = self.truncation_order
+        if K != other.truncation_order:
+            raise ValueError(f"truncation orders differ: {K} versus {other.truncation_order}")
         coeffs = [QPolynomial.zero() for _ in range(K + 1)]
         for i, a in enumerate(self._coeffs):
             if a.is_zero():
@@ -142,45 +126,27 @@ def euler_factor(p: int, n: int, truncation_order: int) -> list[int]:
     return [gauss_binomial_at(n + k - 1, k, p) for k in range(truncation_order + 1)]
 
 
-@dataclass(frozen=True)
-class DirichletCoefficients:
-    """Coefficients a(1..M) of a Dirichlet series, 1-indexed.
-
-    ``values`` is padded with a dead 0 slot at index 0 so that values[m]
-    is the coefficient of m^(-s).
-    """
-
-    limit: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.limit < 1:
-            raise ValueError(f"limit must be >= 1, got {self.limit}")
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.limit + 1:
-            raise ValueError(
-                f"need {self.limit + 1} slots (index 0 unused), got {len(self.values)}"
-            )
-
-    def __getitem__(self, m: int) -> int:
-        if not 1 <= m <= self.limit:
-            raise IndexError(f"index {m} outside 1..{self.limit}")
-        return self.values[m]
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        """Yield (m, a(m)) pairs for m = 1 .. limit."""
-        for m in range(1, self.limit + 1):
-            yield m, self.values[m]
+# The largest Dirichlet limit accepted, just over 10x the largest the count
+# benchmark draws.  Memory grows linearly with the limit: under tracemalloc,
+# n = 5 peaks at 13 MB for a limit of 10^5 and at 140 MB for this one.
+MAX_DIRICHLET_LIMIT = 2**20
 
 
-def dirichlet_coefficients(n: int, limit: int) -> DirichletCoefficients:
+def dirichlet_coefficients(n: int, limit: int) -> list[int]:
     """First `limit` coefficients of zeta(s) zeta(s-1) ... zeta(s-n+1).
 
     Starts from the all-ones stream of zeta(s) and convolves in the stream
-    m -> m^i for each shift i = 1 .. n-1.  Entry m is the sublattice count
-    f_n(m).  The double loop over multiples is O(M log M) per shift.
+    m -> m^i for each shift i = 1 .. n-1.  Entry m of the returned list is
+    the sublattice count f_n(m); entry 0 is 0.  The double loop over
+    multiples is O(M log M) per shift.  A limit above MAX_DIRICHLET_LIMIT
+    raises CapacityError before anything is allocated.
     """
     check_args(n, limit)
+    if limit > MAX_DIRICHLET_LIMIT:
+        raise CapacityError(
+            f"Dirichlet coefficients up to {limit} would need lists of {limit + 1} "
+            f"entries, above the limit {MAX_DIRICHLET_LIMIT}"
+        )
     values = [1] * (limit + 1)
     values[0] = 0
     for i in range(1, n):
@@ -192,10 +158,9 @@ def dirichlet_coefficients(n: int, limit: int) -> DirichletCoefficients:
                 for q in range(1, limit // d + 1):
                     convolved[d * q] += a * powers[q]
         values = convolved
-    return DirichletCoefficients(limit, tuple(values))
+    return values
 
 
 def count_by_dirichlet(n: int, m: int) -> CountResult:
     """Read the sublattice count off the Dirichlet coefficient stream."""
-    coefficients = dirichlet_coefficients(n, m)
-    return CountResult(coefficients[m], Method.DIRICHLET, work_stats={"limit": m})
+    return CountResult(dirichlet_coefficients(n, m)[m], Method.DIRICHLET, work_stats={"limit": m})

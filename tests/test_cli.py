@@ -9,6 +9,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import latcount.cli as cli
 import latcount.count
 from latcount import CountResult, DiscrepancyError, Method, gauss_binomial_at
+from latcount.series import MAX_DIRICHLET_LIMIT
 
 
 def run_cli(*args, env_extra=None):
@@ -112,8 +114,30 @@ class TestCount:
         assert proc.returncode == 3
         assert "bound" in proc.stderr
 
+    def test_non_integer_bound_names_the_variable(self):
+        proc = run_cli(
+            "count", "--n", "2", "--m", "6",
+            env_extra={"LATCOUNT_TRIAL_DIVISION_BOUND": "abc"},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: LATCOUNT_TRIAL_DIVISION_BOUND must be an integer, got 'abc'\n"
+
+    def test_dirichlet_limit_refused_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = cli.main(["count", "--n", "5", "--m", str(10**10), "--method", "dirichlet"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 1 << 20
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and str(MAX_DIRICHLET_LIMIT) in err
+
     def test_discrepancy_exits_4(self, monkeypatch, capsys):
-        def explode(n, m, include_enumeration=False, enumeration_cap=0):
+        def explode(n, m):
             raise DiscrepancyError(n, m, [("gruber", 1), ("recursion", 2)])
 
         monkeypatch.setattr(cli, "count_all_methods", explode)

@@ -120,7 +120,7 @@ class TestCrossMethod:
 
 class TestHarness:
     def test_all_methods_with_enumeration(self):
-        results = count_all_methods(2, 2, include_enumeration=True)
+        results = count_all_methods(2, 2)
         assert [str(r.method) for r in results] == [
             "dirichlet",
             "factorization-sum",
@@ -131,20 +131,21 @@ class TestHarness:
         assert {r.value for r in results} == {3}
 
     def test_trivial_dimension(self):
-        results = count_all_methods(1, 7, include_enumeration=True)
+        results = count_all_methods(1, 7)
         assert {r.value for r in results} == {1}
         assert len(results) == 5
 
-    def test_enumeration_excluded_by_default(self):
+    def test_enumeration_joins_under_the_cap(self):
         results = count_all_methods(4, 12)
-        assert len(results) == 4
-        assert Method.HNF not in {r.method for r in results}
+        assert len(results) == 5
+        assert Method.HNF in {r.method for r in results}
         assert len({r.value for r in results}) == 1
 
     def test_enumeration_skipped_above_cap(self):
-        results = count_all_methods(3, 8, include_enumeration=True, enumeration_cap=10)
-        # f_3(8) = 155 > 10, so the enumeration backend must be skipped
+        results = count_all_methods(3, 720)
+        # f_3(720) = 2,623,530 > DEFAULT_ENUMERATION_CAP, so enumeration must be skipped
         assert Method.HNF not in {r.method for r in results}
+        assert {r.value for r in results} == {2_623_530}
 
     def test_discrepancy_raises_with_all_values(self, monkeypatch):
         def wrong_gruber(n, m):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -31,12 +32,6 @@ class TestQPolynomial:
         assert (a * b).coefficients == (3, 6, 1, 2)
         assert (a * 0).is_zero()
         assert (3 * a).coefficients == (3, 6)
-
-    def test_indexing_past_degree_gives_zero(self):
-        p = QPolynomial([1, 2])
-        assert p[0] == 1 and p[1] == 2 and p[5] == 0
-        with pytest.raises(IndexError):
-            p[-1]
 
     def test_shift(self):
         assert QPolynomial([1, 1]).shift(2).coefficients == (0, 0, 1, 1)
@@ -103,6 +98,15 @@ class TestGaussBinomial:
                 poly = gauss_binomial(m, k)
                 assert poly.degree == k * (m - k)
                 assert all(c >= 0 for c in poly.coefficients)
+
+    def test_nothing_outlives_a_call(self):
+        tracemalloc.start()
+        try:
+            gauss_binomial(60, 30)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):
