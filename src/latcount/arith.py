@@ -1,9 +1,12 @@
 """Exact integer arithmetic: factorization and divisor/tuple enumeration.
 
 Everything here is deterministic trial division over Python's native
-arbitrary-precision integers.  Inputs whose unfactored part has no prime
+arbitrary-precision integers, done by one loop (`_least_factor`) that both
+`is_prime` and `factorize` call.  Inputs whose unfactored part has no prime
 factor below the trial-division bound are rejected loudly (CapacityError)
-instead of silently falling back to slower machinery.
+instead of silently falling back to slower machinery.  Each prime that
+`factorize` finds is proven by that loop, so its results skip the checks
+that the public `Factorization(...)` constructor makes.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class Factorization:
     ``factors`` lists (prime, exponent) pairs with primes strictly
     increasing and every exponent >= 1; the factorization of 1 is the
     empty list.  Construction re-checks all invariants, so a Factorization
-    in hand is always trustworthy.
+    in hand is always trustworthy; only `factorize`, whose primes are
+    proven as they are found, builds one without them (`_trusted`).
     """
 
     value: int
@@ -68,29 +72,42 @@ class Factorization:
         if prod(p**e for p, e in self.factors) != self.value:
             raise ValueError(f"factors do not multiply to {self.value}")
 
+    @classmethod
+    def _trusted(cls, value: int, factors: tuple[tuple[int, int], ...]) -> "Factorization":
+        """Build without the checks in __post_init__, from primes already proven."""
+        fact = object.__new__(cls)
+        object.__setattr__(fact, "value", value)
+        object.__setattr__(fact, "factors", factors)
+        return fact
 
-def is_prime(p: int, bound: int | None = None) -> bool:
+
+def _least_factor(x: int, start: int, limit: int) -> int:
+    """The least prime factor of x that is at least start, or x itself once d*d > x.
+
+    x has no prime factor below start, which is 2 or odd; the trial divisors
+    step 2, 3, 5, 7, ...  Raises CapacityError if the search would pass
+    limit before reaching the square root of x.
+    """
+    d = start
+    while d * d <= x:
+        if d > limit:
+            raise CapacityError(f"no prime factor of {x} below trial-division bound {limit}")
+        if x % d == 0:
+            return d
+        d += 1 if d == 2 else 2
+    return x
+
+
+def is_prime(p: int) -> bool:
     """Primality by trial division up to sqrt(p).
 
     Raises CapacityError if certifying p would need divisors past the
     trial-division bound (i.e. p > bound**2 with no small factor found).
     """
-    if p < 2:
-        return False
-    limit = trial_division_bound() if bound is None else bound
-    d = 2
-    while d * d <= p:
-        if d > limit:
-            raise CapacityError(
-                f"cannot certify primality of {p}: needs trial division past bound {limit}"
-            )
-        if p % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return p >= 2 and _least_factor(p, 2, trial_division_bound()) == p
 
 
-def factorize(m: int, bound: int | None = None) -> Factorization:
+def factorize(m: int) -> Factorization:
     """Factor m >= 1 by trial division.
 
     The remaining cofactor is accepted once trial division has passed its
@@ -99,7 +116,10 @@ def factorize(m: int, bound: int | None = None) -> Factorization:
     """
     if m < 1:
         raise ValueError(f"cannot factor {m}: input must be a positive integer")
-    return _factorize(m, trial_division_bound() if bound is None else bound)
+    try:
+        return _factorize(m, trial_division_bound())
+    except CapacityError as exc:
+        raise CapacityError(f"cannot factor {m}: {exc}") from None
 
 
 # One command may factor the same m several times: enumerate, for instance,
@@ -107,25 +127,17 @@ def factorize(m: int, bound: int | None = None) -> Factorization:
 # recent results are kept so that those calls share one trial division.
 @lru_cache(maxsize=16)
 def _factorize(m: int, limit: int) -> Factorization:
+    # Each prime is the least factor of what the smaller ones leave: restart there.
     factors = []
-    remaining = m
-    d = 2
-    while d * d <= remaining:
-        if d > limit:
-            raise CapacityError(
-                f"cannot factor {m}: no prime factor of {remaining} below "
-                f"trial-division bound {limit}"
-            )
-        if remaining % d == 0:
-            e = 0
-            while remaining % d == 0:
-                remaining //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if remaining > 1:
-        factors.append((remaining, 1))
-    return Factorization(m, tuple(factors))
+    remaining, p = m, 2
+    while remaining > 1:
+        p = _least_factor(remaining, p, limit)
+        e = 0
+        while remaining % p == 0:
+            remaining //= p
+            e += 1
+        factors.append((p, e))
+    return Factorization._trusted(m, tuple(factors))
 
 
 def divisors(m: int) -> list[int]:

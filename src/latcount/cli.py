@@ -57,29 +57,23 @@ def int_at_least(low: int):
     return parse
 
 
-def _jsonl(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"))
-
-
-def _count_record(fmt: str, n: int, m: int, method: str, value: int) -> str:
-    if fmt == "csv":
-        return f"{method},{value}"
+def _record(fmt: str, plain: str, csv: str, fields: dict) -> str:
+    """One record's line in the chosen --format: plain, csv, or its fields as json-lines."""
     if fmt == "json-lines":
-        return _jsonl({"n": n, "m": m, "method": method, "value": str(value)})
-    return f"{method}: {value}"
+        return json.dumps(fields, separators=(",", ":"))
+    return csv if fmt == "csv" else plain
 
 
 def cmd_count(args) -> int:
     if args.all:
         results = count_all_methods(args.n, args.m)
-        for result in results:
-            print(_count_record(args.format, args.n, args.m, str(result.method), result.value))
-        return EXIT_OK
-    result = run_count(args.n, args.m, args.method)
-    if args.format == "plain":
-        print(result.value)
     else:
-        print(_count_record(args.format, args.n, args.m, str(result.method), result.value))
+        results = [run_count(args.n, args.m, args.method)]
+    for result in results:
+        method, value = str(result.method), result.value
+        plain = f"{method}: {value}" if args.all else str(value)
+        fields = {"n": args.n, "m": args.m, "method": method, "value": str(value)}
+        print(_record(args.format, plain, f"{method},{value}", fields))
     return EXIT_OK
 
 
@@ -109,7 +103,7 @@ def cmd_enumerate(args) -> int:
     # Each chunk is printed as one string: the lines joined by sep, inside head and end.
     head, sep, end = "", "\n", ""
     if args.format == "json-lines":
-        # the same bytes as _jsonl({"n": n, "m": m, "matrix": line}): a line needs no escaping
+        # the same bytes as _record's json for {"n": n, "m": m, "matrix": line}: no escaping needed
         head = f'{{"n":{args.n},"m":{args.m},"matrix":"'
         sep, end = '"}\n' + head, '"}'
     emitted = 0
@@ -118,12 +112,7 @@ def cmd_enumerate(args) -> int:
             _check_first_line(args.n, args.m, chunk[0])
         emitted += len(chunk)
         print(head + sep.join(chunk) + end)
-    if args.format == "json-lines":
-        print(_jsonl({"count": emitted}))
-    elif args.format == "csv":
-        print(f"count,{emitted}")
-    else:
-        print(f"count: {emitted}")
+    print(_record(args.format, f"count: {emitted}", f"count,{emitted}", {"count": emitted}))
     return EXIT_OK
 
 
@@ -131,12 +120,8 @@ def cmd_table(args) -> int:
     # The whole table is computed before the first line, so a failure prints none.
     values = [result.value for result in count_table(args.n, args.max_m, args.method)]
     for m, value in enumerate(values, start=1):
-        if args.format == "csv":
-            print(f"{m},{value}")
-        elif args.format == "json-lines":
-            print(_jsonl({"n": args.n, "m": m, "method": args.method, "value": str(value)}))
-        else:
-            print(f"{m} {value}")
+        fields = {"n": args.n, "m": m, "method": args.method, "value": str(value)}
+        print(_record(args.format, f"{m} {value}", f"{m},{value}", fields))
     return EXIT_OK
 
 
@@ -210,12 +195,8 @@ def cmd_series(args) -> int:
 def cmd_euler_factor(args) -> int:
     coefficients = euler_factor(args.p, args.n, args.k_max)
     for k, value in enumerate(coefficients):
-        if args.format == "csv":
-            print(f"{k},{value}")
-        elif args.format == "json-lines":
-            print(_jsonl({"p": args.p, "n": args.n, "k": k, "coefficient": str(value)}))
-        else:
-            print(f"{k} {value}")
+        fields = {"p": args.p, "n": args.n, "k": k, "coefficient": str(value)}
+        print(_record(args.format, f"{k} {value}", f"{k},{value}", fields))
     return EXIT_OK
 
 

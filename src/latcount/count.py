@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 from .arith import divisors, factorize, ordered_factorizations
 from .core import CountResult, DiscrepancyError, ExactnessError, Method, check_args
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
-from .series import count_by_dirichlet, dirichlet_coefficients
+from .series import MAX_DIRICHLET_LIMIT, count_by_dirichlet, dirichlet_coefficients
 
 __all__ = [
     "CountResult",
@@ -157,17 +157,15 @@ def count_all_methods(n: int, m: int) -> list[CountResult]:
     """Run every applicable method and insist that they agree.
 
     Enumeration joins in unless the (cheap) product formula predicts a count
-    above DEFAULT_ENUMERATION_CAP; everything else always runs.  Results
-    come back sorted by method name so the aggregation order never depends
-    on evaluation order.
+    above DEFAULT_ENUMERATION_CAP, and Dirichlet unless m is above
+    MAX_DIRICHLET_LIMIT; everything else always runs.  Results come back
+    sorted by method name so the aggregation order never depends on
+    evaluation order.
     """
     gruber = count_by_gruber(n, m)
-    results = [
-        count_by_factorization_sum(n, m),
-        count_by_recursion(n, m),
-        gruber,
-        count_by_dirichlet(n, m),
-    ]
+    results = [count_by_factorization_sum(n, m), count_by_recursion(n, m), gruber]
+    if m <= MAX_DIRICHLET_LIMIT:
+        results.append(count_by_dirichlet(n, m))
     if gruber.value <= DEFAULT_ENUMERATION_CAP:
         results.append(count_by_enumeration(n, m))
     return check_agreement(n, m, results)

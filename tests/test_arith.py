@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latcount.arith
 from latcount import (
     CapacityError,
     Factorization,
@@ -14,7 +15,14 @@ from latcount import (
     ordered_factorization_count,
     ordered_factorizations,
 )
-from oracles import brute_divisor_lists, brute_divisors, brute_ordered_factorizations
+from oracles import (
+    brute_divisor_lists,
+    brute_divisors,
+    brute_ordered_factorizations,
+    sieve_primes,
+)
+
+BOUND = "LATCOUNT_TRIAL_DIVISION_BOUND"
 
 
 class TestFactorize:
@@ -37,20 +45,34 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(-6)
 
-    def test_capacity_error_names_the_bound(self):
+    def test_capacity_error_names_the_bound(self, monkeypatch):
         # 101 * 103 has no factor below 10, so trial division must give up
+        monkeypatch.setenv(BOUND, "10")
         with pytest.raises(CapacityError, match="10"):
-            factorize(101 * 103, bound=10)
+            factorize(101 * 103)
 
     def test_large_prime_cofactor_is_accepted(self):
         # certifying 999999999989 needs divisors only up to ~10^6 < bound
         fact = factorize(2 * 999999999989)
         assert fact.factors == ((2, 1), (999999999989, 1))
 
-    def test_repeated_calls_share_one_factorization(self):
+    def test_repeated_calls_share_one_factorization(self, monkeypatch):
         p = 1_000_003
         assert factorize(p) is factorize(p)
-        assert factorize(p, bound=2000) is not factorize(p)
+        monkeypatch.setenv(BOUND, "2000")
+        under_2000 = factorize(p)
+        monkeypatch.delenv(BOUND)
+        assert under_2000 is not factorize(p)
+
+    def test_never_calls_is_prime(self, monkeypatch):
+        # each prime is proven as trial division finds it, never a second time
+        def refuse(p):
+            raise AssertionError(f"is_prime({p}) called")
+
+        monkeypatch.setattr(latcount.arith, "is_prime", refuse)
+        latcount.arith._factorize.cache_clear()
+        fact = factorize(6 * 1009733815633)
+        assert fact.factors == ((2, 1), (3, 1), (1009733815633, 1))
 
     def test_env_var_overrides_bound(self, monkeypatch):
         monkeypatch.setenv("LATCOUNT_TRIAL_DIVISION_BOUND", "10")
@@ -98,9 +120,24 @@ class TestIsPrime:
         assert not is_prime(0)
         assert not is_prime(-7)
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, monkeypatch):
+        monkeypatch.setenv(BOUND, "10")
         with pytest.raises(CapacityError):
-            is_prime(101 * 103, bound=10)
+            is_prime(101 * 103)
+
+    def test_matches_sieve_and_factorize(self):
+        primes = set(sieve_primes(10**4))
+        for p in range(-3, 10**4 + 1):
+            assert is_prime(p) == (p in primes)
+            if p >= 2:
+                assert is_prime(p) == (factorize(p).factors == ((p, 1),))
+
+    def test_both_refuse_past_the_bound_and_name_it(self, monkeypatch):
+        monkeypatch.setenv(BOUND, "10")
+        with pytest.raises(CapacityError, match="trial-division bound 10$"):
+            is_prime(101 * 103)
+        with pytest.raises(CapacityError, match="trial-division bound 10$"):
+            factorize(101 * 103)
 
 
 class TestDivisors:

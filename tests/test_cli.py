@@ -136,6 +136,13 @@ class TestCount:
         assert out == ""
         assert err.startswith("error: ") and str(MAX_DIRICHLET_LIMIT) in err
 
+    def test_all_leaves_dirichlet_out_past_its_limit(self):
+        proc = run_cli("count", "--n", "2", "--m", "10000000019", "--all")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "factorization-sum: 10000000020\ngruber: 10000000020\nrecursion: 10000000020\n"
+        )
+
     def test_discrepancy_exits_4(self, monkeypatch, capsys):
         def explode(n, m):
             raise DiscrepancyError(n, m, [("gruber", 1), ("recursion", 2)])
@@ -299,6 +306,15 @@ class TestVerify:
     def test_trivial_bounds(self):
         proc = run_cli("verify", "--n-max", "1", "--m-max", "1", "--t-order", "0")
         assert proc.returncode == 0
+
+    def test_m_max_past_the_dirichlet_limit_exits_3_before_output(self, capsys):
+        code = cli.main(
+            ["verify", "--n-max", "1", "--m-max", str(MAX_DIRICHLET_LIMIT + 1), "--t-order", "0"]
+        )
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert str(MAX_DIRICHLET_LIMIT) in err
 
     def test_injected_fault_exits_4(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "verify_generating_identity", lambda n, order: False)

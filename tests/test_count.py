@@ -19,7 +19,7 @@ from latcount import (
     gauss_binomial_at,
     run_count,
 )
-from oracles import sieve_primes
+from oracles import brute_sigma, sieve_primes
 
 METHODS = {
     Method.FACTORIZATION_SUM: count_by_factorization_sum,
@@ -146,6 +146,12 @@ class TestHarness:
         # f_3(720) = 2,623,530 > DEFAULT_ENUMERATION_CAP, so enumeration must be skipped
         assert Method.HNF not in {r.method for r in results}
         assert {r.value for r in results} == {2_623_530}
+
+    def test_dirichlet_skipped_above_its_limit(self):
+        # 10000000019 is prime and far above MAX_DIRICHLET_LIMIT
+        results = count_all_methods(2, 10000000019)
+        assert [str(r.method) for r in results] == ["factorization-sum", "gruber", "recursion"]
+        assert {r.value for r in results} == {brute_sigma(10000000019)}
 
     def test_discrepancy_raises_with_all_values(self, monkeypatch):
         def wrong_gruber(n, m):
