@@ -64,6 +64,16 @@ ENUMERATE_DIGESTS = [
     ("--n 4 --m 24 --limit 513", "json-lines", "e3188ebe63ffef2718afb5949ea7d14ce59e8b54566830385f8c8be07e1e7faa"),
 ]
 
+# sha256 of the stdout of the q-side commands, recorded from the schoolbook
+# QPolynomial product that multiplied every stored coefficient, zeros too.
+Q_SIDE_DIGESTS = [
+    ("series --n 17 --t-order 17", "f035f664d03a5d687d8386fff4a32bd684d8a65858a92f7970b2ec326551cfd7"),
+    ("series --n 16 --t-order 18", "1d9ab8b775adf7aa632d2ea6e4142ebfccecc8723a4394f4a1701475a4d94398"),
+    ("series --n 13 --t-order 21", "447a6ef6028c2b86953ea6eeb8e4479f07f84f3294fe7149cd02f7db5d0192ae"),
+    ("series --n 20 --t-order 15", "e304bf536fbfe6e67801ea454b5d1516e101a764863623169e9bc06840513797"),
+    ("verify --n-max 5 --m-max 548 --t-order 10", "cc67c90502c601522c9bf439480634b5326f77d7030b55510f15e168edd55bab"),
+]
+
 
 class TestCount:
     def test_all_methods_golden(self):
@@ -387,6 +397,13 @@ class TestDeterminism:
         second = run_cli(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize("args, digest", Q_SIDE_DIGESTS)
+    def test_q_side_stdout_matches_recorded_digest(self, args, digest):
+        proc = run_cli(*args.split())
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_package_has_no_assert_statements():

@@ -33,6 +33,25 @@ class TestQPolynomial:
         assert (a * 0).is_zero()
         assert (3 * a).coefficients == (3, 6)
 
+    def test_products_skip_zero_terms_in_either_order(self):
+        products = 0
+
+        class Counted(int):
+            def __mul__(self, other):
+                nonlocal products
+                products += 1
+                return int(self) * int(other)
+
+            __rmul__ = __mul__
+
+        monomial = QPolynomial.monomial(999, Counted(1))
+        dense = QPolynomial([Counted(c) for c in range(1, 51)])
+        expected = QPolynomial((0,) * 999 + tuple(range(1, 51)))
+        for left, right in ((monomial, dense), (dense, monomial)):
+            products = 0
+            assert left * right == expected
+            assert products == 50
+
     def test_shift(self):
         assert QPolynomial([1, 1]).shift(2).coefficients == (0, 0, 1, 1)
         assert QPolynomial.zero().shift(3).is_zero()
@@ -140,6 +159,49 @@ class TestGaussBinomialAt:
             gauss_binomial_at(3, 1, 0)
         with pytest.raises(ValueError):
             gauss_binomial_at(-1, 0, 2)
+
+
+def _value_at(coefficients, x):
+    return sum(c * x**i for i, c in enumerate(coefficients))
+
+
+# Signed coefficients with interior zeros; trailing zeros are stripped on
+# construction, and an all-zero list is the zero polynomial.
+_coefficient_lists = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=-(10**6), max_value=10**6)),
+    max_size=12,
+)
+
+
+def _assert_is_polynomial(poly, value, points):
+    """poly is canonical and equals `value` at enough distinct integers.
+
+    `points` exceeds the degree of the exact result, and `poly` is checked at
+    more points than its own degree too, so agreement makes the two the same
+    polynomial, whatever route computed `poly`.
+    """
+    coeffs = poly.coefficients
+    assert not coeffs or coeffs[-1] != 0
+    points = max(points, len(coeffs))
+    for x in range(-(points // 2), points - points // 2):
+        assert _value_at(coeffs, x) == value(x)
+
+
+@given(_coefficient_lists, _coefficient_lists)
+def test_product_and_sum_are_exact_property(left, right):
+    a, b = QPolynomial(left), QPolynomial(right)
+    points = len(left) + len(right)
+    for poly in (a * b, b * a):
+        _assert_is_polynomial(poly, lambda x: _value_at(left, x) * _value_at(right, x), points)
+    for poly in (a + b, b + a):
+        _assert_is_polynomial(poly, lambda x: _value_at(left, x) + _value_at(right, x), points)
+
+
+@given(_coefficient_lists, st.integers(min_value=-50, max_value=50))
+def test_scalar_product_is_exact_property(left, scalar):
+    a = QPolynomial(left)
+    for poly in (a * scalar, scalar * a):
+        _assert_is_polynomial(poly, lambda x: _value_at(left, x) * scalar, len(left))
 
 
 @given(
