@@ -2,20 +2,31 @@
 
 Everything here is deterministic trial division over Python's native
 arbitrary-precision integers, done by one loop (`_least_factor`) that both
-`is_prime` and `factorize` call.  Inputs whose unfactored part has no prime
+`is_prime` and `factorize` call; past 2, 3 and 5 it tries only the integers
+coprime to 30, 8 in every 30.  Inputs whose unfactored part has no prime
 factor below the trial-division bound are rejected loudly (CapacityError)
 instead of silently falling back to slower machinery.  Each prime that
 `factorize` finds is proven by that loop, so its results skip the checks
 that the public `Factorization(...)` constructor makes.
+
+Ordered factorizations and the recursion in `latcount.count` both walk the
+divisor lattice of m, and both read it from one `DivisorIndex`: each
+divisor q of m mapped to q's sorted divisors.  The index is made per call
+and filled lazily from `divisors(m)`, each entry filtered from a parent's
+list and holding the same int objects, so an entry costs one pointer per
+divisor.  Entries are made in the order the tuples first need them, so
+for n >= 3 the index never holds more pointers than the tuples already
+emitted plus tau(m), and for n = 2 it holds only the divisors of m.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, prod
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from itertools import cycle
+from math import comb, isqrt, prod
+from typing import Iterator
 
 from .core import CapacityError, check_args
 
@@ -81,20 +92,42 @@ class Factorization:
         return fact
 
 
+# The mod-30 wheel: after 2, 3 and 5, trial divisors step through the
+# residues coprime to 30, 7, 11, 13, 17, 19, 23, 29, 31, 37, ...  A prime
+# p >= 7 has one of those residues, and _WHEEL_SLOT[p % 30] is the index of
+# the gap that leads from p to the next one.
+_WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
+_WHEEL_SLOT = {7: 0, 11: 1, 13: 2, 17: 3, 19: 4, 23: 5, 29: 6, 1: 7}
+
+
 def _least_factor(x: int, start: int, limit: int) -> int:
     """The least prime factor of x that is at least start, or x itself once d*d > x.
 
-    x has no prime factor below start, which is 2 or odd; the trial divisors
-    step 2, 3, 5, 7, ...  Raises CapacityError if the search would pass
-    limit before reaching the square root of x.
+    x has no prime factor below start, which is a prime; the trial divisors
+    are 2, 3, 5, then the wheel's 7, 11, 13, 17, ...  Raises CapacityError
+    if the search would pass limit before reaching the square root of x.
     """
-    d = start
-    while d * d <= x:
+    root = isqrt(x)
+    for d in (2, 3, 5):
+        if d < start:
+            continue
+        if d > root:
+            return x
         if d > limit:
             raise CapacityError(f"no prime factor of {x} below trial-division bound {limit}")
         if x % d == 0:
             return d
-        d += 1 if d == 2 else 2
+    d = max(start, 7)
+    slot = _WHEEL_SLOT[d % 30]
+    top = min(root, limit)
+    for gap in cycle(_WHEEL_GAPS[slot:] + _WHEEL_GAPS[:slot]):
+        if d > top:
+            break
+        if x % d == 0:
+            return d
+        d += gap
+    if d <= root:
+        raise CapacityError(f"no prime factor of {x} below trial-division bound {limit}")
     return x
 
 
@@ -165,26 +198,63 @@ def ordered_factorization_count(m: int, n: int) -> int:
     return prod(comb(e + n - 1, n - 1) for _, e in fact.factors)
 
 
+class DivisorIndex(dict):
+    """Each divisor q of m mapped to q's own divisors, in increasing order.
+
+    Only m's list is made up front, by `divisors(m)`.  Any other entry is
+    made on first use, by filtering the list of a parent q*p, where p is a
+    prime of m and q*p divides m; a missing parent is filled the same way
+    first, by a loop, so no chain of parents deepens the Python stack.
+    Every list holds the int objects of `divisors(m)`, so an entry costs one
+    pointer per divisor, and the index never outgrows sum over d | m of
+    tau(d) pointers.  It is kept by no one past the call that made it.
+    """
+
+    def __init__(self, m: int):
+        super().__init__({m: divisors(m)})
+        self.m = m
+
+    @cached_property
+    def _primes(self) -> list[int]:
+        return [p for p, _ in factorize(self.m).factors]
+
+    def __missing__(self, q: int) -> list[int]:
+        if q < 1 or self.m % q:
+            raise KeyError(q)
+        missing = []
+        while q not in self:
+            missing.append(q)
+            cofactor = self.m // q
+            q *= next(p for p in self._primes if cofactor % p == 0)
+        divs = self[q]
+        for q in reversed(missing):
+            divs = [e for e in divs if q % e == 0]
+            self[q] = divs
+        return divs
+
+
 def ordered_factorizations(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """Yield every n-tuple (d_1, ..., d_n) with d_1 * ... * d_n = m.
 
     Tuples come out in lexicographic order, each exactly once.  The stream
     is lazy; consumers that only fold over it never hold more than one
-    tuple at a time.
+    tuple at a time.  The divisors of each quotient come from one
+    `DivisorIndex` of m, which fills as the quotients are reached: n = 2
+    needs only the divisors of m.
     """
     check_args(n)
-    divs = divisors(m)
-    yield from _ordered_factorizations(m, n, divs)
+    yield from _ordered_factorizations(m, n, DivisorIndex(m), ())
 
 
-def _ordered_factorizations(m: int, n: int, divs: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    # divs is the sorted divisor list of m; sub-calls filter it down, which
-    # avoids re-factorizing every intermediate quotient.
+def _ordered_factorizations(
+    q: int, n: int, index: DivisorIndex, prefix: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    # Every tuple below this node starts with prefix, and its other n parts multiply to q.
     if n == 1:
-        yield (m,)
-        return
-    for d in divs:
-        q = m // d
-        sub_divs = [e for e in divs if q % e == 0]
-        for rest in _ordered_factorizations(q, n - 1, sub_divs):
-            yield (d,) + rest
+        yield prefix + (q,)
+    elif n == 2:
+        for d in index[q]:
+            yield prefix + (d, q // d)
+    else:
+        for d in index[q]:
+            yield from _ordered_factorizations(q // d, n - 1, index, prefix + (d,))

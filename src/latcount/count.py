@@ -17,9 +17,11 @@ an internal bug and raises DiscrepancyError.
 
 from __future__ import annotations
 
+from math import prod
+from operator import mul
 from typing import Iterable, Iterator
 
-from .arith import divisors, factorize, ordered_factorizations
+from .arith import DivisorIndex, factorize, ordered_factorizations
 from .core import CountResult, DiscrepancyError, ExactnessError, Method, check_args
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
 from .series import MAX_DIRICHLET_LIMIT, count_by_dirichlet, dirichlet_coefficients
@@ -42,11 +44,9 @@ def count_by_factorization_sum(n: int, m: int) -> CountResult:
     check_args(n, m)
     total = 0
     tuples = 0
+    exponents = range(n)
     for parts in ordered_factorizations(m, n):
-        term = 1
-        for i, d in enumerate(parts):
-            term *= d**i
-        total += term
+        total += prod(map(pow, parts, exponents))
         tuples += 1
     return CountResult(total, Method.FACTORIZATION_SUM, work_stats={"tuples": tuples})
 
@@ -55,17 +55,22 @@ def count_by_recursion(n: int, m: int) -> CountResult:
     """Apply f_n(m) = sum_{d | m} d * f_(n-1)(d) down to the base f_1 = 1.
 
     A rank-1 group has exactly one subgroup of each index, hence the base
-    case.  Levels are filled bottom-up over the divisors of m, so the
-    memo table lives only for the duration of this call.
+    case.  Levels are filled bottom-up over the divisors of m; each divisor
+    d reads its own divisors from one `DivisorIndex` of m, and the memo
+    table and the index live only for the duration of this call.
     """
     check_args(n, m)
-    divs = divisors(m)
-    sub_divisors = {d: [e for e in divs if d % e == 0] for d in divs}
-    values = {d: 1 for d in divs}
-    visits = 0
+    index = DivisorIndex(m)
+    divs = index[m]
+    # Largest first, so that each entry is filtered from a parent already made.
+    sub_divisors = [index[d] for d in reversed(divs)][::-1]
+    values = dict.fromkeys(divs, 1)
     for _ in range(n - 1):
-        values = {d: sum(e * values[e] for e in sub_divisors[d]) for d in divs}
-        visits += sum(len(sub_divisors[d]) for d in divs)
+        values = {
+            d: sum(map(mul, sub, map(values.__getitem__, sub)))
+            for d, sub in zip(divs, sub_divisors)
+        }
+    visits = (n - 1) * sum(map(len, sub_divisors))
     return CountResult(values[m], Method.RECURSION, work_stats={"divisor_visits": visits})
 
 

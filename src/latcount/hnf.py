@@ -62,8 +62,11 @@ class HnfMatrix:
     def _trusted(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "HnfMatrix":
         """Build without the checks in __post_init__, from rows already in shape."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "n", n)
-        object.__setattr__(matrix, "rows", rows)
+        # Every enumerated matrix comes through here: writing the frozen fields
+        # into the instance dict is cheaper than object.__setattr__.
+        fields = matrix.__dict__
+        fields["n"] = n
+        fields["rows"] = rows
         return matrix
 
     @property

@@ -49,6 +49,23 @@ def brute_ordered_factorizations(m, n):
     return sorted(tuples)
 
 
+def brute_factorization(m):
+    """(prime, exponent) pairs of m, dividing out every integer d >= 2 in turn."""
+    factors = []
+    d = 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if m > 1:
+        factors.append((m, 1))
+    return tuple(factors)
+
+
 def poly_mul(a, b):
     """Schoolbook product of dense coefficient lists."""
     if not a or not b:

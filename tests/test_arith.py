@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -15,9 +16,11 @@ from latcount import (
     ordered_factorization_count,
     ordered_factorizations,
 )
+from latcount.arith import DivisorIndex
 from oracles import (
     brute_divisor_lists,
     brute_divisors,
+    brute_factorization,
     brute_ordered_factorizations,
     sieve_primes,
 )
@@ -93,6 +96,39 @@ class TestFactorize:
         for m in range(1, 10**4 + 1):
             fact = factorize(m)
             assert math.prod(p**e for p, e in fact.factors) == m
+            assert fact.factors == brute_factorization(m)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # primes on either side of the wheel's gaps, and squares that end the search
+            7**2,
+            11 * 13**2,
+            29 * 31,
+            31**2 * 37,
+            59 * 61,
+            89**2,
+            211**3,
+            419 * 421,
+            149 * 151 * 179 * 181,
+            2 * 3 * 5 * 1_000_081,
+            1_000_289 * 1_000_291,
+        ],
+    )
+    def test_primes_beside_the_wheel_gaps(self, m):
+        assert factorize(m).factors == brute_factorization(m)
+
+    @pytest.mark.parametrize(
+        "m, bound",
+        [(9, 2), (25, 4), (49, 6), (121, 10), (31**2, 30), (7 * 31**2, 30), (31 * 37**2, 36)],
+    )
+    def test_first_candidate_past_the_bound_refuses(self, monkeypatch, m, bound):
+        # the search restarts at each prime found, so the wheel is entered at 7 and at 31 too
+        monkeypatch.setenv(BOUND, str(bound))
+        with pytest.raises(CapacityError, match=f"trial-division bound {bound}$"):
+            factorize(m)
+        monkeypatch.setenv(BOUND, str(bound + 1))
+        assert factorize(m).factors == brute_factorization(m)
 
 
 class TestFactorizationType:
@@ -181,8 +217,20 @@ class TestOrderedFactorizations:
                 assert all(math.prod(parts) == m for parts in tuples)
 
     def test_matches_brute_force(self):
-        for m, n in [(12, 2), (30, 3), (16, 4), (7, 3)]:
+        for m, n in [(12, 2), (30, 3), (16, 4), (7, 3), (2 * 3 * 5 * 7 * 11, 4), (2**4 * 3**2, 5)]:
             assert list(ordered_factorizations(m, n)) == brute_ordered_factorizations(m, n)
+
+    def test_two_parts_need_only_the_divisors_of_m(self):
+        # the product of the first 15 primes: a full index would hold 3^15 entries
+        m = math.prod(sieve_primes(47))
+        tracemalloc.start()
+        try:
+            first = next(ordered_factorizations(m, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == (1, m)
+        assert peak < 8 * 2**20
 
     def test_stream_is_lazy(self):
         # 2^30 has ~5.9 million 8-tuples; taking three must be instant
@@ -193,6 +241,52 @@ class TestOrderedFactorizations:
             (1, 1, 1, 1, 1, 1, 2, 2**29),
             (1, 1, 1, 1, 1, 1, 4, 2**28),
         ]
+
+
+class TestDivisorIndex:
+    def test_entries_are_the_divisor_lists(self):
+        for m in (1, 12, 5040, 2**10 * 3):
+            index = DivisorIndex(m)
+            assert index[m] == divisors(m)
+            for q in reversed(divisors(m)):
+                assert index[q] == brute_divisors(q)
+            assert len(index) == len(index[m])
+
+    def test_only_divisors_of_m_are_keys(self):
+        index = DivisorIndex(12)
+        for q in (0, 5, 8, 24, -6):
+            with pytest.raises(KeyError):
+                index[q]
+
+    def test_entries_share_the_int_objects_of_m_s_list(self):
+        m = 2**40 * 3**5 * 5**10
+        index = DivisorIndex(m)
+        roots = {id(d) for d in index[m]}
+        for q in index[m][::7]:
+            assert {id(e) for e in index[q]} <= roots
+
+    def test_a_parent_chain_longer_than_the_stack_fills_by_a_loop(self):
+        # index[1] is reached from 2^1100 through 1100 missing parents
+        index = DivisorIndex(2**1100)
+        assert index[1] == [1]
+        assert index[2**700] == [2**k for k in range(701)]
+
+    def test_never_outgrows_the_tuples_emitted_plus_tau_m(self, monkeypatch):
+        made = []
+
+        class Recorded(DivisorIndex):
+            def __init__(self, m):
+                super().__init__(m)
+                made.append(self)
+
+        monkeypatch.setattr(latcount.arith, "DivisorIndex", Recorded)
+        for m, n in [(720720, 2), (720720, 3), (720720, 4), (2**12 * 3**5, 5), (1202570211570, 3)]:
+            tau = len(divisors(m))
+            for emitted, _ in enumerate(islice(ordered_factorizations(m, n), 20_000), 1):
+                pointers = sum(map(len, made[-1].values()))
+                assert pointers <= emitted + tau, (m, n, emitted)
+            if n == 2:
+                assert len(made[-1]) == 1
 
 
 @settings(max_examples=50)

@@ -74,6 +74,18 @@ Q_SIDE_DIGESTS = [
     ("verify --n-max 5 --m-max 548 --t-order 10", "cc67c90502c601522c9bf439480634b5326f77d7030b55510f15e168edd55bab"),
 ]
 
+# sha256 of the stdout of commands that walk the divisor lattice, recorded from
+# the tuple generator that re-filtered each quotient's divisors from its parent's
+# list and the recursion that tested every pair of divisors of m.
+DIVISOR_LATTICE_DIGESTS = [
+    ("table --n 4 --max-m 300 --method recursion", "4a047515bbfc58944e290212502f9de5b3330b9c9dee2d20661d39e31d171124"),
+    ("table --n 5 --max-m 300 --method factorization-sum", "90281e5f6dd218321e5017039bf984760e9097a7359c5f7c7d65202609a82708"),
+    ("count --n 4 --m 5040 --all", "a8737d3cfd5ba411efc16b994b242d77d03ed9418d90c31232e596d6a5e1b741"),
+    ("count --n 7 --m 53130 --method factorization-sum", "c01a47e62985da5a918b4bf13b6e0145824d110771e1532fc1edd20506373eb7"),
+    ("count --n 4 --m 1202570211570 --method recursion", "b575ad3da7406317dc35ce64bb50064382c1bac21ae66d69ed89132b89fb7d9d"),
+    ("enumerate --n 4 --m 60 --limit 5000", "ba8e34f3e1a707ed963cc4bf2cfa01ff2a80cc6e66294279013a70e55e9db228"),
+]
+
 
 class TestCount:
     def test_all_methods_golden(self):
@@ -400,10 +412,18 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("args, digest", Q_SIDE_DIGESTS)
     def test_q_side_stdout_matches_recorded_digest(self, args, digest):
-        proc = run_cli(*args.split())
-        assert proc.returncode == 0
-        assert proc.stderr == ""
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+        assert_stdout_digest(args, digest)
+
+    @pytest.mark.parametrize("args, digest", DIVISOR_LATTICE_DIGESTS)
+    def test_divisor_lattice_stdout_matches_recorded_digest(self, args, digest):
+        assert_stdout_digest(args, digest)
+
+
+def assert_stdout_digest(args, digest):
+    proc = run_cli(*args.split())
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_package_has_no_assert_statements():

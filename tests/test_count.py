@@ -17,6 +17,7 @@ from latcount import (
     count_table,
     dirichlet_coefficients,
     gauss_binomial_at,
+    ordered_factorization_count,
     run_count,
 )
 from oracles import brute_sigma, sieve_primes
@@ -54,6 +55,22 @@ class TestRecursion:
     def test_sigma_at_dimension_two(self):
         for m in range(1, 100):
             assert count_by_recursion(2, m).value == sum(d for d in range(1, m + 1) if m % d == 0)
+
+    def test_divisor_visits_are_n_minus_one_passes_over_the_index(self):
+        # one pass reads tau(d) divisors for each d | m: the 3-part factorizations of m
+        for n, m in [(1, 360), (2, 1), (3, 720720), (5, 2**10 * 3**4), (4, 1202570211570)]:
+            visits = count_by_recursion(n, m).work_stats["divisor_visits"]
+            assert visits == (n - 1) * ordered_factorization_count(m, 3)
+        assert count_by_recursion(4, 1202570211570).work_stats["divisor_visits"] == 3 * 3**11
+
+
+class TestDeepDivisorChains:
+    # 2^1000 has a chain of 1000 divisors, each the parent of the next
+    def test_recursion_at_two_to_the_thousand(self):
+        assert count_by_recursion(3, 2**1000).value == count_by_gruber(3, 2**1000).value
+
+    def test_factorization_sum_at_two_to_the_sixty(self):
+        assert count_by_factorization_sum(3, 2**60).value == count_by_gruber(3, 2**60).value
 
 
 class TestGruber:
