@@ -11,7 +11,6 @@ nothing here ever rounds.
 
 from .arith import (
     DEFAULT_TRIAL_DIVISION_BOUND,
-    Factorization,
     divisors,
     factorize,
     is_prime,
@@ -61,7 +60,6 @@ __all__ = [
     "DEFAULT_TRIAL_DIVISION_BOUND",
     "DiscrepancyError",
     "ExactnessError",
-    "Factorization",
     "HnfMatrix",
     "Method",
     "QPolynomial",

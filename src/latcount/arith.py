@@ -5,9 +5,7 @@ arbitrary-precision integers, done by one loop (`_least_factor`) that both
 `is_prime` and `factorize` call; past 2, 3 and 5 it tries only the integers
 coprime to 30, 8 in every 30.  Inputs whose unfactored part has no prime
 factor below the trial-division bound are rejected loudly (CapacityError)
-instead of silently falling back to slower machinery.  Each prime that
-`factorize` finds is proven by that loop, so its results skip the checks
-that the public `Factorization(...)` constructor makes.
+instead of silently falling back to slower machinery.
 
 Ordered factorizations and the recursion in `latcount.count` both walk the
 divisor lattice of m, and both read it from one `DivisorIndex`: each
@@ -22,9 +20,8 @@ emitted plus tau(m), and for n = 2 it holds only the divisors of m.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import cycle
+from itertools import accumulate, chain, cycle
 from math import comb, isqrt, prod
 from typing import Iterator
 
@@ -53,79 +50,30 @@ def trial_division_bound() -> int:
     return bound
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """A positive integer together with its prime factorization.
-
-    ``factors`` lists (prime, exponent) pairs with primes strictly
-    increasing and every exponent >= 1; the factorization of 1 is the
-    empty list.  Construction re-checks all invariants, so a Factorization
-    in hand is always trustworthy; only `factorize`, whose primes are
-    proven as they are found, builds one without them (`_trusted`).
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.value < 1:
-            raise ValueError(f"value must be >= 1, got {self.value}")
-        object.__setattr__(self, "factors", tuple(tuple(pe) for pe in self.factors))
-        previous = 1
-        for p, e in self.factors:
-            if p <= previous:
-                raise ValueError(f"primes must be strictly increasing, got {p} after {previous}")
-            if e < 1:
-                raise ValueError(f"exponent for prime {p} must be >= 1, got {e}")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            previous = p
-        if prod(p**e for p, e in self.factors) != self.value:
-            raise ValueError(f"factors do not multiply to {self.value}")
-
-    @classmethod
-    def _trusted(cls, value: int, factors: tuple[tuple[int, int], ...]) -> "Factorization":
-        """Build without the checks in __post_init__, from primes already proven."""
-        fact = object.__new__(cls)
-        object.__setattr__(fact, "value", value)
-        object.__setattr__(fact, "factors", factors)
-        return fact
-
-
 # The mod-30 wheel: after 2, 3 and 5, trial divisors step through the
-# residues coprime to 30, 7, 11, 13, 17, 19, 23, 29, 31, 37, ...  A prime
-# p >= 7 has one of those residues, and _WHEEL_SLOT[p % 30] is the index of
-# the gap that leads from p to the next one.
+# residues coprime to 30, 7, 11, 13, 17, 19, 23, 29, 31, 37, ...
 _WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
-_WHEEL_SLOT = {7: 0, 11: 1, 13: 2, 17: 3, 19: 4, 23: 5, 29: 6, 1: 7}
 
 
-def _least_factor(x: int, start: int, limit: int) -> int:
-    """The least prime factor of x that is at least start, or x itself once d*d > x.
+def _trial_divisors() -> Iterator[int]:
+    """The candidates 2, 3, 5, 7, 11, 13, 17, ..., without end."""
+    return chain((2, 3, 5), accumulate(cycle(_WHEEL_GAPS), initial=7))
 
-    x has no prime factor below start, which is a prime; the trial divisors
-    are 2, 3, 5, then the wheel's 7, 11, 13, 17, ...  Raises CapacityError
-    if the search would pass limit before reaching the square root of x.
+
+def _least_factor(x: int, candidates: Iterator[int], limit: int) -> int:
+    """The least prime factor of x, or x itself once d*d > x.
+
+    candidates is a `_trial_divisors()` stream, and x has no prime factor
+    among the candidates already drawn from it.  Raises CapacityError if the
+    search would pass limit before reaching the square root of x.
     """
     root = isqrt(x)
-    for d in (2, 3, 5):
-        if d < start:
-            continue
-        if d > root:
-            return x
-        if d > limit:
-            raise CapacityError(f"no prime factor of {x} below trial-division bound {limit}")
-        if x % d == 0:
-            return d
-    d = max(start, 7)
-    slot = _WHEEL_SLOT[d % 30]
     top = min(root, limit)
-    for gap in cycle(_WHEEL_GAPS[slot:] + _WHEEL_GAPS[:slot]):
+    for d in candidates:
         if d > top:
             break
         if x % d == 0:
             return d
-        d += gap
     if d <= root:
         raise CapacityError(f"no prime factor of {x} below trial-division bound {limit}")
     return x
@@ -137,15 +85,17 @@ def is_prime(p: int) -> bool:
     Raises CapacityError if certifying p would need divisors past the
     trial-division bound (i.e. p > bound**2 with no small factor found).
     """
-    return p >= 2 and _least_factor(p, 2, trial_division_bound()) == p
+    return p >= 2 and _least_factor(p, _trial_divisors(), trial_division_bound()) == p
 
 
-def factorize(m: int) -> Factorization:
-    """Factor m >= 1 by trial division.
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """Factor m >= 1 by trial division into its (prime, exponent) pairs.
 
-    The remaining cofactor is accepted once trial division has passed its
-    square root (it is then certified prime).  If the cofactor's smallest
-    prime factor lies beyond the bound, a CapacityError names the bound.
+    Primes come in increasing order, each with an exponent >= 1, and 1 has
+    no pairs.  The remaining cofactor is accepted once trial division has
+    passed its square root (it is then certified prime).  If the cofactor's
+    smallest prime factor lies beyond the bound, a CapacityError names the
+    bound.
     """
     if m < 1:
         raise ValueError(f"cannot factor {m}: input must be a positive integer")
@@ -159,25 +109,26 @@ def factorize(m: int) -> Factorization:
 # predicts its count, streams its lines and checks the first one.  A few
 # recent results are kept so that those calls share one trial division.
 @lru_cache(maxsize=16)
-def _factorize(m: int, limit: int) -> Factorization:
-    # Each prime is the least factor of what the smaller ones leave: restart there.
+def _factorize(m: int, limit: int) -> tuple[tuple[int, int], ...]:
+    # Each prime is the least factor of what the smaller ones leave, so one
+    # stream of candidates serves them all: each search goes on past the last prime.
     factors = []
-    remaining, p = m, 2
+    remaining = m
+    candidates = _trial_divisors()
     while remaining > 1:
-        p = _least_factor(remaining, p, limit)
+        p = _least_factor(remaining, candidates, limit)
         e = 0
         while remaining % p == 0:
             remaining //= p
             e += 1
         factors.append((p, e))
-    return Factorization._trusted(m, tuple(factors))
+    return tuple(factors)
 
 
 def divisors(m: int) -> list[int]:
     """All divisors of m in strictly increasing order."""
-    fact = factorize(m)
     divs = [1]
-    for p, e in fact.factors:
+    for p, e in factorize(m):
         pk = 1
         extended = []
         for _ in range(e):
@@ -194,8 +145,7 @@ def ordered_factorization_count(m: int, n: int) -> int:
     Equals the product over prime exponents r of C(r + n - 1, n - 1).
     """
     check_args(n)
-    fact = factorize(m)
-    return prod(comb(e + n - 1, n - 1) for _, e in fact.factors)
+    return prod(comb(e + n - 1, n - 1) for _, e in factorize(m))
 
 
 class DivisorIndex(dict):
@@ -216,7 +166,7 @@ class DivisorIndex(dict):
 
     @cached_property
     def _primes(self) -> list[int]:
-        return [p for p, _ in factorize(self.m).factors]
+        return [p for p, _ in factorize(self.m)]
 
     def __missing__(self, q: int) -> list[int]:
         if q < 1 or self.m % q:

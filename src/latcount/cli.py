@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from itertools import islice
 
 from .arith import ENV_TRIAL_DIVISION_BOUND
@@ -129,7 +130,11 @@ def _verify_cross_methods(n_max: int, m_max: int):
     for n in range(1, n_max + 1):
         tables = [count_table(n, m_max, method) for method in FORMULA_METHODS]
         for m, results in enumerate(zip(*tables), start=1):
-            check_agreement(n, m, results)
+            try:
+                check_agreement(n, m, results)
+            except DiscrepancyError as exc:
+                return f"n={n} m={m} ({exc})"
+    return None
 
 
 def _verify_symmetry(bound: int):
@@ -149,30 +154,30 @@ def _verify_identity(n_max: int, t_order: int):
 
 
 def cmd_verify(args) -> int:
+    n_max, m_max, t_order = args.n_max, args.m_max, args.t_order
+    symmetry_bound = n_max + t_order
+    checks = (
+        (
+            "cross-method-agreement",
+            f"n <= {n_max}, m <= {m_max}",
+            partial(_verify_cross_methods, n_max, m_max),
+        ),
+        ("qbinomial-symmetry", f"m <= {symmetry_bound}", partial(_verify_symmetry, symmetry_bound)),
+        (
+            "generating-identity",
+            f"n <= {n_max}, t-order <= {t_order}",
+            partial(_verify_identity, n_max, t_order),
+        ),
+    )
     failures = 0
-
-    try:
-        _verify_cross_methods(args.n_max, args.m_max)
-        print(f"cross-method-agreement: pass (n <= {args.n_max}, m <= {args.m_max})")
-    except DiscrepancyError as exc:
-        failures += 1
-        print(f"cross-method-agreement: fail at n={exc.n} m={exc.m} ({exc})")
-
-    symmetry_bound = args.n_max + args.t_order
-    counterexample = _verify_symmetry(symmetry_bound)
-    if counterexample is None:
-        print(f"qbinomial-symmetry: pass (m <= {symmetry_bound})")
-    else:
-        failures += 1
-        print(f"qbinomial-symmetry: fail at {counterexample}")
-
-    counterexample = _verify_identity(args.n_max, args.t_order)
-    if counterexample is None:
-        print(f"generating-identity: pass (n <= {args.n_max}, t-order <= {args.t_order})")
-    else:
-        failures += 1
-        print(f"generating-identity: fail at {counterexample}")
-
+    # Each check returns its first counterexample, or None when it passes.
+    for name, scope, check in checks:
+        counterexample = check()
+        if counterexample is None:
+            print(f"{name}: pass ({scope})")
+        else:
+            failures += 1
+            print(f"{name}: fail at {counterexample}")
     return EXIT_MISMATCH if failures else EXIT_OK
 
 

@@ -88,35 +88,30 @@ def count_by_gruber(n: int, m: int) -> CountResult:
     never bad input).
     """
     check_args(n, m)
-    fact = factorize(m)
+    factors = factorize(m)
 
-    first = 1
-    for p, r in fact.factors:
-        local = 1
-        for j in range(1, r + 1):
-            local, remainder = divmod(local * (p ** (n + j - 1) - 1), p**j - 1)
+    def local(form: str, p: int, s: int, top: int) -> int:
+        # prod_{j=1..top} (p^(s+j) - 1) / (p^j - 1), one checked division at a time
+        value = 1
+        for j in range(1, top + 1):
+            value, remainder = divmod(value * (p ** (s + j) - 1), p**j - 1)
             if remainder:
                 raise ExactnessError(
-                    f"inexact division in first product form at p={p}, j={j} (n={n}, m={m})"
+                    f"inexact division in {form} product form at p={p}, j={j} (n={n}, m={m})"
                 )
-        first *= local
+        return value
 
-    second = 1
-    for p, r in fact.factors:
-        local = 1
-        for j in range(1, n):
-            local, remainder = divmod(local * (p ** (r + j) - 1), p**j - 1)
-            if remainder:
-                raise ExactnessError(
-                    f"inexact division in second product form at p={p}, j={j} (n={n}, m={m})"
-                )
-        second *= local
+    first = second = 1
+    for p, r in factors:
+        first *= local("first", p, n - 1, r)
+    for p, r in factors:
+        second *= local("second", p, r, n - 1)
 
     if first != second:
         raise ExactnessError(
             f"product forms disagree for n={n}, m={m}: {first} versus {second}"
         )
-    return CountResult(first, Method.GRUBER, work_stats={"primes": len(fact.factors)})
+    return CountResult(first, Method.GRUBER, work_stats={"primes": len(factors)})
 
 
 _DISPATCH = {

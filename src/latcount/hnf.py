@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import prod
 from typing import Callable, Iterator
 
@@ -203,12 +203,10 @@ def count_by_enumeration(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    count = 0
-    for _ in enumerate_hnf(n, m):
-        count += 1
-        if count > cap:
-            raise CapacityError(
-                f"enumeration of (n={n}, m={m}) exceeded cap {cap}; "
-                f"stopped after {count} matrices"
-            )
+    count = sum(1 for _ in islice(enumerate_hnf(n, m), cap + 1))
+    if count > cap:
+        raise CapacityError(
+            f"enumeration of (n={n}, m={m}) exceeded cap {cap}; "
+            f"stopped after {count} matrices"
+        )
     return CountResult(count, Method.HNF, work_stats={"matrices": count})

@@ -154,9 +154,8 @@ def dirichlet_coefficients(n: int, limit: int) -> list[int]:
         convolved = [0] * (limit + 1)
         for d in range(1, limit + 1):
             a = values[d]
-            if a:
-                for q in range(1, limit // d + 1):
-                    convolved[d * q] += a * powers[q]
+            for q in range(1, limit // d + 1):
+                convolved[d * q] += a * powers[q]
         values = convolved
     return values
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import latcount.arith
 from latcount import (
     CapacityError,
-    Factorization,
     divisors,
     factorize,
     is_prime,
@@ -30,17 +29,15 @@ BOUND = "LATCOUNT_TRIAL_DIVISION_BOUND"
 
 class TestFactorize:
     def test_one_has_empty_factor_list(self):
-        fact = factorize(1)
-        assert fact.value == 1
-        assert fact.factors == ()
+        assert factorize(1) == ()
 
     def test_twelve(self):
-        assert factorize(12).factors == ((2, 2), (3, 1))
+        assert factorize(12) == ((2, 2), (3, 1))
 
     def test_prime_9973(self):
         # no divisor up to sqrt(9973) ~ 99.8, checked here independently
         assert all(9973 % d for d in range(2, 100))
-        assert factorize(9973).factors == ((9973, 1),)
+        assert factorize(9973) == ((9973, 1),)
 
     def test_rejects_zero_and_negative(self):
         with pytest.raises(ValueError):
@@ -56,8 +53,7 @@ class TestFactorize:
 
     def test_large_prime_cofactor_is_accepted(self):
         # certifying 999999999989 needs divisors only up to ~10^6 < bound
-        fact = factorize(2 * 999999999989)
-        assert fact.factors == ((2, 1), (999999999989, 1))
+        assert factorize(2 * 999999999989) == ((2, 1), (999999999989, 1))
 
     def test_repeated_calls_share_one_factorization(self, monkeypatch):
         p = 1_000_003
@@ -74,29 +70,28 @@ class TestFactorize:
 
         monkeypatch.setattr(latcount.arith, "is_prime", refuse)
         latcount.arith._factorize.cache_clear()
-        fact = factorize(6 * 1009733815633)
-        assert fact.factors == ((2, 1), (3, 1), (1009733815633, 1))
+        assert factorize(6 * 1009733815633) == ((2, 1), (3, 1), (1009733815633, 1))
 
     def test_env_var_overrides_bound(self, monkeypatch):
         monkeypatch.setenv("LATCOUNT_TRIAL_DIVISION_BOUND", "10")
         with pytest.raises(CapacityError):
             factorize(101 * 103)
         monkeypatch.delenv("LATCOUNT_TRIAL_DIVISION_BOUND")
-        assert factorize(101 * 103).factors == ((101, 1), (103, 1))
+        assert factorize(101 * 103) == ((101, 1), (103, 1))
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_roundtrip(self, m):
         fact = factorize(m)
-        assert math.prod(p**e for p, e in fact.factors) == m
-        primes = [p for p, _ in fact.factors]
+        assert math.prod(p**e for p, e in fact) == m
+        primes = [p for p, _ in fact]
         assert primes == sorted(set(primes))
-        assert all(e >= 1 for _, e in fact.factors)
+        assert all(e >= 1 for _, e in fact)
 
     def test_product_invariant_to_ten_thousand(self):
         for m in range(1, 10**4 + 1):
             fact = factorize(m)
-            assert math.prod(p**e for p, e in fact.factors) == m
-            assert fact.factors == brute_factorization(m)
+            assert math.prod(p**e for p, e in fact) == m
+            assert fact == brute_factorization(m)
 
     @pytest.mark.parametrize(
         "m",
@@ -116,7 +111,7 @@ class TestFactorize:
         ],
     )
     def test_primes_beside_the_wheel_gaps(self, m):
-        assert factorize(m).factors == brute_factorization(m)
+        assert factorize(m) == brute_factorization(m)
 
     @pytest.mark.parametrize(
         "m, bound",
@@ -128,25 +123,7 @@ class TestFactorize:
         with pytest.raises(CapacityError, match=f"trial-division bound {bound}$"):
             factorize(m)
         monkeypatch.setenv(BOUND, str(bound + 1))
-        assert factorize(m).factors == brute_factorization(m)
-
-
-class TestFactorizationType:
-    def test_rejects_composite_prime(self):
-        with pytest.raises(ValueError, match="not prime"):
-            Factorization(4, ((4, 1),))
-
-    def test_rejects_wrong_product(self):
-        with pytest.raises(ValueError, match="multiply"):
-            Factorization(10, ((2, 1), (3, 1)))
-
-    def test_rejects_unsorted_primes(self):
-        with pytest.raises(ValueError, match="increasing"):
-            Factorization(6, ((3, 1), (2, 1)))
-
-    def test_rejects_zero_exponent(self):
-        with pytest.raises(ValueError, match="exponent"):
-            Factorization(3, ((3, 0),))
+        assert factorize(m) == brute_factorization(m)
 
 
 class TestIsPrime:
@@ -166,7 +143,7 @@ class TestIsPrime:
         for p in range(-3, 10**4 + 1):
             assert is_prime(p) == (p in primes)
             if p >= 2:
-                assert is_prime(p) == (factorize(p).factors == ((p, 1),))
+                assert is_prime(p) == (factorize(p) == ((p, 1),))
 
     def test_both_refuse_past_the_bound_and_name_it(self, monkeypatch):
         monkeypatch.setenv(BOUND, "10")
@@ -210,7 +187,7 @@ class TestOrderedFactorizations:
             fact = factorize(m)
             for n in range(1, 5):
                 tuples = list(ordered_factorizations(m, n))
-                expected = math.prod(math.comb(e + n - 1, n - 1) for _, e in fact.factors)
+                expected = math.prod(math.comb(e + n - 1, n - 1) for _, e in fact)
                 assert len(tuples) == expected == ordered_factorization_count(m, n)
                 assert len(set(tuples)) == len(tuples)
                 assert tuples == sorted(tuples)

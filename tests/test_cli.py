@@ -176,14 +176,13 @@ class TestCount:
 
     def test_gruber_product_mismatch_exits_4(self, monkeypatch, capsys):
         class Shifting:
-            """A factorization whose factors change between Gruber's two passes."""
+            """A factorization whose pairs change between Gruber's two passes."""
 
             def __init__(self):
                 self.passes = iter((((2, 1),), ((3, 1),)))
 
-            @property
-            def factors(self):
-                return next(self.passes)
+            def __iter__(self):
+                return iter(next(self.passes))
 
         monkeypatch.setattr(latcount.count, "factorize", lambda m: Shifting())
         code = cli.main(["count", "--n", "2", "--m", "2"])
@@ -345,6 +344,22 @@ class TestVerify:
         out = capsys.readouterr().out
         # smallest counterexample in scan order
         assert "generating-identity: fail at n=1 t-order=0" in out
+
+    def test_symmetry_fault_exits_4(self, monkeypatch, capsys):
+        real_binomial = cli.gauss_binomial
+
+        def skewed_binomial(m, k):
+            # [3 choose 1] comes out as [3 choose 0] = 1, so it no longer equals [3 choose 2]
+            return real_binomial(m, 0 if (m, k) == (3, 1) else k)
+
+        monkeypatch.setattr(cli, "gauss_binomial", skewed_binomial)
+        code = cli.main(["verify", "--n-max", "2", "--m-max", "5", "--t-order", "3"])
+        assert code == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "cross-method-agreement: pass (n <= 2, m <= 5)",
+            "qbinomial-symmetry: fail at m=3 k=1",
+            "generating-identity: pass (n <= 2, t-order <= 3)",
+        ]
 
     def test_cross_method_fault_exits_4(self, monkeypatch, capsys):
         real_table = cli.count_table

@@ -148,7 +148,7 @@ class TestDirichletCoefficients:
             coefficients = dirichlet_coefficients(n, 200)
             for m in range(1, 201):
                 expected = 1
-                for p, r in factorize(m).factors:
+                for p, r in factorize(m):
                     expected *= euler_factor(p, n, r)[r]
                 assert coefficients[m] == expected
 
