@@ -17,7 +17,14 @@ from .arith import (
     ordered_factorization_count,
     ordered_factorizations,
 )
-from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method
+from .core import (
+    CapacityError,
+    CountResult,
+    DiscrepancyError,
+    ExactnessError,
+    Method,
+    UsageError,
+)
 from .count import (
     count_all_methods,
     count_by_factorization_sum,
@@ -64,6 +71,7 @@ __all__ = [
     "Method",
     "QPolynomial",
     "TSeries",
+    "UsageError",
     "count_all_methods",
     "count_by_dirichlet",
     "count_by_enumeration",

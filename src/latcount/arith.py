@@ -25,7 +25,7 @@ from itertools import accumulate, chain, cycle
 from math import comb, isqrt, prod
 from typing import Iterator
 
-from .core import CapacityError, check_args
+from .core import CapacityError, UsageError, check_args
 
 DEFAULT_TRIAL_DIVISION_BOUND = 10**7
 
@@ -44,9 +44,9 @@ def trial_division_bound() -> int:
     try:
         bound = int(raw)
     except ValueError:
-        raise ValueError(f"{ENV_TRIAL_DIVISION_BOUND} must be an integer, got {raw!r}") from None
+        raise UsageError(f"{ENV_TRIAL_DIVISION_BOUND} must be an integer, got {raw!r}") from None
     if bound < 2:
-        raise ValueError(f"{ENV_TRIAL_DIVISION_BOUND} must be >= 2, got {bound}")
+        raise UsageError(f"{ENV_TRIAL_DIVISION_BOUND} must be >= 2, got {bound}")
     return bound
 
 

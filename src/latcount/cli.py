@@ -4,20 +4,23 @@ Subcommands: count, enumerate, table, verify, series, euler-factor.
 All results go to stdout (one record per line, deterministic order);
 diagnostics go to stderr.  Exit codes: 0 success, 1 the output pipe closed
 early, 2 invalid arguments, 3 capacity bound exceeded, 4 cross-method
-discrepancy, failed exactness check or property failure.
+discrepancy, failed exactness check, property failure or any other internal
+error.
+
+Every command is a fresh process, so the module imports only argparse and the
+package at start; json is imported when a json-lines record is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import partial
 from itertools import islice
 
 from .arith import ENV_TRIAL_DIVISION_BOUND
-from .core import CapacityError, DiscrepancyError, ExactnessError, Method
+from .core import CapacityError, DiscrepancyError, ExactnessError, Method, UsageError
 from .count import (
     FORMULA_METHODS,
     check_agreement,
@@ -61,6 +64,8 @@ def int_at_least(low: int):
 def _record(fmt: str, plain: str, csv: str, fields: dict) -> str:
     """One record's line in the chosen --format: plain, csv, or its fields as json-lines."""
     if fmt == "json-lines":
+        import json
+
         return json.dumps(fields, separators=(",", ":"))
     return csv if fmt == "csv" else plain
 
@@ -281,9 +286,14 @@ def main(argv=None) -> int:
     except ExactnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Anything else is a bug in latcount, not bad input: one line, no traceback.
+        detail = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
+        print(f"error: internal: {detail}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

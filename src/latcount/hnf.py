@@ -20,11 +20,14 @@ on every pass otherwise.  Memory therefore grows neither with the d^(n-1)
 matrices of a diagonal nor with m.  Outputs share the prefix of earlier
 levels: the text of a row is made once per prefix of earlier rows, and each
 further line costs one concatenation.
+
+HnfMatrix is written out by hand with __slots__, not as a frozen dataclass,
+for the reason given in latcount.core: the dataclasses module would load
+inspect on every CLI start.  Slots also make each enumerated matrix smaller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
 from math import prod
@@ -44,30 +47,53 @@ DEFAULT_ENUMERATION_CAP = 10**6
 LISTED_BOUND = 4096
 
 
-@dataclass(frozen=True)
 class HnfMatrix:
-    """An n-by-n integer matrix in sublattice normal form, rows stored row-major."""
+    """An n-by-n integer matrix in sublattice normal form, rows stored row-major.
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    Immutable; equal and hashed by (n, rows).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if len(self.rows) != self.n or any(len(row) != self.n for row in self.rows):
-            raise ValueError(f"need a {self.n}x{self.n} matrix, got {self.rows!r}")
+    __slots__ = ("n", "rows")
+    __match_args__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(row) for row in rows)
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"need a {n}x{n} matrix, got {rows!r}")
+        _set_n(self, n)
+        _set_rows(self, rows)
 
     @classmethod
     def _trusted(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "HnfMatrix":
-        """Build without the checks in __post_init__, from rows already in shape."""
+        """Build without the checks in __init__, from rows already in shape."""
+        # Every enumerated matrix comes through here: the slots are stored
+        # through their descriptors, skipping __init__ and __setattr__.
         matrix = object.__new__(cls)
-        # Every enumerated matrix comes through here: writing the frozen fields
-        # into the instance dict is cheaper than object.__setattr__.
-        fields = matrix.__dict__
-        fields["n"] = n
-        fields["rows"] = rows
+        _set_n(matrix, n)
+        _set_rows(matrix, rows)
         return matrix
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, rows={self.rows!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.rows) == (other.n, other.rows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.n, self.rows)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -87,6 +113,10 @@ class HnfMatrix:
             tuple(int(entry) for entry in row.split(",")) for row in line.strip().split(";")
         )
         return cls(len(rows), rows)
+
+
+_set_n = HnfMatrix.n.__set__
+_set_rows = HnfMatrix.rows.__set__
 
 
 def validate_hnf(matrix: HnfMatrix, m: int) -> bool:

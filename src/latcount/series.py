@@ -18,7 +18,7 @@ from functools import reduce
 from typing import Sequence
 
 from .arith import is_prime
-from .core import CapacityError, CountResult, Method, check_args
+from .core import CapacityError, CountResult, Method, UsageError, check_args
 from .qcalc import QPolynomial, gauss_binomial, gauss_binomial_at
 
 
@@ -122,7 +122,7 @@ def euler_factor(p: int, n: int, truncation_order: int) -> list[int]:
     check_args(n)
     _check_truncation_order(truncation_order)
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise UsageError(f"{p} is not prime")
     return [gauss_binomial_at(n + k - 1, k, p) for k in range(truncation_order + 1)]
 
 

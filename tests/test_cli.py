@@ -7,6 +7,7 @@ cases drive cli.main() in process so internals can be monkeypatched.
 import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -16,15 +17,13 @@ import pytest
 
 import latcount.cli as cli
 import latcount.count
-from latcount import CountResult, DiscrepancyError, Method, gauss_binomial_at
+from latcount import CountResult, DiscrepancyError, Method, UsageError, gauss_binomial_at
 from latcount.series import MAX_DIRICHLET_LIMIT
 
 
 def run_cli(*args, env_extra=None):
     env = None
     if env_extra:
-        import os
-
         env = dict(os.environ, **env_extra)
     return subprocess.run(
         [sys.executable, "-m", "latcount", *args],
@@ -123,6 +122,22 @@ class TestCount:
         ]
         assert all(r["value"] == "3" and r["n"] == 2 and r["m"] == 2 for r in records)
 
+    def test_json_lines_golden(self):
+        # recorded while cli imported json at module level
+        proc = run_cli("count", "--n", "2", "--m", "2", "--all", "--format", "json-lines")
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            '{"n":2,"m":2,"method":"dirichlet","value":"3"}\n'
+            '{"n":2,"m":2,"method":"factorization-sum","value":"3"}\n'
+            '{"n":2,"m":2,"method":"gruber","value":"3"}\n'
+            '{"n":2,"m":2,"method":"hnf","value":"3"}\n'
+            '{"n":2,"m":2,"method":"recursion","value":"3"}\n'
+        )
+        assert_stdout_digest(
+            "count --n 4 --m 360 --all --format json-lines",
+            "7c22c89ff350e83db99645f5f54699728eea23b255807914dae670a819b320c2",
+        )
+
     def test_invalid_dimension_exits_2(self):
         proc = run_cli("count", "--n", "0", "--m", "5")
         assert proc.returncode == 2
@@ -208,6 +223,76 @@ class TestCount:
         proc = run_cli("count", "--n", "1", "--m", "1" + "0" * 4400)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "1\n"
+
+
+class TestExitCodes:
+    """Exit 2 only for a UsageError; any other escaping exception is an internal error, exit 4."""
+
+    def test_internal_value_error_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_count", lambda n, m, method: CountResult(0, Method.GRUBER))
+        code = cli.main(["count", "--n", "2", "--m", "2"])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: internal: ValueError: count must be >= 1, got 0\n"
+
+    def test_any_other_exception_exits_4_on_one_line(self, monkeypatch, capsys):
+        def broken(n, max_m, method):
+            raise ZeroDivisionError("first line\nsecond line")
+
+        monkeypatch.setattr(cli, "count_table", broken)
+        code = cli.main(["table", "--n", "2", "--max-m", "3"])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: internal: ZeroDivisionError: first line second line\n"
+
+    def test_internal_error_in_a_process_has_no_traceback(self):
+        script = (
+            "import sys\n"
+            "import latcount.cli as cli\n"
+            "from latcount import CountResult, Method\n"
+            "cli.run_count = lambda n, m, method: CountResult(0, Method.GRUBER)\n"
+            "sys.exit(cli.main(['count', '--n', '2', '--m', '2']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "error: internal: ValueError: count must be >= 1, got 0\n"
+
+    # TestCount::test_non_integer_bound_names_the_variable and
+    # TestEulerFactor::test_non_prime_exits_2 cover the other two UsageError sites.
+    def test_bound_below_two_exits_2(self):
+        proc = run_cli(
+            "count", "--n", "2", "--m", "6", env_extra={"LATCOUNT_TRIAL_DIVISION_BOUND": "1"}
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: LATCOUNT_TRIAL_DIVISION_BOUND must be >= 2, got 1\n"
+
+    def test_usage_error_from_the_library_exits_2(self, monkeypatch, capsys):
+        # argparse refuses n < 1 first, so reach check_args past it
+        real_run_count = cli.run_count
+        monkeypatch.setattr(cli, "run_count", lambda n, m, method: real_run_count(0, m, method))
+        code = cli.main(["count", "--n", "2", "--m", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: dimension n must be >= 1, got 0\n"
+        assert issubclass(UsageError, ValueError)
+
+
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # -S keeps site's .pth files from importing modules of their own.
+    src = Path(latcount.__file__).resolve().parent.parent
+    script = (
+        "import sys, latcount.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestEnumerate:
@@ -405,7 +490,8 @@ class TestEulerFactor:
     def test_non_prime_exits_2(self):
         proc = run_cli("euler-factor", "--p", "4", "--n", "2", "--k-max", "1")
         assert proc.returncode == 2
-        assert "prime" in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "error: 4 is not prime\n"
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -222,3 +223,59 @@ class TestRequestDispatch:
     def test_result_requires_positive_value(self):
         with pytest.raises(ValueError):
             CountResult(0, Method.GRUBER)
+
+
+class TestCountResultType:
+    # repr text recorded from the frozen dataclass that CountResult used to be
+    def test_repr(self):
+        assert repr(CountResult(91, Method.GRUBER)) == (
+            "CountResult(value=91, method=<Method.GRUBER: 'gruber'>, work_stats={})"
+        )
+        assert repr(CountResult(3, Method.HNF, {"matrices": 3})) == (
+            "CountResult(value=3, method=<Method.HNF: 'hnf'>, work_stats={'matrices': 3})"
+        )
+
+    def test_keyword_construction(self):
+        result = CountResult(value=12, method=Method.RECURSION, work_stats={"divisor_visits": 9})
+        assert (result.value, result.method, result.work_stats) == (
+            12,
+            Method.RECURSION,
+            {"divisor_visits": 9},
+        )
+        assert result == CountResult(12, Method.RECURSION)
+
+    def test_equality_and_hash_ignore_work_stats(self):
+        plain = CountResult(91, Method.GRUBER)
+        with_stats = CountResult(91, Method.GRUBER, {"tuples": 5})
+        assert plain == with_stats
+        assert hash(plain) == hash(with_stats)
+        assert len({plain, with_stats}) == 1
+        assert plain != CountResult(91, Method.RECURSION)
+        assert plain != CountResult(92, Method.GRUBER)
+        assert plain != (91, Method.GRUBER)
+
+    def test_each_instance_gets_its_own_work_stats(self):
+        first = CountResult(1, Method.HNF)
+        second = CountResult(1, Method.HNF)
+        first.work_stats["matrices"] = 1
+        assert second.work_stats == {}
+        assert first.work_stats is not second.work_stats
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        result = CountResult(3, Method.GRUBER)
+        for name in ("value", "method", "work_stats", "other"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(result, name)
+        assert (result.value, result.method, result.work_stats) == (3, Method.GRUBER, {})
+
+    def test_rejection_message(self):
+        with pytest.raises(ValueError, match=r"^count must be >= 1, got 0$"):
+            CountResult(0, Method.GRUBER)
+
+    def test_pickle_round_trip(self):
+        result = CountResult(35, Method.FACTORIZATION_SUM, {"tuples": 6})
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy == result
+        assert copy.work_stats == {"tuples": 6}

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 from itertools import groupby, islice
 
@@ -32,6 +33,54 @@ class TestHnfMatrix:
             HnfMatrix(2, ((1, 0, 0), (0, 1, 0)))
         with pytest.raises(ValueError):
             HnfMatrix(0, ())
+
+    # repr text recorded from the frozen dataclass that HnfMatrix used to be
+    def test_repr(self):
+        assert repr(HnfMatrix(2, [[2, 0], [1, 2]])) == "HnfMatrix(n=2, rows=((2, 0), (1, 2)))"
+        assert repr(next(enumerate_hnf(3, 4))) == (
+            "HnfMatrix(n=3, rows=((1, 0, 0), (0, 1, 0), (0, 0, 4)))"
+        )
+
+    def test_rows_become_tuples_of_tuples(self):
+        matrix = HnfMatrix(n=2, rows=[[1, 0], iter((1, 2))])
+        assert matrix.rows == ((1, 0), (1, 2))
+        assert type(matrix.rows) is tuple
+        assert all(type(row) is tuple for row in matrix.rows)
+
+    def test_rejection_messages(self):
+        with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
+            HnfMatrix(0, ())
+        with pytest.raises(ValueError, match=r"^need a 2x2 matrix, got \(\(1, 0\),\)$"):
+            HnfMatrix(2, [[1, 0]])
+
+    def test_equality_and_hash(self):
+        matrix = HnfMatrix(2, ((2, 0), (1, 2)))
+        assert matrix == HnfMatrix(2, [[2, 0], [1, 2]])
+        assert hash(matrix) == hash(HnfMatrix(2, [[2, 0], [1, 2]]))
+        assert matrix != HnfMatrix(2, ((2, 0), (0, 2)))
+        assert matrix != (2, ((2, 0), (1, 2)))
+
+    def test_trusted_equals_and_hashes_like_checked(self):
+        for n, m in [(1, 5), (2, 12), (3, 8)]:
+            for matrix in enumerate_hnf(n, m):
+                checked = HnfMatrix(n, matrix.rows)
+                trusted = HnfMatrix._trusted(n, matrix.rows)
+                assert type(trusted) is HnfMatrix
+                assert trusted == checked and hash(trusted) == hash(checked)
+                assert repr(trusted) == repr(checked)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for matrix in (HnfMatrix(1, ((3,),)), HnfMatrix._trusted(1, ((3,),))):
+            for name in ("n", "rows", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(matrix, name, 2)
+                with pytest.raises(AttributeError):
+                    delattr(matrix, name)
+            assert (matrix.n, matrix.rows) == (1, ((3,),))
+
+    def test_pickle_round_trip(self):
+        matrix = HnfMatrix(2, ((2, 0), (1, 2)))
+        assert pickle.loads(pickle.dumps(matrix)) == matrix
 
     def test_serialization_round_trip(self):
         matrix = HnfMatrix(2, ((2, 0), (1, 2)))
