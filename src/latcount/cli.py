@@ -187,8 +187,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    lhs = lhs_product(args.n, args.t_order)
+    # The right-hand side first, so that a q-Pascal row over its cap is refused
+    # before the left-hand product is multiplied out.
     rhs = rhs_sum(args.n, args.t_order)
+    lhs = lhs_product(args.n, args.t_order)
     print("lhs:")
     for line in lhs.render_lines():
         print(line)

@@ -7,9 +7,10 @@ The q-binomial coefficient is built from the two-index q-Pascal recurrence
 for G[i][j] = [i+j choose i]_q (Andrews, The Theory of Partitions, ch. 3).
 [m choose k] = G[k][m-k] is reached by rolling one row of m-k+1 polynomials
 over i = 1 .. k, and nothing outlives the call.  Entry j has degree i*j after
-pass i, so the last pass holds about k*(m-k)^2/2 coefficients: (2000, 3)
-peaks near 170 MB.  A product a*b makes nnz(a)*nnz(b) coefficient products,
-nnz counting the nonzero coefficients.  The recurrence is division-free and
+pass i, so the last row holds (m-k+1)*(k*(m-k)/2 + 1) coefficients; that is
+predicted before the row is made and capped at MAX_QPASCAL_COEFFICIENTS.  A
+product a*b makes nnz(a)*nnz(b) coefficient products, nnz counting the
+nonzero coefficients.  The recurrence is division-free and
 stays inside integer polynomial arithmetic; the textbook quotient of
 q-factorials lives only in tests/oracles.py, as a test oracle.  Evaluated
 q-binomials (`gauss_binomial_at`) take an independent route through exact
@@ -22,7 +23,12 @@ import operator
 from math import comb
 from typing import Iterable
 
-from .core import ExactnessError
+from .core import CapacityError, ExactnessError
+
+# The most coefficients the last q-Pascal row may hold, about 9x the largest
+# a test or benchmark makes ((120, 60): 109,861).  Under tracemalloc (1000, 2),
+# 998,001 coefficients, peaks at 12 MB; (2000, 3) would hold 5,987,007.
+MAX_QPASCAL_COEFFICIENTS = 10**6
 
 
 class QPolynomial:
@@ -151,11 +157,20 @@ def gauss_binomial(m: int, k: int) -> QPolynomial:
 
     Has degree k*(m-k) and nonnegative coefficients; k > m yields the zero
     polynomial (the vanishing convention), so series code can sum freely.
+    A last row of more than MAX_QPASCAL_COEFFICIENTS coefficients raises
+    CapacityError before the row is made.
     """
     if m < 0 or k < 0:
         raise ValueError(f"gauss_binomial needs m, k >= 0, got m={m}, k={k}")
     if k > m:
         return QPolynomial.zero()
+    # Entry j of the last row has degree k*j; the m-k+1 entries average k*(m-k)/2 + 1.
+    predicted = (m - k + 1) * (k * (m - k) + 2) // 2
+    if predicted > MAX_QPASCAL_COEFFICIENTS:
+        raise CapacityError(
+            f"gauss_binomial({m}, {k}) would hold {predicted} coefficients in its last "
+            f"q-Pascal row, above the limit {MAX_QPASCAL_COEFFICIENTS}"
+        )
     # After pass i, row[j] = [i+j choose i]_q.  The grid is always k passes of
     # m-k steps, never the mirror [m choose m-k], so that the symmetry checks
     # compare two different computations.

@@ -38,6 +38,21 @@ def brute_sigma(m):
     return total
 
 
+def dirichlet_by_divisor_sums(n, limit):
+    """Coefficients of zeta(s) zeta(s-1) ... zeta(s-n+1) up to limit, entry 0 is 0.
+
+    Pull form, one entry at a time: a_i(x) = sum over d | x of
+    a_{i-1}(d) * (x/d)^i, each x's divisors found by trial of 1..x.
+    """
+    values = [0] + [1] * limit
+    for i in range(1, n):
+        values = [0] + [
+            sum(values[d] * (x // d) ** i for d in range(1, x + 1) if x % d == 0)
+            for x in range(1, limit + 1)
+        ]
+    return values
+
+
 def brute_ordered_factorizations(m, n):
     """All n-tuples with product m, by recursive divisor scan; sorted."""
     if n == 1:

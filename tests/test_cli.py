@@ -85,6 +85,13 @@ DIVISOR_LATTICE_DIGESTS = [
     ("enumerate --n 4 --m 60 --limit 5000", "ba8e34f3e1a707ed963cc4bf2cfa01ff2a80cc6e66294279013a70e55e9db228"),
 ]
 
+# sha256 of the stdout of Dirichlet tables, recorded from the convolution that
+# built a list of powers and a fresh list of sums for every shift.
+DIRICHLET_DIGESTS = [
+    ("table --n 4 --max-m 5000 --method dirichlet", "70130d80a4dfc029b0e0b8beefb70f849d10594714b3c9ff14552b5487f0ed8b"),
+    ("table --n 2 --max-m 3000 --method dirichlet --format csv", "ba4160d1d1651d8dadb7d858e8c8a236babd39a9db0d4d233c7707fe42421eff"),
+]
+
 
 class TestCount:
     def test_all_methods_golden(self):
@@ -480,6 +487,15 @@ class TestSeries:
             "verdict: match\n"
         )
 
+    def test_q_pascal_row_over_the_cap_exits_3_before_output(self):
+        proc = run_cli("series", "--n", "2000", "--t-order", "3")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: gauss_binomial(2000, 1) would hold 2001000 coefficients in its last "
+            "q-Pascal row, above the limit 1000000\n"
+        )
+
 
 class TestEulerFactor:
     def test_golden(self):
@@ -517,6 +533,10 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("args, digest", DIVISOR_LATTICE_DIGESTS)
     def test_divisor_lattice_stdout_matches_recorded_digest(self, args, digest):
+        assert_stdout_digest(args, digest)
+
+    @pytest.mark.parametrize("args, digest", DIRICHLET_DIGESTS)
+    def test_dirichlet_stdout_matches_recorded_digest(self, args, digest):
         assert_stdout_digest(args, digest)
 
 

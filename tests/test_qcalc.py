@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latcount import (
+    CapacityError,
     QPolynomial,
     format_qpolynomial,
     gauss_binomial,
     gauss_binomial_at,
 )
+from latcount.qcalc import MAX_QPASCAL_COEFFICIENTS
 from oracles import q_factorial, qbinomial_by_quotient
 
 
@@ -126,6 +128,31 @@ class TestGaussBinomial:
         finally:
             tracemalloc.stop()
         assert retained < 1 << 20
+
+    def test_row_over_the_cap_is_refused_before_it_exists(self):
+        # (2000, 3) peaked at 173 MB before the cap; its last row holds 999 * 5993 terms.
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as refusal:
+                gauss_binomial(2000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert "5987007" in str(refusal.value)
+        assert str(MAX_QPASCAL_COEFFICIENTS) in str(refusal.value)
+
+    def test_cap_sits_between_the_largest_rows_in_use_and_the_first_refused(self):
+        # (1000, 2) holds 999 * 999 coefficients, (120, 60) holds 61 * 1801.
+        assert gauss_binomial(1000, 2).degree == 1996
+        assert gauss_binomial(120, 60).degree == 3600
+        # (1001, 2) holds 1000 * 1000, exactly the cap.
+        assert gauss_binomial(1001, 2).degree == 1998
+        # For k = 1 the last row holds m(m+1)/2 coefficients: m = 1413 fits, 1414 does not.
+        assert 1413 * 1414 // 2 <= MAX_QPASCAL_COEFFICIENTS < 1414 * 1415 // 2
+        assert gauss_binomial(1413, 1).degree == 1412
+        with pytest.raises(CapacityError, match="1000405"):
+            gauss_binomial(1414, 1)
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):
