@@ -7,6 +7,12 @@ early, 2 invalid arguments, 3 capacity bound exceeded, 4 cross-method
 discrepancy, failed exactness check, property failure or any other internal
 error.
 
+verify runs all three of its checks before the first line: cross-method
+agreement, q-binomial symmetry once per unordered pair (k < m-k), and the
+generating identity once per n at the full t-order.  Before any of them, the
+symmetry check's last q-Pascal rows are summed, and a sum above
+MAX_QPASCAL_COEFFICIENTS exits 3 with nothing on stdout.
+
 Every command is a fresh process, so the module imports only argparse and the
 package at start; json is imported when a json-lines record is written.
 """
@@ -16,7 +22,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from itertools import islice
 
 from .arith import ENV_TRIAL_DIVISION_BOUND
@@ -30,8 +35,8 @@ from .count import (
     run_count,
 )
 from .hnf import DEFAULT_ENUMERATION_CAP, enumerate_hnf, enumerate_lines, validate_hnf
-from .series import euler_factor, lhs_product, rhs_sum, verify_generating_identity
-from .qcalc import gauss_binomial
+from .qcalc import MAX_QPASCAL_COEFFICIENTS, _last_row_size, gauss_binomial
+from .series import euler_factor, lhs_product, rhs_sum
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -142,18 +147,38 @@ def _verify_cross_methods(n_max: int, m_max: int):
     return None
 
 
+def _symmetry_pairs(bound: int):
+    """The (m, k) whose [m choose k] and [m choose m-k] are compared: each unordered pair once."""
+    return ((m, k) for m in range(bound + 1) for k in range((m + 1) // 2))
+
+
+def _check_symmetry_budget(bound: int) -> None:
+    """Refuse a symmetry check whose last q-Pascal rows add up to more than the cap."""
+    total = 0
+    for m, k in _symmetry_pairs(bound):
+        total += _last_row_size(m, k) + _last_row_size(m, m - k)
+        if total > MAX_QPASCAL_COEFFICIENTS:
+            raise CapacityError(
+                f"qbinomial-symmetry up to m={bound} (n-max + t-order) would hold at least "
+                f"{total} coefficients in its last q-Pascal rows, above the limit "
+                f"{MAX_QPASCAL_COEFFICIENTS}"
+            )
+
+
 def _verify_symmetry(bound: int):
-    for m in range(bound + 1):
-        for k in range(m + 1):
-            if gauss_binomial(m, k) != gauss_binomial(m, m - k):
-                return f"m={m} k={k}"
+    # (m, k) fails exactly when (m, m-k) does, so the first k < m-k to fail is the row's first.
+    for m, k in _symmetry_pairs(bound):
+        if gauss_binomial(m, k) != gauss_binomial(m, m - k):
+            return f"m={m} k={k}"
     return None
 
 
 def _verify_identity(n_max: int, t_order: int):
+    # Truncations are prefixes, so the first differing t-power is the least failing order.
     for n in range(1, n_max + 1):
-        for order in range(t_order + 1):
-            if not verify_generating_identity(n, order):
+        sides = zip(lhs_product(n, t_order).coefficients, rhs_sum(n, t_order).coefficients)
+        for order, (lhs, rhs) in enumerate(sides):
+            if lhs != rhs:
                 return f"n={n} t-order={order}"
     return None
 
@@ -161,29 +186,23 @@ def _verify_identity(n_max: int, t_order: int):
 def cmd_verify(args) -> int:
     n_max, m_max, t_order = args.n_max, args.m_max, args.t_order
     symmetry_bound = n_max + t_order
-    checks = (
-        (
-            "cross-method-agreement",
-            f"n <= {n_max}, m <= {m_max}",
-            partial(_verify_cross_methods, n_max, m_max),
-        ),
-        ("qbinomial-symmetry", f"m <= {symmetry_bound}", partial(_verify_symmetry, symmetry_bound)),
-        (
-            "generating-identity",
-            f"n <= {n_max}, t-order <= {t_order}",
-            partial(_verify_identity, n_max, t_order),
-        ),
+    _check_symmetry_budget(symmetry_bound)
+    # Every check runs before the first line, so a refusal prints none.  Each
+    # returns its first counterexample, a non-empty string, or None when it passes.
+    counterexamples = (
+        _verify_cross_methods(n_max, m_max),
+        _verify_symmetry(symmetry_bound),
+        _verify_identity(n_max, t_order),
     )
-    failures = 0
-    # Each check returns its first counterexample, or None when it passes.
-    for name, scope, check in checks:
-        counterexample = check()
-        if counterexample is None:
-            print(f"{name}: pass ({scope})")
-        else:
-            failures += 1
-            print(f"{name}: fail at {counterexample}")
-    return EXIT_MISMATCH if failures else EXIT_OK
+    checks = (
+        ("cross-method-agreement", f"n <= {n_max}, m <= {m_max}"),
+        ("qbinomial-symmetry", f"m <= {symmetry_bound}"),
+        ("generating-identity", f"n <= {n_max}, t-order <= {t_order}"),
+    )
+    for (name, scope), counterexample in zip(checks, counterexamples):
+        outcome = f"pass ({scope})" if counterexample is None else f"fail at {counterexample}"
+        print(f"{name}: {outcome}")
+    return EXIT_MISMATCH if any(counterexamples) else EXIT_OK
 
 
 def cmd_series(args) -> int:

@@ -152,6 +152,12 @@ def format_qpolynomial(poly: QPolynomial) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
+def _last_row_size(m: int, k: int) -> int:
+    """The coefficients in gauss_binomial(m, k)'s last q-Pascal row, for 0 <= k <= m."""
+    # Entry j of the last row has degree k*j; the m-k+1 entries average k*(m-k)/2 + 1.
+    return (m - k + 1) * (k * (m - k) + 2) // 2
+
+
 def gauss_binomial(m: int, k: int) -> QPolynomial:
     """The Gaussian binomial coefficient [m choose k]_q as a polynomial.
 
@@ -164,8 +170,7 @@ def gauss_binomial(m: int, k: int) -> QPolynomial:
         raise ValueError(f"gauss_binomial needs m, k >= 0, got m={m}, k={k}")
     if k > m:
         return QPolynomial.zero()
-    # Entry j of the last row has degree k*j; the m-k+1 entries average k*(m-k)/2 + 1.
-    predicted = (m - k + 1) * (k * (m - k) + 2) // 2
+    predicted = _last_row_size(m, k)
     if predicted > MAX_QPASCAL_COEFFICIENTS:
         raise CapacityError(
             f"gauss_binomial({m}, {k}) would hold {predicted} coefficients in its last "

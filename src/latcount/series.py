@@ -78,9 +78,9 @@ class TSeries:
 
 
 def _check_truncation_order(truncation_order: int) -> None:
-    """Reject a truncation order below 0 with ValueError."""
+    """Reject a truncation order below 0 with UsageError."""
     if truncation_order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {truncation_order}")
+        raise UsageError(f"truncation order must be >= 0, got {truncation_order}")
 
 
 def geometric_factor(k: int, truncation_order: int) -> TSeries:

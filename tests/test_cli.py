@@ -17,7 +17,17 @@ import pytest
 
 import latcount.cli as cli
 import latcount.count
-from latcount import CountResult, DiscrepancyError, Method, UsageError, gauss_binomial_at
+import latcount.qcalc
+from latcount import (
+    CapacityError,
+    CountResult,
+    DiscrepancyError,
+    Method,
+    QPolynomial,
+    TSeries,
+    UsageError,
+    gauss_binomial_at,
+)
 from latcount.series import MAX_DIRICHLET_LIMIT
 
 
@@ -71,6 +81,15 @@ Q_SIDE_DIGESTS = [
     ("series --n 13 --t-order 21", "447a6ef6028c2b86953ea6eeb8e4479f07f84f3294fe7149cd02f7db5d0192ae"),
     ("series --n 20 --t-order 15", "e304bf536fbfe6e67801ea454b5d1516e101a764863623169e9bc06840513797"),
     ("verify --n-max 5 --m-max 548 --t-order 10", "cc67c90502c601522c9bf439480634b5326f77d7030b55510f15e168edd55bab"),
+]
+
+# sha256 of the stdout of verify, recorded from the verify that printed each
+# check's line as it finished, compared every symmetric pair from both ends and
+# rebuilt both sides of the identity for every truncation order.
+VERIFY_DIGESTS = [
+    ("verify --n-max 4 --m-max 989 --t-order 10", "e4f5c7a721f8c260fdc89c2fed48e2eee555cac4cebae9151588fed45341b310"),
+    ("verify --n-max 5 --m-max 542 --t-order 9", "fb59145a54368393e3ae9caa9f8326801d13483d078daf2086530584c1c202be"),
+    ("verify --n-max 3 --m-max 100 --t-order 6", "26ea24b115d9994a13ab7954f835fa01862dccd857cfe3eafd5690e96e150377"),
 ]
 
 # sha256 of the stdout of commands that walk the divisor lattice, recorded from
@@ -429,13 +448,65 @@ class TestVerify:
         assert out == ""
         assert str(MAX_DIRICHLET_LIMIT) in err
 
+    @staticmethod
+    def skew_rhs(monkeypatch, fault_n, fault_power):
+        real_rhs_sum = cli.rhs_sum
+
+        def skewed_rhs_sum(n, order):
+            coefficients = list(real_rhs_sum(n, order).coefficients)
+            if fault_n in (None, n):
+                coefficients[fault_power] += QPolynomial.one()
+            return TSeries(coefficients)
+
+        monkeypatch.setattr(cli, "rhs_sum", skewed_rhs_sum)
+
     def test_injected_fault_exits_4(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "verify_generating_identity", lambda n, order: False)
+        self.skew_rhs(monkeypatch, None, 0)
         code = cli.main(["verify", "--n-max", "2", "--m-max", "5", "--t-order", "3"])
         assert code == 4
         out = capsys.readouterr().out
         # smallest counterexample in scan order
         assert "generating-identity: fail at n=1 t-order=0" in out
+
+    def test_identity_fault_names_the_least_failing_order(self, monkeypatch, capsys):
+        self.skew_rhs(monkeypatch, 2, 2)
+        code = cli.main(["verify", "--n-max", "3", "--m-max", "5", "--t-order", "4"])
+        assert code == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "cross-method-agreement: pass (n <= 3, m <= 5)",
+            "qbinomial-symmetry: pass (m <= 7)",
+            "generating-identity: fail at n=2 t-order=2",
+        ]
+
+    @pytest.mark.parametrize("t_order", [150, 10**9])
+    def test_symmetry_sweep_over_budget_exits_3_before_output(self, t_order):
+        proc = subprocess.run(
+            [sys.executable, "-m", "latcount", "verify", "--n-max", "1", "--m-max", "1"]
+            + ["--t-order", str(t_order)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: qbinomial-symmetry up to m={t_order + 1} ")
+        assert proc.stderr.endswith(" above the limit 1000000\n")
+
+    def test_symmetry_budget_is_refused_before_the_first_line(self, monkeypatch, capsys):
+        # the rows up to m=2 hold 7 coefficients, and (3, 0) and (3, 3) add 4 + 1 more
+        monkeypatch.setattr(latcount.qcalc, "MAX_QPASCAL_COEFFICIENTS", 10)
+        monkeypatch.setattr(cli, "MAX_QPASCAL_COEFFICIENTS", 10)
+        code = cli.main(["verify", "--n-max", "1", "--m-max", "3", "--t-order", "6"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "up to m=7 " in err and "limit 10\n" in err
+
+    def test_symmetry_budget_admits_the_rows_up_to_m_40(self):
+        # rows up to m=40 hold 951,223 coefficients and up to m=41, 1,075,536
+        cli._check_symmetry_budget(40)
+        with pytest.raises(CapacityError, match="up to m=41 "):
+            cli._check_symmetry_budget(41)
 
     def test_symmetry_fault_exits_4(self, monkeypatch, capsys):
         real_binomial = cli.gauss_binomial
@@ -527,7 +598,7 @@ class TestDeterminism:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
-    @pytest.mark.parametrize("args, digest", Q_SIDE_DIGESTS)
+    @pytest.mark.parametrize("args, digest", Q_SIDE_DIGESTS + VERIFY_DIGESTS)
     def test_q_side_stdout_matches_recorded_digest(self, args, digest):
         assert_stdout_digest(args, digest)
 

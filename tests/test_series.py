@@ -8,6 +8,7 @@ from latcount import (
     CapacityError,
     QPolynomial,
     TSeries,
+    UsageError,
     count_by_dirichlet,
     count_by_gruber,
     dirichlet_coefficients,
@@ -104,6 +105,13 @@ class TestGeneratingIdentity:
         with pytest.raises(ValueError):
             geometric_factor(-1, 3)
 
+    @pytest.mark.parametrize(
+        "function, args", [(rhs_sum, (3,)), (lhs_product, (3,)), (euler_factor, (2, 3))]
+    )
+    def test_negative_truncation_order_is_a_usage_error(self, function, args):
+        with pytest.raises(UsageError, match=r"^truncation order must be >= 0, got -1$"):
+            function(*args, -1)
+
 
 class TestEulerFactor:
     def test_examples(self):
@@ -160,14 +168,14 @@ class TestDirichletCoefficients:
                 assert dirichlet_coefficients(n, limit) == expected[: limit + 1], (n, limit)
 
     def test_peak_memory_is_one_list_and_the_powers_to_half_the_limit(self):
-        # One list of 10^5 ints and the powers to 5 * 10^4 peak at 8.1 MB; three lists, 12.5 MB.
+        # One list of 2 * 10^4 ints and the powers to 10^4 peak at 1.6 MB; three lists, 2.4 MB.
         tracemalloc.start()
         try:
-            dirichlet_coefficients(3, 10**5)
+            dirichlet_coefficients(3, 2 * 10**4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10**7
+        assert peak < 2 * 10**6
 
     def test_limit_above_the_cap_is_refused_before_allocating(self):
         assert len(dirichlet_coefficients(1, MAX_DIRICHLET_LIMIT)) == MAX_DIRICHLET_LIMIT + 1
