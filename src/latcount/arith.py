@@ -25,7 +25,7 @@ from itertools import accumulate, chain, cycle
 from math import comb, isqrt, prod
 from typing import Iterator
 
-from .core import CapacityError, UsageError, check_args
+from .core import CapacityError, UsageError, check_args, check_at_least
 
 DEFAULT_TRIAL_DIVISION_BOUND = 10**7
 
@@ -45,8 +45,7 @@ def trial_division_bound() -> int:
         bound = int(raw)
     except ValueError:
         raise UsageError(f"{ENV_TRIAL_DIVISION_BOUND} must be an integer, got {raw!r}") from None
-    if bound < 2:
-        raise UsageError(f"{ENV_TRIAL_DIVISION_BOUND} must be >= 2, got {bound}")
+    check_at_least(bound, 2, ENV_TRIAL_DIVISION_BOUND)
     return bound
 
 
@@ -97,8 +96,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     smallest prime factor lies beyond the bound, a CapacityError names the
     bound.
     """
-    if m < 1:
-        raise ValueError(f"cannot factor {m}: input must be a positive integer")
+    check_at_least(m, 1, "m")
     try:
         return _factorize(m, trial_division_bound())
     except CapacityError as exc:
@@ -190,9 +188,14 @@ def ordered_factorizations(m: int, n: int) -> Iterator[tuple[int, ...]]:
     is lazy; consumers that only fold over it never hold more than one
     tuple at a time.  The divisors of each quotient come from one
     `DivisorIndex` of m, which fills as the quotients are reached: n = 2
-    needs only the divisors of m.
+    needs only the divisors of m.  n and m are checked when this is called;
+    m is factored at the first tuple.
     """
-    check_args(n)
+    check_args(n, m)
+    return _lazy_ordered_factorizations(m, n)
+
+
+def _lazy_ordered_factorizations(m: int, n: int) -> Iterator[tuple[int, ...]]:
     yield from _ordered_factorizations(m, n, DivisorIndex(m), ())
 
 

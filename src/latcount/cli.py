@@ -29,12 +29,12 @@ from .core import CapacityError, DiscrepancyError, ExactnessError, Method, Usage
 from .count import (
     FORMULA_METHODS,
     check_agreement,
+    check_enumeration_size,
     count_all_methods,
-    count_by_gruber,
     count_table,
     run_count,
 )
-from .hnf import DEFAULT_ENUMERATION_CAP, enumerate_hnf, enumerate_lines, validate_hnf
+from .hnf import enumerate_hnf, enumerate_lines, validate_hnf
 from .qcalc import MAX_QPASCAL_COEFFICIENTS, _last_row_size, gauss_binomial
 from .series import euler_factor, lhs_product, rhs_sum
 
@@ -99,15 +99,8 @@ def _check_first_line(n: int, m: int, line: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    # f_1(m) = 1; any larger dimension gets its count predicted before any output.
-    if args.limit is None and args.n > 1:
-        predicted = count_by_gruber(args.n, args.m).value
-        if predicted > DEFAULT_ENUMERATION_CAP:
-            raise CapacityError(
-                f"enumeration of (n={args.n}, m={args.m}) would emit {predicted} matrices, "
-                f"above the default cap {DEFAULT_ENUMERATION_CAP}; "
-                f"pass --limit to stream a bounded prefix"
-            )
+    if args.limit is None:
+        check_enumeration_size(args.n, args.m, "; pass --limit to stream a bounded prefix")
     lines = enumerate_lines(args.n, args.m)
     if args.limit is not None:
         lines = islice(lines, args.limit)

@@ -1,15 +1,18 @@
-"""Shared result types and errors used by every counting backend.
+"""Shared result types, errors and argument checks used by every counting backend.
 
-`CountResult` is written out by hand, with `__slots__`, rather than as a
-frozen dataclass: the `dataclasses` module imports `inspect`, and with it
-`ast`, `dis` and `tokenize`.  Those imports and the decorator's own work were
-more than half of `import latcount.cli`, and every CLI command is a fresh
-process that pays for them.
+Every bad argument to the package raises `UsageError`, most through
+`check_at_least`.  `Record`, the base of `CountResult` and
+`latcount.hnf.HnfMatrix`, is written out by hand with `__slots__` rather
+than as a frozen dataclass: the `dataclasses` module imports `inspect`, and
+with it `ast`, `dis` and `tokenize`.  Those imports and the decorator's own
+work were more than half of `import latcount.cli`, and every CLI command is
+a fresh process that pays for them.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 
 
 class CapacityError(RuntimeError):
@@ -18,7 +21,7 @@ class CapacityError(RuntimeError):
     Raised when trial division would have to search past its bound, when
     an enumeration would yield more matrices than its cap, or when a
     Dirichlet limit is above its cap.  Never raised for malformed input;
-    those get ValueError.
+    those get UsageError.
     """
 
 
@@ -55,12 +58,17 @@ class DiscrepancyError(ExactnessError):
         super().__init__(f"methods disagree for n={n}, m={m}: {detail}")
 
 
+def check_at_least(value: int, low: int, name: str) -> None:
+    """Reject a value below low with a UsageError that names it."""
+    if value < low:
+        raise UsageError(f"{name} must be >= {low}, got {value}")
+
+
 def check_args(n: int, m: int | None = None) -> None:
     """Reject a dimension n, or an index m when given, below 1 with UsageError."""
-    if n < 1:
-        raise UsageError(f"dimension n must be >= 1, got {n}")
-    if m is not None and m < 1:
-        raise UsageError(f"index m must be >= 1, got {m}")
+    check_at_least(n, 1, "dimension n")
+    if m is not None:
+        check_at_least(m, 1, "index m")
 
 
 class Method(str, Enum):
@@ -75,37 +83,32 @@ class Method(str, Enum):
     def __str__(self) -> str:
         return self.value
 
+    @classmethod
+    def _missing_(cls, value):
+        raise UsageError(f"{value!r} is not a valid {cls.__qualname__}")
 
-class CountResult:
-    """The value of one counting method, with optional work diagnostics.
 
-    Immutable.  Equality and hashing use (value, method) and ignore
-    work_stats, which defaults to a fresh empty dict per instance.
+class Record:
+    """An immutable record over __slots__.
+
+    A subclass names its fields, in constructor order, in __match_args__, and
+    sets _key to an attrgetter of those that equality and hashing use.  Its
+    __init__ stores each slot through the slot's descriptor.
     """
 
-    __slots__ = ("value", "method", "work_stats")
-    __match_args__ = ("value", "method", "work_stats")
-
-    def __init__(self, value: int, method: Method, work_stats: dict | None = None):
-        if value < 1:
-            raise ValueError(f"count must be >= 1, got {value}")
-        _set_value(self, value)
-        _set_method(self, method)
-        _set_work_stats(self, {} if work_stats is None else work_stats)
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(value={self.value!r}, method={self.method!r}, "
-            f"work_stats={self.work_stats!r})"
-        )
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.value, self.method) == (other.value, other.method)
+            return self._key(self) == self._key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.value, self.method))
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -114,7 +117,26 @@ class CountResult:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), (self.value, self.method, self.work_stats)
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class CountResult(Record):
+    """The value of one counting method, with optional work diagnostics.
+
+    Immutable.  Equality and hashing use (value, method) and ignore
+    work_stats, which defaults to a fresh empty dict per instance.
+    """
+
+    __slots__ = ("value", "method", "work_stats")
+    __match_args__ = ("value", "method", "work_stats")
+    _key = attrgetter("value", "method")
+
+    def __init__(self, value: int, method: Method, work_stats: dict | None = None):
+        if value < 1:
+            raise ValueError(f"count must be >= 1, got {value}")
+        _set_value(self, value)
+        _set_method(self, method)
+        _set_work_stats(self, {} if work_stats is None else work_stats)
 
 
 _set_value = CountResult.value.__set__

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .arith import DivisorIndex, factorize, ordered_factorizations
-from .core import CountResult, DiscrepancyError, ExactnessError, Method, check_args
+from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method, check_args
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
 from .series import MAX_DIRICHLET_LIMIT, count_by_dirichlet, dirichlet_coefficients
 
@@ -41,7 +41,6 @@ __all__ = [
 
 def count_by_factorization_sum(n: int, m: int) -> CountResult:
     """Sum d_1^0 d_2^1 ... d_n^(n-1) over all ordered factorizations of m."""
-    check_args(n, m)
     total = 0
     tuples = 0
     exponents = range(n)
@@ -114,12 +113,33 @@ def count_by_gruber(n: int, m: int) -> CountResult:
     return CountResult(first, Method.GRUBER, work_stats={"primes": len(factors)})
 
 
+def check_enumeration_size(n: int, m: int, advice: str = "") -> None:
+    """Refuse with CapacityError an enumeration that Gruber's count puts above the default cap.
+
+    advice ends the error's message.  f_1(m) = 1, so n = 1 is never refused,
+    and m is not factored for it.
+    """
+    if n > 1:
+        predicted = count_by_gruber(n, m).value
+        if predicted > DEFAULT_ENUMERATION_CAP:
+            raise CapacityError(
+                f"enumeration of (n={n}, m={m}) would emit {predicted} matrices, "
+                f"above the default cap {DEFAULT_ENUMERATION_CAP}{advice}"
+            )
+
+
+def _count_by_checked_enumeration(n: int, m: int) -> CountResult:
+    """count_by_enumeration, refused before the first matrix when over the default cap."""
+    check_enumeration_size(n, m)
+    return count_by_enumeration(n, m)
+
+
 _DISPATCH = {
     Method.FACTORIZATION_SUM: count_by_factorization_sum,
     Method.RECURSION: count_by_recursion,
     Method.GRUBER: count_by_gruber,
     Method.DIRICHLET: count_by_dirichlet,
-    Method.HNF: count_by_enumeration,
+    Method.HNF: _count_by_checked_enumeration,
 }
 
 # Every method but enumeration, whose work is the count itself.
@@ -136,11 +156,16 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
 
     Dirichlet fills the whole table from one convolution pass before this
     returns; every other method runs once per m, as the results are consumed.
+    Enumeration first checks every m's count against the default cap, so an
+    over-cap m is refused before the first matrix of any.
     """
     check_args(n, max_m)
     method = Method(method)
     if method is Method.DIRICHLET:
         return (CountResult(value, method) for value in dirichlet_coefficients(n, max_m)[1:])
+    if method is Method.HNF:
+        for m in range(1, max_m + 1):
+            check_enumeration_size(n, m)
     count = _DISPATCH[method]
     return (count(n, m) for m in range(1, max_m + 1))
 

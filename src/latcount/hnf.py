@@ -20,10 +20,6 @@ on every pass otherwise.  Memory therefore grows neither with the d^(n-1)
 matrices of a diagonal nor with m.  Outputs share the prefix of earlier
 levels: the text of a row is made once per prefix of earlier rows, and each
 further line costs one concatenation.
-
-HnfMatrix is written out by hand with __slots__, not as a frozen dataclass,
-for the reason given in latcount.core: the dataclasses module would load
-inspect on every CLI start.  Slots also make each enumerated matrix smaller.
 """
 
 from __future__ import annotations
@@ -31,10 +27,11 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain, islice, repeat
 from math import prod
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from .arith import ordered_factorizations
-from .core import CapacityError, CountResult, Method, check_args
+from .core import CapacityError, CountResult, Method, Record, UsageError, check_at_least
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -47,7 +44,7 @@ DEFAULT_ENUMERATION_CAP = 10**6
 LISTED_BOUND = 4096
 
 
-class HnfMatrix:
+class HnfMatrix(Record):
     """An n-by-n integer matrix in sublattice normal form, rows stored row-major.
 
     Immutable; equal and hashed by (n, rows).
@@ -55,13 +52,13 @@ class HnfMatrix:
 
     __slots__ = ("n", "rows")
     __match_args__ = ("n", "rows")
+    _key = attrgetter("n", "rows")
 
     def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
         rows = tuple(tuple(row) for row in rows)
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
+        check_at_least(n, 1, "dimension")
         if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError(f"need a {n}x{n} matrix, got {rows!r}")
+            raise UsageError(f"need a {n}x{n} matrix, got {rows!r}")
         _set_n(self, n)
         _set_rows(self, rows)
 
@@ -74,26 +71,6 @@ class HnfMatrix:
         _set_n(matrix, n)
         _set_rows(matrix, rows)
         return matrix
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(n={self.n!r}, rows={self.rows!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.rows) == (other.n, other.rows)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.n, self.rows)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -200,7 +177,7 @@ def _text_levels(diagonal: tuple[int, ...]) -> list[Level]:
 
 def _stream(n: int, m: int, start, levels: Callable[[tuple[int, ...]], list[Level]]) -> Iterator:
     """The odometer's output over every diagonal of (n, m), diagonals in lexicographic order."""
-    check_args(n, m)
+    # ordered_factorizations checks n and m here, when the generator expression is made.
     return chain.from_iterable(
         _odometer(start, levels(diagonal)) for diagonal in ordered_factorizations(m, n)
     )
@@ -231,8 +208,7 @@ def count_by_enumeration(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     The output size *is* the answer, so a cap is mandatory; exceeding it
     raises CapacityError carrying the cap and the partial count.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    check_at_least(cap, 1, "cap")
     count = sum(1 for _ in islice(enumerate_hnf(n, m), cap + 1))
     if count > cap:
         raise CapacityError(

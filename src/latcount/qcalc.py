@@ -23,7 +23,7 @@ import operator
 from math import comb
 from typing import Iterable
 
-from .core import CapacityError, ExactnessError
+from .core import CapacityError, ExactnessError, check_at_least
 
 # The most coefficients the last q-Pascal row may hold, about 9x the largest
 # a test or benchmark makes ((120, 60): 109,861).  Under tracemalloc (1000, 2),
@@ -59,8 +59,7 @@ class QPolynomial:
     @classmethod
     def monomial(cls, power: int, coefficient: int = 1) -> "QPolynomial":
         """coefficient * q**power"""
-        if power < 0:
-            raise ValueError(f"power must be >= 0, got {power}")
+        check_at_least(power, 0, "power")
         return cls((0,) * power + (coefficient,))
 
     @property
@@ -104,8 +103,7 @@ class QPolynomial:
 
     def shift(self, k: int) -> "QPolynomial":
         """Multiply by q**k."""
-        if k < 0:
-            raise ValueError(f"shift must be >= 0, got {k}")
+        check_at_least(k, 0, "shift")
         if self.is_zero():
             return self
         return QPolynomial((0,) * k + self._coeffs)
@@ -166,10 +164,13 @@ def gauss_binomial(m: int, k: int) -> QPolynomial:
     A last row of more than MAX_QPASCAL_COEFFICIENTS coefficients raises
     CapacityError before the row is made.
     """
-    if m < 0 or k < 0:
-        raise ValueError(f"gauss_binomial needs m, k >= 0, got m={m}, k={k}")
+    check_at_least(m, 0, "m")
+    check_at_least(k, 0, "k")
     if k > m:
         return QPolynomial.zero()
+    if k == m:
+        # A row of one entry, which each of the k passes would leave at 1.
+        return QPolynomial.one()
     predicted = _last_row_size(m, k)
     if predicted > MAX_QPASCAL_COEFFICIENTS:
         raise CapacityError(
@@ -197,10 +198,9 @@ def gauss_binomial_at(m: int, k: int, q0: int) -> int:
     inexact one raises ExactnessError.  At q0 = 1 this is the ordinary
     binomial coefficient C(m, k).
     """
-    if m < 0 or k < 0:
-        raise ValueError(f"gauss_binomial_at needs m, k >= 0, got m={m}, k={k}")
-    if q0 < 1:
-        raise ValueError(f"evaluation point must be >= 1, got {q0}")
+    check_at_least(m, 0, "m")
+    check_at_least(k, 0, "k")
+    check_at_least(q0, 1, "evaluation point")
     if k > m:
         return 0
     if q0 == 1:

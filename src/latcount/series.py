@@ -18,7 +18,7 @@ from functools import reduce
 from typing import Sequence
 
 from .arith import is_prime
-from .core import CapacityError, CountResult, Method, UsageError, check_args
+from .core import CapacityError, CountResult, Method, UsageError, check_args, check_at_least
 from .qcalc import QPolynomial, gauss_binomial, gauss_binomial_at
 
 
@@ -34,7 +34,7 @@ class TSeries:
 
     def __init__(self, coefficients: Sequence[QPolynomial]):
         if len(coefficients) < 1:
-            raise ValueError("a truncated series needs at least the t^0 coefficient")
+            raise UsageError("a truncated series needs at least the t^0 coefficient")
         self._coeffs = tuple(coefficients)
 
     @property
@@ -58,7 +58,7 @@ class TSeries:
             return NotImplemented
         K = self.truncation_order
         if K != other.truncation_order:
-            raise ValueError(f"truncation orders differ: {K} versus {other.truncation_order}")
+            raise UsageError(f"truncation orders differ: {K} versus {other.truncation_order}")
         coeffs = [QPolynomial.zero() for _ in range(K + 1)]
         for i, a in enumerate(self._coeffs):
             if a.is_zero():
@@ -77,17 +77,10 @@ class TSeries:
         return f"TSeries({list(self._coeffs)!r})"
 
 
-def _check_truncation_order(truncation_order: int) -> None:
-    """Reject a truncation order below 0 with UsageError."""
-    if truncation_order < 0:
-        raise UsageError(f"truncation order must be >= 0, got {truncation_order}")
-
-
 def geometric_factor(k: int, truncation_order: int) -> TSeries:
     """The series 1 / (1 - q^k t) truncated: sum_{j=0..K} q^(k j) t^j."""
-    if k < 0:
-        raise ValueError(f"exponent k must be >= 0, got {k}")
-    _check_truncation_order(truncation_order)
+    check_at_least(k, 0, "exponent k")
+    check_at_least(truncation_order, 0, "truncation order")
     return TSeries([QPolynomial.monomial(k * j) for j in range(truncation_order + 1)])
 
 
@@ -103,7 +96,7 @@ def lhs_product(n: int, truncation_order: int) -> TSeries:
 def rhs_sum(n: int, truncation_order: int) -> TSeries:
     """The q-binomial series: sum_{k=0..K} [n+k-1 choose k]_q t^k."""
     check_args(n)
-    _check_truncation_order(truncation_order)
+    check_at_least(truncation_order, 0, "truncation order")
     return TSeries([gauss_binomial(n + k - 1, k) for k in range(truncation_order + 1)])
 
 
@@ -120,7 +113,7 @@ def euler_factor(p: int, n: int, truncation_order: int) -> list[int]:
     break the Euler-product interpretation, so it is rejected.
     """
     check_args(n)
-    _check_truncation_order(truncation_order)
+    check_at_least(truncation_order, 0, "truncation order")
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
     return [gauss_binomial_at(n + k - 1, k, p) for k in range(truncation_order + 1)]

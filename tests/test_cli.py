@@ -31,7 +31,7 @@ from latcount import (
 from latcount.series import MAX_DIRICHLET_LIMIT
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = None
     if env_extra:
         env = dict(os.environ, **env_extra)
@@ -40,6 +40,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -232,6 +233,23 @@ class TestCount:
         assert len(err) == 1
         assert err[0].startswith("error: product forms disagree")
 
+    # f_3(720) = 2,623,530 is over the default cap of 10^6, and so is f_4(72) =
+    # 1,687,950; checked per m only, table would enumerate the 13,487,463 matrices of
+    # m < 72 before refusing.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("count", "--n", "3", "--m", "720", "--method", "hnf"),
+            ("table", "--n", "4", "--max-m", "72", "--method", "hnf"),
+        ],
+    )
+    def test_hnf_over_cap_is_refused_before_the_first_matrix(self, args):
+        proc = run_cli(*args, timeout=10)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        predicted = "2623530" if args[0] == "count" else "1687950"
+        assert predicted in proc.stderr and "1000000" in proc.stderr
+
     def test_value_past_the_int_str_digit_limit(self):
         # f_20(2^1000) = [1019 choose 1000]_2 has about 5,700 digits
         proc = run_cli("count", "--n", "20", "--m", str(2**1000))
@@ -304,6 +322,38 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "error: dimension n must be >= 1, got 0\n"
         assert issubclass(UsageError, ValueError)
+
+
+# Each public entry point with its own argument check, called with a bad argument.
+BAD_ARGUMENTS = [
+    ("gauss_binomial m", lambda: latcount.gauss_binomial(-1, 0)),
+    ("gauss_binomial k", lambda: latcount.gauss_binomial(3, -2)),
+    ("gauss_binomial_at m", lambda: latcount.gauss_binomial_at(-1, 0, 2)),
+    ("gauss_binomial_at q0", lambda: latcount.gauss_binomial_at(3, 1, 0)),
+    ("geometric_factor", lambda: latcount.geometric_factor(-1, 3)),
+    ("QPolynomial.monomial", lambda: QPolynomial.monomial(-1)),
+    ("QPolynomial.shift", lambda: QPolynomial.one().shift(-1)),
+    ("factorize", lambda: latcount.factorize(0)),
+    ("divisors", lambda: latcount.divisors(-6)),
+    ("ordered_factorizations n", lambda: latcount.ordered_factorizations(12, 0)),
+    ("ordered_factorizations m", lambda: latcount.ordered_factorizations(0, 2)),
+    ("HnfMatrix n", lambda: latcount.HnfMatrix(0, ())),
+    ("HnfMatrix shape", lambda: latcount.HnfMatrix(2, ((1, 0),))),
+    ("TSeries empty", lambda: TSeries([])),
+    ("TSeries orders", lambda: TSeries([QPolynomial.one()]) * TSeries([QPolynomial.one()] * 2)),
+    ("count_by_enumeration", lambda: latcount.count_by_enumeration(2, 2, cap=0)),
+    ("run_count", lambda: latcount.run_count(2, 6, "nope")),
+    ("count_table", lambda: latcount.count_table(2, 6, "nope")),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [call for _, call in BAD_ARGUMENTS], ids=[name for name, _ in BAD_ARGUMENTS]
+)
+def test_every_bad_argument_is_a_usage_error(call):
+    # ordered_factorizations is not advanced: its arguments are checked when it is called.
+    with pytest.raises(UsageError):
+        call()
 
 
 def test_import_loads_no_dataclasses_inspect_or_json():
@@ -566,6 +616,15 @@ class TestSeries:
             "error: gauss_binomial(2000, 1) would hold 2001000 coefficients in its last "
             "q-Pascal row, above the limit 1000000\n"
         )
+
+
+    def test_dimension_one_at_a_long_t_order(self):
+        # every coefficient is [k choose k]_q = 1, a q-Pascal row of one entry
+        proc = run_cli("series", "--n", "1", "--t-order", "20000", timeout=10)
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 * 20001 + 3
+        assert lines[-2:] == ["t^20000: 1", "verdict: match"]
 
 
 class TestEulerFactor:
