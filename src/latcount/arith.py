@@ -8,13 +8,20 @@ factor below the trial-division bound are rejected loudly (CapacityError)
 instead of silently falling back to slower machinery.
 
 Ordered factorizations and the recursion in `latcount.count` both walk the
-divisor lattice of m, and both read it from one `DivisorIndex`: each
-divisor q of m mapped to q's sorted divisors.  The index is made per call
-and filled lazily from `divisors(m)`, each entry filtered from a parent's
-list and holding the same int objects, so an entry costs one pointer per
-divisor.  Entries are made in the order the tuples first need them, so
-for n >= 3 the index never holds more pointers than the tuples already
-emitted plus tau(m), and for n = 2 it holds only the divisors of m.
+divisor lattice of m, and both read it from an index: index[q] is q's
+sorted divisors, for every divisor q of m.  Two kinds of index back them.
+
+  * For one m, a `DivisorIndex`, made per call and filled lazily from
+    `divisors(m)`, each entry filtered from a parent's list and holding the
+    same int objects, so an entry costs one pointer per divisor.  Entries
+    are made in the order the tuples first need them, so for n >= 3 the
+    index never holds more pointers than the tuples already emitted plus
+    tau(m), and for n = 2 it holds only the divisors of m.
+  * For a sweep over m = 1 .. M (`latcount.count.count_table`), one divisor
+    table: a list whose entry q is q's divisors, made by a sieve with no
+    trial division.  It holds sum over q <= M of tau(q) pointers, which
+    `_divisor_table_size` predicts exactly in O(sqrt M) before the table is
+    made, so that a sweep over budget can take the per-m path instead.
 """
 
 from __future__ import annotations
@@ -137,6 +144,31 @@ def divisors(m: int) -> list[int]:
     return divs
 
 
+def _divisor_table_size(max_m: int) -> int:
+    """The pointers in `_divisor_table(max_m)`: sum over q <= max_m of tau(q).
+
+    That is the number of pairs d * k <= max_m, counted by the hyperbola
+    method: the pairs with d <= r plus those with k <= r, less the r * r
+    pairs with both, where r = isqrt(max_m).
+    """
+    root = isqrt(max_m)
+    return 2 * sum(max_m // d for d in range(1, root + 1)) - root * root
+
+
+def _divisor_table(max_m: int) -> list[list[int]]:
+    """Entry q, for 1 <= q <= max_m, is the divisors of q in increasing order.
+
+    Entry 0 is empty.  Each d is appended to the entries of its multiples, so
+    no number is factored, and every entry holding d holds the same int
+    object.
+    """
+    table = [[] for _ in range(max_m + 1)]
+    for d in range(1, max_m + 1):
+        for entry in table[d::d]:
+            entry.append(d)
+    return table
+
+
 def ordered_factorization_count(m: int, n: int) -> int:
     """How many n-tuples of positive integers multiply to m.
 
@@ -200,9 +232,10 @@ def _lazy_ordered_factorizations(m: int, n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _ordered_factorizations(
-    q: int, n: int, index: DivisorIndex, prefix: tuple[int, ...]
+    q: int, n: int, index: DivisorIndex | list[list[int]], prefix: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
     # Every tuple below this node starts with prefix, and its other n parts multiply to q.
+    # index is a DivisorIndex of m or a divisor table reaching m.
     if n == 1:
         yield prefix + (q,)
     elif n == 2:

@@ -21,7 +21,14 @@ from math import prod
 from operator import mul
 from typing import Iterable, Iterator
 
-from .arith import DivisorIndex, factorize, ordered_factorizations
+from .arith import (
+    DivisorIndex,
+    _divisor_table,
+    _divisor_table_size,
+    _ordered_factorizations,
+    factorize,
+    ordered_factorizations,
+)
 from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method, check_args
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
 from .series import MAX_DIRICHLET_LIMIT, count_by_dirichlet, dirichlet_coefficients
@@ -41,10 +48,19 @@ __all__ = [
 
 def count_by_factorization_sum(n: int, m: int) -> CountResult:
     """Sum d_1^0 d_2^1 ... d_n^(n-1) over all ordered factorizations of m."""
+    return _fold_factorizations(n, ordered_factorizations(m, n))
+
+
+def _factorization_sum(n: int, m: int, index: list[list[int]]) -> CountResult:
+    """count_by_factorization_sum, with the divisor lists read from index."""
+    return _fold_factorizations(n, _ordered_factorizations(m, n, index, ()))
+
+
+def _fold_factorizations(n: int, factorizations: Iterable[tuple[int, ...]]) -> CountResult:
     total = 0
     tuples = 0
     exponents = range(n)
-    for parts in ordered_factorizations(m, n):
+    for parts in factorizations:
         total += prod(map(pow, parts, exponents))
         tuples += 1
     return CountResult(total, Method.FACTORIZATION_SUM, work_stats={"tuples": tuples})
@@ -59,7 +75,11 @@ def count_by_recursion(n: int, m: int) -> CountResult:
     table and the index live only for the duration of this call.
     """
     check_args(n, m)
-    index = DivisorIndex(m)
+    return _recursion(n, m, DivisorIndex(m))
+
+
+def _recursion(n: int, m: int, index: DivisorIndex | list[list[int]]) -> CountResult:
+    """count_by_recursion, with the divisor lists read from index."""
     divs = index[m]
     # Largest first, so that each entry is filtered from a parent already made.
     sub_divisors = [index[d] for d in reversed(divs)][::-1]
@@ -142,6 +162,15 @@ _DISPATCH = {
     Method.HNF: _count_by_checked_enumeration,
 }
 
+# The two methods that walk the divisor lattice, each with the divisor lists
+# passed in, for count_table's sweeps.
+_SWEEPS = {Method.FACTORIZATION_SUM: _factorization_sum, Method.RECURSION: _recursion}
+
+# A sweep's divisor table holds sum over m <= max_m of tau(m) pointers.  Above
+# this many (max_m of about 8.7 * 10**4, about 17 MB), count_table builds a
+# DivisorIndex per m instead.
+MAX_DIVISOR_TABLE_POINTERS = 10**6
+
 # Every method but enumeration, whose work is the count itself.
 FORMULA_METHODS = (Method.DIRICHLET, Method.FACTORIZATION_SUM, Method.GRUBER, Method.RECURSION)
 
@@ -156,8 +185,12 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
 
     Dirichlet fills the whole table from one convolution pass before this
     returns; every other method runs once per m, as the results are consumed.
-    Enumeration first checks every m's count against the default cap, so an
-    over-cap m is refused before the first matrix of any.
+    Factorization-sum and recursion read every m's divisor lists from one
+    divisor table, made before this returns, unless the table would hold more
+    than MAX_DIVISOR_TABLE_POINTERS pointers; each m then gets its own
+    DivisorIndex, as in a single count.  Enumeration first checks every m's
+    count against the default cap, so an over-cap m is refused before the
+    first matrix of any.
     """
     check_args(n, max_m)
     method = Method(method)
@@ -166,6 +199,9 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
     if method is Method.HNF:
         for m in range(1, max_m + 1):
             check_enumeration_size(n, m)
+    if method in _SWEEPS and _divisor_table_size(max_m) <= MAX_DIVISOR_TABLE_POINTERS:
+        sweep, table = _SWEEPS[method], _divisor_table(max_m)
+        return (sweep(n, m, table) for m in range(1, max_m + 1))
     count = _DISPATCH[method]
     return (count(n, m) for m in range(1, max_m + 1))
 
@@ -178,19 +214,35 @@ def check_agreement(n: int, m: int, results: Iterable[CountResult]) -> list[Coun
     return results
 
 
+def left_out_methods(m: int, count: int) -> dict[Method, str]:
+    """The methods count_all_methods leaves out at index m, each with the reason.
+
+    count is f_n(m), as the product formula gives it.
+    """
+    left_out = {}
+    if m > MAX_DIRICHLET_LIMIT:
+        left_out[Method.DIRICHLET] = f"m={m} is above its limit {MAX_DIRICHLET_LIMIT}"
+    if count > DEFAULT_ENUMERATION_CAP:
+        left_out[Method.HNF] = (
+            f"it would emit {count} matrices, above the default cap {DEFAULT_ENUMERATION_CAP}"
+        )
+    return left_out
+
+
 def count_all_methods(n: int, m: int) -> list[CountResult]:
     """Run every applicable method and insist that they agree.
 
     Enumeration joins in unless the (cheap) product formula predicts a count
     above DEFAULT_ENUMERATION_CAP, and Dirichlet unless m is above
-    MAX_DIRICHLET_LIMIT; everything else always runs.  Results come back
-    sorted by method name so the aggregation order never depends on
-    evaluation order.
+    MAX_DIRICHLET_LIMIT (see left_out_methods); everything else always runs.
+    Results come back sorted by method name so the aggregation order never
+    depends on evaluation order.
     """
     gruber = count_by_gruber(n, m)
+    left_out = left_out_methods(m, gruber.value)
     results = [count_by_factorization_sum(n, m), count_by_recursion(n, m), gruber]
-    if m <= MAX_DIRICHLET_LIMIT:
+    if Method.DIRICHLET not in left_out:
         results.append(count_by_dirichlet(n, m))
-    if gruber.value <= DEFAULT_ENUMERATION_CAP:
+    if Method.HNF not in left_out:
         results.append(count_by_enumeration(n, m))
     return check_agreement(n, m, results)

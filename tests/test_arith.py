@@ -15,7 +15,7 @@ from latcount import (
     ordered_factorization_count,
     ordered_factorizations,
 )
-from latcount.arith import DivisorIndex
+from latcount.arith import DivisorIndex, _divisor_table, _divisor_table_size
 from oracles import (
     brute_divisor_lists,
     brute_divisors,
@@ -264,6 +264,34 @@ class TestDivisorIndex:
                 assert pointers <= emitted + tau, (m, n, emitted)
             if n == 2:
                 assert len(made[-1]) == 1
+
+
+class TestDivisorTable:
+    def test_entries_are_the_divisor_lists_to_five_thousand(self):
+        table = _divisor_table(5000)
+        assert table[0] == []
+        for m in range(1, 5001):
+            assert table[m] == divisors(m) == brute_divisors(m), m
+
+    def test_entries_share_one_int_object_per_divisor(self):
+        table = _divisor_table(3000)
+        for q in range(1, 3001):
+            assert all(d is table[d][-1] for d in table[q])
+
+    def test_size_is_the_pointer_count_for_every_max_m_to_two_thousand(self):
+        # Entries do not depend on max_m, so one table gives every prefix's count.
+        table = _divisor_table(2000)
+        pointers = 0
+        for max_m in range(1, 2001):
+            pointers += len(table[max_m])
+            assert _divisor_table_size(max_m) == pointers, max_m
+
+    def test_size_near_the_sweep_budget_without_building_the_table(self):
+        # sum over q <= M of tau(q) counts the pairs d * k <= M: M // d of them for each d.
+        assert _divisor_table_size(1015) == 7189
+        assert _divisor_table_size(548) == 3543
+        for max_m in (80_000, 86_762, 86_763, 86_764, 90_000):
+            assert _divisor_table_size(max_m) == sum(max_m // d for d in range(1, max_m + 1))
 
 
 @settings(max_examples=50)

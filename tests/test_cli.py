@@ -105,6 +105,15 @@ DIVISOR_LATTICE_DIGESTS = [
     ("enumerate --n 4 --m 60 --limit 5000", "ba8e34f3e1a707ed963cc4bf2cfa01ff2a80cc6e66294279013a70e55e9db228"),
 ]
 
+# sha256 of the stdout of sweeps over m, recorded from the count_table that built
+# a DivisorIndex of each m for factorization-sum and recursion.  The verify is
+# the top of the benchmark's n <= 4 band.
+SWEEP_DIGESTS = [
+    ("table --n 4 --max-m 3000 --method recursion", "a3c96ac6c8843e5e5399a8564f8ceb10940fc511a394c45da3178a0111d34cff"),
+    ("table --n 5 --max-m 2000 --method factorization-sum --format csv", "62a50756281fc706448040a37fbb905b7e27dd01b7c9b22ab089a3b1e37fcc87"),
+    ("verify --n-max 4 --m-max 1014 --t-order 8", "74275ab06cccebe93da40fb45615e35e6262e37d2288990c1033ca5c654944bf"),
+]
+
 # sha256 of the stdout of Dirichlet tables, recorded from the convolution that
 # built a list of powers and a fresh list of sums for every shift.
 DIRICHLET_DIGESTS = [
@@ -205,6 +214,9 @@ class TestCount:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
             "factorization-sum: 10000000020\ngruber: 10000000020\nrecursion: 10000000020\n"
+        )
+        assert proc.stderr == (
+            f"note: dirichlet left out: m=10000000019 is above its limit {MAX_DIRICHLET_LIMIT}\n"
         )
 
     def test_discrepancy_exits_4(self, monkeypatch, capsys):
@@ -661,7 +673,7 @@ class TestDeterminism:
     def test_q_side_stdout_matches_recorded_digest(self, args, digest):
         assert_stdout_digest(args, digest)
 
-    @pytest.mark.parametrize("args, digest", DIVISOR_LATTICE_DIGESTS)
+    @pytest.mark.parametrize("args, digest", DIVISOR_LATTICE_DIGESTS + SWEEP_DIGESTS)
     def test_divisor_lattice_stdout_matches_recorded_digest(self, args, digest):
         assert_stdout_digest(args, digest)
 

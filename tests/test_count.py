@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +22,9 @@ from latcount import (
     ordered_factorization_count,
     run_count,
 )
+from latcount.count import left_out_methods
+from latcount.hnf import DEFAULT_ENUMERATION_CAP
+from latcount.series import MAX_DIRICHLET_LIMIT
 from oracles import brute_sigma, sieve_primes
 
 METHODS = {
@@ -171,6 +175,19 @@ class TestHarness:
         assert [str(r.method) for r in results] == ["factorization-sum", "gruber", "recursion"]
         assert {r.value for r in results} == {brute_sigma(10000000019)}
 
+    def test_left_out_methods_name_each_skip_and_its_reason(self):
+        assert left_out_methods(5040, 891_777_744_000) == {
+            Method.HNF: "it would emit 891777744000 matrices, above the default cap 1000000"
+        }
+        assert left_out_methods(720, count_by_gruber(3, 720).value) == {
+            Method.HNF: "it would emit 2623530 matrices, above the default cap 1000000"
+        }
+        assert left_out_methods(10000000019, 10000000020) == {
+            Method.DIRICHLET: "m=10000000019 is above its limit 1048576",
+            Method.HNF: "it would emit 10000000020 matrices, above the default cap 1000000",
+        }
+        assert left_out_methods(MAX_DIRICHLET_LIMIT, DEFAULT_ENUMERATION_CAP) == {}
+
     def test_discrepancy_raises_with_all_values(self, monkeypatch):
         def wrong_gruber(n, m):
             return CountResult(999, Method.GRUBER)
@@ -212,6 +229,50 @@ class TestRequestDispatch:
             table = list(count_table(3, 12, method))
             assert [r.method for r in table] == [method] * 12
             assert [r.value for r in table] == expected
+
+    def test_table_keeps_each_results_work_counters(self):
+        # CountResult equality ignores work_stats, so compare them on their own.
+        for method, count in (
+            (Method.FACTORIZATION_SUM, count_by_factorization_sum),
+            (Method.RECURSION, count_by_recursion),
+        ):
+            for n in range(1, 6):
+                table = list(count_table(n, 300, method))
+                expected = [count(n, m) for m in range(1, 301)]
+                assert table == expected
+                assert [r.work_stats for r in table] == [r.work_stats for r in expected]
+
+    def test_table_over_the_divisor_budget_counts_per_m(self, monkeypatch):
+        def unbuilt(max_m):
+            raise AssertionError(f"a divisor table up to {max_m} was built")
+
+        expected = {
+            method: [(r.value, r.work_stats) for r in count_table(4, 300, method)]
+            for method in (Method.FACTORIZATION_SUM, Method.RECURSION)
+        }
+        predicted = latcount.count._divisor_table_size(300)
+        monkeypatch.setattr(latcount.count, "MAX_DIVISOR_TABLE_POINTERS", predicted - 1)
+        monkeypatch.setattr(latcount.count, "_divisor_table", unbuilt)
+        for method, values in expected.items():
+            assert [(r.value, r.work_stats) for r in count_table(4, 300, method)] == values
+
+    def test_divisor_budget_admits_max_m_to_86763(self):
+        budget = latcount.count.MAX_DIVISOR_TABLE_POINTERS
+        assert latcount.count._divisor_table_size(86_763) <= budget
+        assert latcount.count._divisor_table_size(86_764) > budget
+
+    def test_table_frees_its_divisor_table_when_exhausted(self):
+        tracemalloc.start()
+        try:
+            results = count_table(1, 20_000, Method.RECURSION)
+            holding, _ = tracemalloc.get_traced_memory()
+            for _ in results:
+                pass
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert holding > 2_000_000
+        assert left < 100_000
 
     def test_table_rejects_bad_arguments(self):
         for method in Method:
