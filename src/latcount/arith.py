@@ -9,7 +9,8 @@ instead of silently falling back to slower machinery.
 
 Ordered factorizations and the recursion in `latcount.count` both walk the
 divisor lattice of m, and both read it from an index: index[q] is q's
-sorted divisors, for every divisor q of m.  Two kinds of index back them.
+sorted divisors, for every divisor q of m.  Two kinds of index back them,
+and the bodies that read them are the same for both.
 
   * For one m, a `DivisorIndex`, made per call and filled lazily from
     `divisors(m)`, each entry filtered from a parent's list and holding the
@@ -21,7 +22,7 @@ sorted divisors, for every divisor q of m.  Two kinds of index back them.
     table: a list whose entry q is q's divisors, made by a sieve with no
     trial division.  It holds sum over q <= M of tau(q) pointers, which
     `_divisor_table_size` predicts exactly in O(sqrt M) before the table is
-    made, so that a sweep over budget can take the per-m path instead.
+    made, so that a sweep over budget can make a `DivisorIndex` per m instead.
 """
 
 from __future__ import annotations

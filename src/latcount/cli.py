@@ -79,12 +79,9 @@ def _record(fmt: str, plain: str, csv: str, fields: dict) -> str:
 def cmd_count(args) -> int:
     if args.all:
         results = count_all_methods(args.n, args.m)
-        # Every value agrees, so any one is f_n(m).  Enumeration is left out
-        # above its cap without a note, as the recorded `count --all` goldens
-        # expect an empty stderr.
+        # Every value agrees, so any one is f_n(m).
         for method, reason in left_out_methods(args.m, results[0].value).items():
-            if method in FORMULA_METHODS:
-                print(f"note: {method} left out: {reason}", file=sys.stderr)
+            print(f"note: {method} left out: {reason}", file=sys.stderr)
     else:
         results = [run_count(args.n, args.m, args.method)]
     for result in results:

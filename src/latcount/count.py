@@ -13,6 +13,13 @@ All four methods compute the same multiplicative function:
 
 They are provably equal, so `check_agreement` treats any disagreement as
 an internal bug and raises DiscrepancyError.
+
+Each method has one body, which a single count, `count_table` and
+`count_all_methods` all reach.  Factorization-sum and recursion take the
+divisor lattice as an argument: a `DivisorIndex` of m for one count or an
+over-budget sweep, one divisor table for any other sweep.  One rule,
+`left_out_methods`, decides which methods `count_all_methods` skips, and
+the same rule refuses an over-cap enumeration.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from .arith import (
     _divisor_table_size,
     _ordered_factorizations,
     factorize,
-    ordered_factorizations,
 )
 from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method, check_args
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
@@ -48,19 +54,16 @@ __all__ = [
 
 def count_by_factorization_sum(n: int, m: int) -> CountResult:
     """Sum d_1^0 d_2^1 ... d_n^(n-1) over all ordered factorizations of m."""
-    return _fold_factorizations(n, ordered_factorizations(m, n))
+    check_args(n, m)
+    return _factorization_sum(n, m, DivisorIndex(m))
 
 
-def _factorization_sum(n: int, m: int, index: list[list[int]]) -> CountResult:
+def _factorization_sum(n: int, m: int, index: DivisorIndex | list[list[int]]) -> CountResult:
     """count_by_factorization_sum, with the divisor lists read from index."""
-    return _fold_factorizations(n, _ordered_factorizations(m, n, index, ()))
-
-
-def _fold_factorizations(n: int, factorizations: Iterable[tuple[int, ...]]) -> CountResult:
     total = 0
     tuples = 0
     exponents = range(n)
-    for parts in factorizations:
+    for parts in _ordered_factorizations(m, n, index, ()):
         total += prod(map(pow, parts, exponents))
         tuples += 1
     return CountResult(total, Method.FACTORIZATION_SUM, work_stats={"tuples": tuples})
@@ -134,24 +137,17 @@ def count_by_gruber(n: int, m: int) -> CountResult:
 
 
 def check_enumeration_size(n: int, m: int, advice: str = "") -> None:
-    """Refuse with CapacityError an enumeration that Gruber's count puts above the default cap.
+    """Refuse with CapacityError an enumeration that left_out_methods leaves out.
 
     advice ends the error's message.  f_1(m) = 1, so n = 1 is never refused,
     and m is not factored for it.
     """
     if n > 1:
-        predicted = count_by_gruber(n, m).value
-        if predicted > DEFAULT_ENUMERATION_CAP:
+        reason = left_out_methods(m, count_by_gruber(n, m).value).get(Method.HNF)
+        if reason:
             raise CapacityError(
-                f"enumeration of (n={n}, m={m}) would emit {predicted} matrices, "
-                f"above the default cap {DEFAULT_ENUMERATION_CAP}{advice}"
+                f"enumeration of (n={n}, m={m}) {reason.removeprefix('it ')}{advice}"
             )
-
-
-def _count_by_checked_enumeration(n: int, m: int) -> CountResult:
-    """count_by_enumeration, refused before the first matrix when over the default cap."""
-    check_enumeration_size(n, m)
-    return count_by_enumeration(n, m)
 
 
 _DISPATCH = {
@@ -159,7 +155,7 @@ _DISPATCH = {
     Method.RECURSION: count_by_recursion,
     Method.GRUBER: count_by_gruber,
     Method.DIRICHLET: count_by_dirichlet,
-    Method.HNF: _count_by_checked_enumeration,
+    Method.HNF: count_by_enumeration,
 }
 
 # The two methods that walk the divisor lattice, each with the divisor lists
@@ -176,8 +172,11 @@ FORMULA_METHODS = (Method.DIRICHLET, Method.FACTORIZATION_SUM, Method.GRUBER, Me
 
 
 def run_count(n: int, m: int, method: Method | str) -> CountResult:
-    """Run the single named method."""
-    return _DISPATCH[Method(method)](n, m)
+    """Run the single named method, refusing an over-cap enumeration before its first matrix."""
+    method = Method(method)
+    if method is Method.HNF:
+        check_enumeration_size(n, m)
+    return _DISPATCH[method](n, m)
 
 
 def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResult]:
@@ -185,25 +184,29 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
 
     Dirichlet fills the whole table from one convolution pass before this
     returns; every other method runs once per m, as the results are consumed.
-    Factorization-sum and recursion read every m's divisor lists from one
-    divisor table, made before this returns, unless the table would hold more
-    than MAX_DIVISOR_TABLE_POINTERS pointers; each m then gets its own
-    DivisorIndex, as in a single count.  Enumeration first checks every m's
-    count against the default cap, so an over-cap m is refused before the
-    first matrix of any.
+    Factorization-sum and recursion run the bodies of a single count, with
+    every m's divisor lists read from one divisor table, made before this
+    returns, unless the table would hold more than MAX_DIVISOR_TABLE_POINTERS
+    pointers; each m then gets its own DivisorIndex, as in a single count.
+    Enumeration first checks every m's count against the default cap, so an
+    over-cap m is refused before the first matrix of any.
     """
     check_args(n, max_m)
     method = Method(method)
+    ms = range(1, max_m + 1)
     if method is Method.DIRICHLET:
         return (CountResult(value, method) for value in dirichlet_coefficients(n, max_m)[1:])
+    if method in _SWEEPS:
+        sweep = _SWEEPS[method]
+        if _divisor_table_size(max_m) > MAX_DIVISOR_TABLE_POINTERS:
+            return (sweep(n, m, DivisorIndex(m)) for m in ms)
+        table = _divisor_table(max_m)
+        return (sweep(n, m, table) for m in ms)
     if method is Method.HNF:
-        for m in range(1, max_m + 1):
+        for m in ms:
             check_enumeration_size(n, m)
-    if method in _SWEEPS and _divisor_table_size(max_m) <= MAX_DIVISOR_TABLE_POINTERS:
-        sweep, table = _SWEEPS[method], _divisor_table(max_m)
-        return (sweep(n, m, table) for m in range(1, max_m + 1))
     count = _DISPATCH[method]
-    return (count(n, m) for m in range(1, max_m + 1))
+    return (count(n, m) for m in ms)
 
 
 def check_agreement(n: int, m: int, results: Iterable[CountResult]) -> list[CountResult]:
@@ -232,17 +235,12 @@ def left_out_methods(m: int, count: int) -> dict[Method, str]:
 def count_all_methods(n: int, m: int) -> list[CountResult]:
     """Run every applicable method and insist that they agree.
 
-    Enumeration joins in unless the (cheap) product formula predicts a count
-    above DEFAULT_ENUMERATION_CAP, and Dirichlet unless m is above
-    MAX_DIRICHLET_LIMIT (see left_out_methods); everything else always runs.
-    Results come back sorted by method name so the aggregation order never
-    depends on evaluation order.
+    Gruber always runs, and its value decides which of the others
+    left_out_methods leaves out: enumeration above DEFAULT_ENUMERATION_CAP
+    matrices, Dirichlet above MAX_DIRICHLET_LIMIT.  Results come back sorted
+    by method name so the aggregation order never depends on evaluation order.
     """
     gruber = count_by_gruber(n, m)
     left_out = left_out_methods(m, gruber.value)
-    results = [count_by_factorization_sum(n, m), count_by_recursion(n, m), gruber]
-    if Method.DIRICHLET not in left_out:
-        results.append(count_by_dirichlet(n, m))
-    if Method.HNF not in left_out:
-        results.append(count_by_enumeration(n, m))
-    return check_agreement(n, m, results)
+    others = (method for method in Method if method is not Method.GRUBER and method not in left_out)
+    return check_agreement(n, m, [gruber, *(_DISPATCH[method](n, m) for method in others)])

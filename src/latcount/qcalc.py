@@ -14,7 +14,8 @@ nonzero coefficients.  The recurrence is division-free and
 stays inside integer polynomial arithmetic; the textbook quotient of
 q-factorials lives only in tests/oracles.py, as a test oracle.  Evaluated
 q-binomials (`gauss_binomial_at`) take an independent route through exact
-integer division so the two can cross-check each other.
+integer division, over the shorter of the two products for [m choose k] and
+[m choose m-k], so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -195,8 +196,10 @@ def gauss_binomial_at(m: int, k: int, q0: int) -> int:
         prod_{j=1..k} (q0^(m-k+j) - 1) / (q0^j - 1)
 
     is an integer after every step, and each division is checked: an
-    inexact one raises ExactnessError.  At q0 = 1 this is the ordinary
-    binomial coefficient C(m, k).
+    inexact one raises ExactnessError.  [m choose k] = [m choose m-k], so the
+    product runs over the smaller of k and m-k, and [n+k-1 choose k] at a
+    fixed n takes n-1 steps however large k is.  At q0 = 1 this is the
+    ordinary binomial coefficient C(m, k).
     """
     check_at_least(m, 0, "m")
     check_at_least(k, 0, "k")
@@ -205,6 +208,7 @@ def gauss_binomial_at(m: int, k: int, q0: int) -> int:
         return 0
     if q0 == 1:
         return comb(m, k)
+    k = min(k, m - k)
     value = 1
     for j in range(1, k + 1):
         value, remainder = divmod(value * (q0 ** (m - k + j) - 1), q0**j - 1)

@@ -19,7 +19,13 @@ from typing import Sequence
 
 from .arith import is_prime
 from .core import CapacityError, CountResult, Method, UsageError, check_args, check_at_least
-from .qcalc import QPolynomial, gauss_binomial, gauss_binomial_at
+from .qcalc import (
+    MAX_QPASCAL_COEFFICIENTS,
+    QPolynomial,
+    _last_row_size,
+    gauss_binomial,
+    gauss_binomial_at,
+)
 
 
 class TSeries:
@@ -94,9 +100,21 @@ def lhs_product(n: int, truncation_order: int) -> TSeries:
 
 
 def rhs_sum(n: int, truncation_order: int) -> TSeries:
-    """The q-binomial series: sum_{k=0..K} [n+k-1 choose k]_q t^k."""
+    """The q-binomial series: sum_{k=0..K} [n+k-1 choose k]_q t^k.
+
+    Its t^k coefficient has degree k*(n-1), so the series holds
+    (K+1)*((n-1)*K + 2)/2 coefficients, the size of gauss_binomial(n-1+K, n-1)'s
+    last q-Pascal row.  Above MAX_QPASCAL_COEFFICIENTS that raises
+    CapacityError before the first coefficient is made.
+    """
     check_args(n)
     check_at_least(truncation_order, 0, "truncation order")
+    predicted = _last_row_size(n - 1 + truncation_order, n - 1)
+    if predicted > MAX_QPASCAL_COEFFICIENTS:
+        raise CapacityError(
+            f"rhs_sum({n}, {truncation_order}) would hold {predicted} coefficients in its "
+            f"q-binomials, above the limit {MAX_QPASCAL_COEFFICIENTS}"
+        )
     return TSeries([gauss_binomial(n + k - 1, k) for k in range(truncation_order + 1)])
 
 

@@ -105,6 +105,13 @@ DIVISOR_LATTICE_DIGESTS = [
     ("enumerate --n 4 --m 60 --limit 5000", "ba8e34f3e1a707ed963cc4bf2cfa01ff2a80cc6e66294279013a70e55e9db228"),
 ]
 
+# The stderr of the digest commands above that leave a method out; the others print none.
+DIGEST_NOTES = {
+    "count --n 4 --m 5040 --all": (
+        "note: hnf left out: it would emit 891777744000 matrices, above the default cap 1000000\n"
+    ),
+}
+
 # sha256 of the stdout of sweeps over m, recorded from the count_table that built
 # a DivisorIndex of each m for factorization-sum and recursion.  The verify is
 # the top of the benchmark's n <= 4 band.
@@ -172,6 +179,7 @@ class TestCount:
         assert_stdout_digest(
             "count --n 4 --m 360 --all --format json-lines",
             "7c22c89ff350e83db99645f5f54699728eea23b255807914dae670a819b320c2",
+            "note: hnf left out: it would emit 263320200 matrices, above the default cap 1000000\n",
         )
 
     def test_invalid_dimension_exits_2(self):
@@ -217,6 +225,17 @@ class TestCount:
         )
         assert proc.stderr == (
             f"note: dirichlet left out: m=10000000019 is above its limit {MAX_DIRICHLET_LIMIT}\n"
+            "note: hnf left out: it would emit 10000000020 matrices, above the default cap 1000000\n"
+        )
+
+    def test_all_notes_enumeration_left_out_over_its_cap(self):
+        proc = run_cli("count", "--n", "3", "--m", "720", "--all")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "dirichlet: 2623530\nfactorization-sum: 2623530\ngruber: 2623530\nrecursion: 2623530\n"
+        )
+        assert proc.stderr == (
+            "note: hnf left out: it would emit 2623530 matrices, above the default cap 1000000\n"
         )
 
     def test_discrepancy_exits_4(self, monkeypatch, capsys):
@@ -630,6 +649,15 @@ class TestSeries:
         )
 
 
+    def test_t_order_over_the_budget_exits_3_before_output(self):
+        proc = run_cli("series", "--n", "1", "--t-order", "1000000000", timeout=10)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: rhs_sum(1, 1000000000) would hold 1000000001 coefficients in its "
+            "q-binomials, above the limit 1000000\n"
+        )
+
     def test_dimension_one_at_a_long_t_order(self):
         # every coefficient is [k choose k]_q = 1, a q-Pascal row of one entry
         proc = run_cli("series", "--n", "1", "--t-order", "20000", timeout=10)
@@ -644,6 +672,12 @@ class TestEulerFactor:
         proc = run_cli("euler-factor", "--p", "2", "--n", "3", "--k-max", "2")
         assert proc.returncode == 0
         assert proc.stdout == "0 1\n1 7\n2 35\n"
+
+    def test_long_factor_takes_n_minus_1_steps_per_coefficient(self):
+        # [k choose k] at 2, each by the empty product rather than k steps
+        proc = run_cli("euler-factor", "--p", "2", "--n", "1", "--k-max", "20000", timeout=10)
+        assert proc.returncode == 0
+        assert proc.stdout == "".join(f"{k} 1\n" for k in range(20001))
 
     def test_non_prime_exits_2(self):
         proc = run_cli("euler-factor", "--p", "4", "--n", "2", "--k-max", "1")
@@ -675,17 +709,17 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("args, digest", DIVISOR_LATTICE_DIGESTS + SWEEP_DIGESTS)
     def test_divisor_lattice_stdout_matches_recorded_digest(self, args, digest):
-        assert_stdout_digest(args, digest)
+        assert_stdout_digest(args, digest, DIGEST_NOTES.get(args, ""))
 
     @pytest.mark.parametrize("args, digest", DIRICHLET_DIGESTS)
     def test_dirichlet_stdout_matches_recorded_digest(self, args, digest):
         assert_stdout_digest(args, digest)
 
 
-def assert_stdout_digest(args, digest):
+def assert_stdout_digest(args, digest, stderr=""):
     proc = run_cli(*args.split())
     assert proc.returncode == 0
-    assert proc.stderr == ""
+    assert proc.stderr == stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 

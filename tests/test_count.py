@@ -274,6 +274,19 @@ class TestRequestDispatch:
         assert holding > 2_000_000
         assert left < 100_000
 
+    def test_table_predicts_each_enumeration_once(self, monkeypatch):
+        calls = []
+
+        def counted_gruber(n, m):
+            calls.append(m)
+            return count_by_gruber(n, m)
+
+        monkeypatch.setattr(latcount.count, "count_by_gruber", counted_gruber)
+        assert [r.value for r in count_table(3, 40, Method.HNF)] == [
+            count_by_gruber(3, m).value for m in range(1, 41)
+        ]
+        assert calls == list(range(1, 41))
+
     def test_table_rejects_bad_arguments(self):
         for method in Method:
             with pytest.raises(ValueError):

@@ -181,6 +181,13 @@ class TestGaussBinomialAt:
     def test_vanishing_above_m(self):
         assert gauss_binomial_at(2, 5, 3) == 0
 
+    def test_takes_the_shorter_product(self):
+        # One step for k = m - 1, where the product over k would take 99,999 big-integer steps.
+        m = 100_000
+        assert gauss_binomial_at(m, m - 1, 2) == 2**m - 1
+        assert gauss_binomial_at(m, m - 2, 3) == gauss_binomial_at(m, 2, 3)
+        assert gauss_binomial_at(m, 2, 3) == (3**m - 1) * (3 ** (m - 1) - 1) // 16
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             gauss_binomial_at(3, 1, 0)

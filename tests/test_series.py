@@ -1,6 +1,8 @@
 import tracemalloc
 
 import pytest
+import latcount.qcalc
+import latcount.series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +106,31 @@ class TestGeneratingIdentity:
             rhs_sum(2, -1)
         with pytest.raises(ValueError):
             geometric_factor(-1, 3)
+
+    def test_rhs_size_is_predicted_by_one_q_pascal_row(self):
+        for n in range(1, 6):
+            for order in range(9):
+                held = sum(len(c.coefficients) for c in rhs_sum(n, order).coefficients)
+                assert latcount.qcalc._last_row_size(n - 1 + order, n - 1) == held
+
+    def test_rhs_over_the_budget_is_refused_before_any_q_binomial(self, monkeypatch):
+        def unbuilt(m, k):
+            raise AssertionError(f"gauss_binomial({m}, {k}) was called")
+
+        monkeypatch.setattr(latcount.series, "gauss_binomial", unbuilt)
+        with pytest.raises(CapacityError) as excinfo:
+            rhs_sum(2, 1413)
+        assert str(excinfo.value) == (
+            "rhs_sum(2, 1413) would hold 1000405 coefficients in its q-binomials, "
+            "above the limit 1000000"
+        )
+
+    def test_rhs_budget_admits_998991_and_one_million_coefficients(self, monkeypatch):
+        monkeypatch.setattr(latcount.series, "gauss_binomial", lambda m, k: QPolynomial.one())
+        assert latcount.qcalc._last_row_size(1413, 1) == 998_991
+        assert latcount.qcalc._last_row_size(999_999, 0) == 1_000_000
+        for n, order in ((2, 1412), (1, 999_999)):
+            assert rhs_sum(n, order).truncation_order == order
 
     @pytest.mark.parametrize(
         "function, args", [(rhs_sum, (3,)), (lhs_product, (3,)), (euler_factor, (2, 3))]
