@@ -7,10 +7,13 @@ coprime to 30, 8 in every 30.  Inputs whose unfactored part has no prime
 factor below the trial-division bound are rejected loudly (CapacityError)
 instead of silently falling back to slower machinery.
 
-Ordered factorizations and the recursion in `latcount.count` both walk the
-divisor lattice of m, and both read it from an index: index[q] is q's
-sorted divisors, for every divisor q of m.  Two kinds of index back them,
-and the bodies that read them are the same for both.
+Ordered factorizations, and the factorization sum and the recursion in
+`latcount.count`, walk the divisor lattice of m and read it from an index:
+index[q] is q's sorted divisors, for every divisor q of m.  Two kinds of
+index back the counts, and each count's body is the same for both.
+`ordered_factorizations` walks its tuples as an odometer, one prefix and
+one iterator of (divisor, cofactor) pairs per level, so no call depth grows
+with n.
 
   * For one m, a `DivisorIndex`, made per call and filled lazily from
     `divisors(m)`, each entry filtered from a parent's list and holding the
@@ -229,19 +232,29 @@ def ordered_factorizations(m: int, n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _lazy_ordered_factorizations(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    yield from _ordered_factorizations(m, n, DivisorIndex(m), ())
-
-
-def _ordered_factorizations(
-    q: int, n: int, index: DivisorIndex | list[list[int]], prefix: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    # Every tuple below this node starts with prefix, and its other n parts multiply to q.
-    # index is a DivisorIndex of m or a divisor table reaching m.
+    index = DivisorIndex(m)
     if n == 1:
-        yield prefix + (q,)
-    elif n == 2:
-        for d in index[q]:
-            yield prefix + (d, q // d)
-    else:
-        for d in index[q]:
-            yield from _ordered_factorizations(q // d, n - 1, index, prefix + (d,))
+        yield (m,)
+        return
+    # An odometer over the first n - 2 parts, the last fastest.  Each open level
+    # is an iterator over its children, each a prefix one part longer and the
+    # quotient it leaves; the last two parts are every (divisor, cofactor) pair
+    # of the quotient.
+    prefix, q = (), m
+    levels: list[Iterator[tuple[tuple[int, ...], int]]] = []
+    while True:
+        divs = index[q]
+        if len(levels) < n - 2:
+            levels.append(zip(map(prefix.__add__, zip(divs)), reversed(divs)))
+        else:
+            # A loop is faster here than yield from map(prefix.__add__, ...).
+            for pair in zip(divs, reversed(divs)):
+                yield prefix + pair
+        while levels:
+            child = next(levels[-1], None)
+            if child is not None:
+                break
+            levels.pop()
+        else:
+            return
+        prefix, q = child

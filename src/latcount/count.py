@@ -17,24 +17,21 @@ an internal bug and raises DiscrepancyError.
 Each method has one body, which a single count, `count_table` and
 `count_all_methods` all reach.  Factorization-sum and recursion take the
 divisor lattice as an argument: a `DivisorIndex` of m for one count or an
-over-budget sweep, one divisor table for any other sweep.  One rule,
-`left_out_methods`, decides which methods `count_all_methods` skips, and
-the same rule refuses an over-cap enumeration.
+over-budget sweep, one divisor table for any other sweep.  Factorization-sum
+walks the tuples in one loop over a list of pending prefixes, at most
+(n - 2) * tau(m) of them for n >= 3, so no call depth grows with n, and
+still adds every tuple on its own.  One rule, `left_out_methods`, decides
+which methods `count_all_methods` skips, and the same rule refuses an
+over-cap enumeration.
 """
 
 from __future__ import annotations
 
-from math import prod
-from operator import mul
+from itertools import repeat
+from operator import attrgetter, mul
 from typing import Iterable, Iterator
 
-from .arith import (
-    DivisorIndex,
-    _divisor_table,
-    _divisor_table_size,
-    _ordered_factorizations,
-    factorize,
-)
+from .arith import DivisorIndex, _divisor_table, _divisor_table_size, factorize
 from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method, check_args
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
 from .series import MAX_DIRICHLET_LIMIT, count_by_dirichlet, dirichlet_coefficients
@@ -59,13 +56,39 @@ def count_by_factorization_sum(n: int, m: int) -> CountResult:
 
 
 def _factorization_sum(n: int, m: int, index: DivisorIndex | list[list[int]]) -> CountResult:
-    """count_by_factorization_sum, with the divisor lists read from index."""
+    """count_by_factorization_sum, with the divisor lists read from index.
+
+    One loop over a list of pending prefixes d_1 ... d_i, each held as the
+    quotient q still to be factored, the exponent i of the next part and the
+    prefix's weight w = d_1^0 ... d_i^(i-1).  A quotient of 1 is one tuple of
+    weight w; a prefix of n - 2 parts adds its last two parts as one sum over
+    the divisors of q.  Every tuple is still its own addend, and for n >= 3
+    the list holds at most (n - 2) * tau(m) prefixes.
+    """
+    if n == 1:
+        return CountResult(1, Method.FACTORIZATION_SUM, work_stats={"tuples": 1})
     total = 0
     tuples = 0
-    exponents = range(n)
-    for parts in _ordered_factorizations(m, n, index, ()):
-        total += prod(map(pow, parts, exponents))
-        tuples += 1
+    last = n - 2
+    # Each repeat is endless, so one per exponent serves every prefix.
+    exponents = [repeat(i) for i in range(n)]
+    pending = [(m, 0, 1)]
+    pop = pending.pop
+    push = pending.extend
+    while pending:
+        q, i, w = pop()
+        if q == 1:
+            total += w
+            tuples += 1
+            continue
+        # divs is sorted, so reversed(divs) is the cofactors q // d in the order of divs.
+        divs = index[q]
+        powers = map(pow, divs, exponents[i])
+        if i == last:
+            total += w * sum(map(mul, powers, map(pow, reversed(divs), exponents[-1])))
+            tuples += len(divs)
+        else:
+            push(zip(reversed(divs), exponents[i + 1], map(mul, repeat(w), powers)))
     return CountResult(total, Method.FACTORIZATION_SUM, work_stats={"tuples": tuples})
 
 
@@ -211,7 +234,7 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
 
 def check_agreement(n: int, m: int, results: Iterable[CountResult]) -> list[CountResult]:
     """Sort the results by method name; raise DiscrepancyError unless all values agree."""
-    results = sorted(results, key=lambda r: r.method.value)
+    results = sorted(results, key=attrgetter("method"))
     if len({r.value for r in results}) > 1:
         raise DiscrepancyError(n, m, [(r.method.value, r.value) for r in results])
     return results

@@ -209,6 +209,9 @@ class TestOrderedFactorizations:
         assert first == (1, m)
         assert peak < 8 * 2**20
 
+    def test_more_parts_than_the_stack_is_deep(self):
+        assert next(ordered_factorizations(2, 3000)) == (1,) * 2999 + (2,)
+
     def test_stream_is_lazy(self):
         # 2^30 has ~5.9 million 8-tuples; taking three must be instant
         stream = ordered_factorizations(2**30, 8)

@@ -238,6 +238,20 @@ class TestCount:
             "note: hnf left out: it would emit 2623530 matrices, above the default cap 1000000\n"
         )
 
+    def test_all_in_more_dimensions_than_the_stack_is_deep(self):
+        proc = run_cli("count", "--n", "1100", "--m", "2", "--all", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split(": ")[0] for line in lines] == [
+            "dirichlet",
+            "factorization-sum",
+            "gruber",
+            "recursion",
+        ]
+        assert len({line.split(": ")[1] for line in lines}) == 1
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("note: hnf left out: ")
+
     def test_discrepancy_exits_4(self, monkeypatch, capsys):
         def explode(n, m):
             raise DiscrepancyError(n, m, [("gruber", 1), ("recursion", 2)])
@@ -506,6 +520,13 @@ class TestTable:
                 "table", "--n", "3", "--max-m", "10", "--format", "csv", "--method", method
             )
             assert other.stdout == base.stdout
+
+    def test_factorization_sum_in_more_dimensions_than_the_stack_is_deep(self):
+        args = ("table", "--n", "1100", "--max-m", "4", "--method")
+        gruber = run_cli(*args, "gruber", timeout=60)
+        folded = run_cli(*args, "factorization-sum", timeout=60)
+        assert gruber.returncode == folded.returncode == 0, folded.stderr
+        assert folded.stdout == gruber.stdout
 
 
 class TestVerify:

@@ -22,10 +22,11 @@ from latcount import (
     ordered_factorization_count,
     run_count,
 )
-from latcount.count import left_out_methods
+from latcount.arith import DivisorIndex, _divisor_table
+from latcount.count import _factorization_sum, left_out_methods
 from latcount.hnf import DEFAULT_ENUMERATION_CAP
 from latcount.series import MAX_DIRICHLET_LIMIT
-from oracles import brute_sigma, sieve_primes
+from oracles import brute_ordered_factorizations, brute_sigma, sieve_primes
 
 METHODS = {
     Method.FACTORIZATION_SUM: count_by_factorization_sum,
@@ -47,6 +48,24 @@ class TestFactorizationSum:
     def test_work_stats_count_tuples(self):
         result = count_by_factorization_sum(2, 4)
         assert result.work_stats["tuples"] == 3
+
+    def test_fold_matches_the_brute_force_tuples_over_both_indexes(self):
+        table = _divisor_table(300)
+        for n in range(1, 7):
+            for m in range(1, 301):
+                tuples = brute_ordered_factorizations(m, n)
+                value = sum(math.prod(d**i for i, d in enumerate(parts)) for parts in tuples)
+                for index in (DivisorIndex(m), table):
+                    result = _factorization_sum(n, m, index)
+                    assert result.value == value, (n, m)
+                    assert result.work_stats["tuples"] == ordered_factorization_count(m, n)
+
+    def test_count_queries_inputs_agree_with_gruber(self):
+        # the factorization-sum queries of the count-queries benchmark on seeds 1 and 11
+        for m in (53130, 1312311):
+            result = count_by_factorization_sum(7, m)
+            assert result.value == count_by_gruber(7, m).value
+            assert result.work_stats["tuples"] == ordered_factorization_count(m, 7)
 
 
 class TestRecursion:
@@ -76,6 +95,11 @@ class TestDeepDivisorChains:
 
     def test_factorization_sum_at_two_to_the_sixty(self):
         assert count_by_factorization_sum(3, 2**60).value == count_by_gruber(3, 2**60).value
+
+    def test_factorization_sum_in_more_dimensions_than_the_stack_is_deep(self):
+        result = count_by_factorization_sum(3000, 2)
+        assert result.work_stats["tuples"] == 3000
+        assert result.value == count_by_gruber(3000, 2).value
 
 
 class TestGruber:
