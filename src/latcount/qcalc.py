@@ -5,12 +5,15 @@ The q-binomial coefficient is built from the two-index q-Pascal recurrence
     G[i][j] = G[i-1][j] + q^i * G[i][j-1],    G[0][j] = G[i][0] = 1,
 
 for G[i][j] = [i+j choose i]_q (Andrews, The Theory of Partitions, ch. 3).
-[m choose k] = G[k][m-k] is reached by rolling one row of m-k+1 polynomials
-over i = 1 .. k, and nothing outlives the call.  Entry j has degree i*j after
-pass i, so the last row holds (m-k+1)*(k*(m-k)/2 + 1) coefficients; that is
-predicted before the row is made and capped at MAX_QPASCAL_COEFFICIENTS.  A
-product a*b makes nnz(a)*nnz(b) coefficient products, nnz counting the
-nonzero coefficients.  The recurrence is division-free and
+[m choose k] = G[k][m-k] is reached by rolling one row of m-k+1 lists of
+ints over i = 1 .. k, each step adding q^i * row[j-1] into row[j] in place,
+and only the last entry becomes a QPolynomial; nothing outlives the call.
+Entry j has degree i*j after pass i, so the last row holds
+(m-k+1)*(k*(m-k)/2 + 1) coefficients; that is predicted before the row is
+made and capped at MAX_QPASCAL_COEFFICIENTS.  A product a*b by a monomial
+c*q^j is the other factor shifted and scaled, len(other) coefficient
+products; any other product makes nnz(a)*nnz(b), nnz counting the nonzero
+coefficients.  The recurrence is division-free and
 stays inside integer polynomial arithmetic; the textbook quotient of
 q-factorials lives only in tests/oracles.py, as a test oracle.  Evaluated
 q-binomials (`gauss_binomial_at`) take an independent route through exact
@@ -21,6 +24,7 @@ integer division, over the shorter of the two products for [m choose k] and
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 from math import comb
 from typing import Iterable
 
@@ -83,13 +87,30 @@ class QPolynomial:
             a, b = b, a
         return QPolynomial((*map(operator.add, a, b), *a[len(b):]))
 
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]) -> "QPolynomial":
+        """Build without __init__'s copy and strip, from a tuple already canonical."""
+        poly = object.__new__(cls)
+        poly._coeffs = coeffs
+        return poly
+
     def __mul__(self, other):
         if isinstance(other, int):
             return QPolynomial(tuple(c * other for c in self._coeffs))
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
             return QPolynomial()
+        # A monomial c*q^j, found by counting its zeros in C, times the other
+        # operand is that operand shifted by j and scaled by c: len(other)
+        # coefficient products, even when c is 1.  Both operands are canonical
+        # and c != 0, so the result has no trailing zero.
+        if b.count(0) == len(b) - 1:
+            a, b = b, a
+        if a.count(0) == len(a) - 1:
+            scaled = map(operator.mul, b, repeat(a[-1]))
+            return QPolynomial._trusted((0,) * (len(a) - 1) + tuple(scaled))
         # The full Cauchy convolution over the nonzero terms only: a product
         # costs nnz(a) * nnz(b) coefficient products in either order.
         a = [(i, c) for i, c in enumerate(self._coeffs) if c]
@@ -101,13 +122,6 @@ class QPolynomial:
         return QPolynomial(coeffs)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "QPolynomial":
-        """Multiply by q**k."""
-        check_at_least(k, 0, "shift")
-        if self.is_zero():
-            return self
-        return QPolynomial((0,) * k + self._coeffs)
 
     def evaluate(self, q0: int) -> int:
         """Exact value at q = q0, by Horner's rule."""
@@ -178,14 +192,18 @@ def gauss_binomial(m: int, k: int) -> QPolynomial:
             f"gauss_binomial({m}, {k}) would hold {predicted} coefficients in its last "
             f"q-Pascal row, above the limit {MAX_QPASCAL_COEFFICIENTS}"
         )
-    # After pass i, row[j] = [i+j choose i]_q.  The grid is always k passes of
-    # m-k steps, never the mirror [m choose m-k], so that the symmetry checks
-    # compare two different computations.
-    row = [QPolynomial.one()] * (m - k + 1)
+    # After pass i, row[j] = [i+j choose i]_q, held as a list of ints.  The grid
+    # is always k passes of m-k steps, never the mirror [m choose m-k], so that
+    # the symmetry checks compare two different computations.  Each step grows
+    # high to its new degree i*j, then adds q^i * low into it in place.
+    row = [[1] for _ in range(m - k + 1)]
     for i in range(1, k + 1):
         for j in range(1, m - k + 1):
-            row[j] = row[j] + row[j - 1].shift(i)
-    return row[-1]
+            high, low = row[j], row[j - 1]
+            high.extend(repeat(0, i + len(low) - len(high)))
+            high[i:] = map(operator.add, high[i:], low)
+    # The leading coefficient of a q-binomial is 1, so the last entry is canonical.
+    return QPolynomial._trusted(tuple(row[-1]))
 
 
 def gauss_binomial_at(m: int, k: int, q0: int) -> int:

@@ -15,6 +15,8 @@ convolutions; no zeta value is ever evaluated analytically.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Sequence
 
 from .arith import is_prime
@@ -32,8 +34,11 @@ class TSeries:
     """A power series in t, truncated at order K, with QPolynomial coefficients.
 
     Index k of ``coefficients`` holds the coefficient of t^k; the list always
-    has length K+1.  Multiplication truncates back to order K, and
-    equality is exact, coefficient by coefficient.  Instances are immutable.
+    has length K+1.  Multiplication truncates back to order K: each pair of
+    nonzero coefficients a_i, b_j with i+j <= K makes one QPolynomial product,
+    which is added in place into a list of ints for t^(i+j), and each t-power
+    becomes a QPolynomial once, at the end.  Equality is exact, coefficient
+    by coefficient.  Instances are immutable.
     """
 
     __slots__ = ("_coeffs",)
@@ -65,15 +70,20 @@ class TSeries:
         K = self.truncation_order
         if K != other.truncation_order:
             raise UsageError(f"truncation orders differ: {K} versus {other.truncation_order}")
-        coeffs = [QPolynomial.zero() for _ in range(K + 1)]
+        # Each t-power sums its products in one list of ints, in place; the
+        # sums can cancel, so the stripping constructor builds the polynomials.
+        rows = [[] for _ in range(K + 1)]
         for i, a in enumerate(self._coeffs):
             if a.is_zero():
                 continue
             for j in range(K + 1 - i):
                 b = other._coeffs[j]
                 if not b.is_zero():
-                    coeffs[i + j] = coeffs[i + j] + a * b
-        return TSeries(coeffs)
+                    product = (a * b).coefficients
+                    row = rows[i + j]
+                    row.extend(repeat(0, len(product) - len(row)))
+                    row[: len(product)] = map(add, row, product)
+        return TSeries([QPolynomial(row) for row in rows])
 
     def render_lines(self) -> list[str]:
         """One line per t-power: "t^k: <polynomial>"."""
@@ -90,9 +100,39 @@ def geometric_factor(k: int, truncation_order: int) -> TSeries:
     return TSeries([QPolynomial.monomial(k * j) for j in range(truncation_order + 1)])
 
 
+# The most coefficient cells lhs_product's products may touch, about 76x the
+# largest the qseries benchmark makes ((15, 19): 263,620).  On a 2-vCPU VM,
+# (2, 400) touches 10,827,401 cells in 0.8-1.2 s, and (2, 491), the largest
+# order admitted at n = 2, touches 19,970,444 in about 2 s.
+MAX_LHS_CELLS = 2 * 10**7
+
+
+def _lhs_cells(n: int, truncation_order: int) -> int:
+    """The coefficient cells of the products lhs_product(n, K) makes."""
+    # Factor k (1 <= k < n) times the running product multiplies its t^i
+    # coefficient, of degree i*(k-1), by q^(k*j) into k*j + i*(k-1) + 1 cells,
+    # for every i + j <= K.  Over those pairs, j and i each sum to
+    # K(K+1)(K+2)/6 and 1 sums to (K+1)(K+2)/2.
+    K = truncation_order
+    pairs = (K + 1) * (K + 2) // 2
+    return (n - 1) ** 2 * (K * pairs // 3) + (n - 1) * pairs
+
+
 def lhs_product(n: int, truncation_order: int) -> TSeries:
-    """The product of geometric factors for k = 0 .. n-1, truncated."""
+    """The product of geometric factors for k = 0 .. n-1, truncated.
+
+    Its products touch (n-1)^2 K(K+1)(K+2)/6 + (n-1)(K+1)(K+2)/2 coefficient
+    cells; above MAX_LHS_CELLS that raises CapacityError before the first
+    product.
+    """
     check_args(n)
+    check_at_least(truncation_order, 0, "truncation order")
+    predicted = _lhs_cells(n, truncation_order)
+    if predicted > MAX_LHS_CELLS:
+        raise CapacityError(
+            f"lhs_product({n}, {truncation_order}) would touch {predicted} coefficient cells "
+            f"in its products, above the limit {MAX_LHS_CELLS}"
+        )
     return reduce(
         TSeries.__mul__,
         (geometric_factor(k, truncation_order) for k in range(n)),

@@ -377,7 +377,6 @@ BAD_ARGUMENTS = [
     ("gauss_binomial_at q0", lambda: latcount.gauss_binomial_at(3, 1, 0)),
     ("geometric_factor", lambda: latcount.geometric_factor(-1, 3)),
     ("QPolynomial.monomial", lambda: QPolynomial.monomial(-1)),
-    ("QPolynomial.shift", lambda: QPolynomial.one().shift(-1)),
     ("factorize", lambda: latcount.factorize(0)),
     ("divisors", lambda: latcount.divisors(-6)),
     ("ordered_factorizations n", lambda: latcount.ordered_factorizations(12, 0)),
@@ -677,6 +676,16 @@ class TestSeries:
         assert proc.stderr == (
             "error: rhs_sum(1, 1000000000) would hold 1000000001 coefficients in its "
             "q-binomials, above the limit 1000000\n"
+        )
+
+    def test_lhs_over_the_budget_exits_3_before_output(self):
+        # The largest order rhs_sum admits at n = 2; multiplied out, about a minute.
+        proc = run_cli("series", "--n", "2", "--t-order", "1412", timeout=10)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: lhs_product(2, 1412) would touch 471190755 coefficient cells in its "
+            "products, above the limit 20000000\n"
         )
 
     def test_dimension_one_at_a_long_t_order(self):

@@ -13,7 +13,7 @@ from latcount import (
     gauss_binomial_at,
 )
 from latcount.qcalc import MAX_QPASCAL_COEFFICIENTS
-from oracles import q_factorial, qbinomial_by_quotient
+from oracles import poly_mul, q_factorial, qbinomial_by_quotient
 
 
 class TestQPolynomial:
@@ -53,10 +53,6 @@ class TestQPolynomial:
             products = 0
             assert left * right == expected
             assert products == 50
-
-    def test_shift(self):
-        assert QPolynomial([1, 1]).shift(2).coefficients == (0, 0, 1, 1)
-        assert QPolynomial.zero().shift(3).is_zero()
 
     def test_evaluate(self):
         p = QPolynomial([1, 2, 3])  # 1 + 2q + 3q^2
@@ -201,10 +197,8 @@ def _value_at(coefficients, x):
 
 # Signed coefficients with interior zeros; trailing zeros are stripped on
 # construction, and an all-zero list is the zero polynomial.
-_coefficient_lists = st.lists(
-    st.one_of(st.just(0), st.integers(min_value=-(10**6), max_value=10**6)),
-    max_size=12,
-)
+_coefficients = st.one_of(st.just(0), st.integers(min_value=-(10**6), max_value=10**6))
+_coefficient_lists = st.lists(_coefficients, max_size=12)
 
 
 def _assert_is_polynomial(poly, value, points):
@@ -229,6 +223,28 @@ def test_product_and_sum_are_exact_property(left, right):
         _assert_is_polynomial(poly, lambda x: _value_at(left, x) * _value_at(right, x), points)
     for poly in (a + b, b + a):
         _assert_is_polynomial(poly, lambda x: _value_at(left, x) + _value_at(right, x), points)
+
+
+def _canonical(coefficients):
+    coefficients = list(coefficients)
+    while coefficients and coefficients[-1] == 0:
+        coefficients.pop()
+    return tuple(coefficients)
+
+
+@given(
+    st.sampled_from([1, -1, 7, -(10**6)]),
+    st.integers(min_value=0, max_value=60),
+    st.lists(_coefficients, max_size=40),
+)
+def test_monomial_product_is_the_shifted_and_scaled_operand_property(c, j, other):
+    # The zero polynomial and lists with interior and trailing zeros are all
+    # drawn; expected is canonical, so equal tuples make the product canonical.
+    monomial = QPolynomial.monomial(j, c)
+    expected = _canonical(poly_mul([0] * j + [c], other))
+    for product in (monomial * QPolynomial(other), QPolynomial(other) * monomial):
+        assert type(product.coefficients) is tuple
+        assert product.coefficients == expected
 
 
 @given(_coefficient_lists, st.integers(min_value=-50, max_value=50))

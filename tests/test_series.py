@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 import latcount.qcalc
@@ -21,8 +23,11 @@ from latcount import (
     rhs_sum,
     verify_generating_identity,
 )
-from latcount.series import MAX_DIRICHLET_LIMIT
-from oracles import brute_sigma, dirichlet_by_divisor_sums
+from latcount.series import MAX_DIRICHLET_LIMIT, MAX_LHS_CELLS
+from oracles import brute_sigma, dirichlet_by_divisor_sums, poly_mul
+
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 
 def poly(*coeffs):
@@ -48,6 +53,18 @@ class TestTSeries:
         assert product.truncation_order == 2
         assert product.coefficients == (poly(1), poly(2), poly(3))
 
+    def test_cancelling_sums_leave_a_shorter_or_zero_t_power(self):
+        a = TSeries([poly(1), poly(1, 1, 1), poly(0, 2)])
+        b = TSeries([poly(1), poly(0, 0, -1), poly(-1, -1, -1)])
+        product = a * b
+        # t^1 is (1 + q + q^2) - q^2, and (1 + t)(1 - t) has no t^1 term.
+        assert product.coefficients[1] == poly(1, 1)
+        assert product.coefficients == _oracle_product(a, b)
+        assert (TSeries([poly(1), poly(1)]) * TSeries([poly(1), poly(-1)])).coefficients == (
+            poly(1),
+            poly(),
+        )
+
     def test_order_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
             TSeries([poly(1)]) * TSeries([poly(1), poly(1)])
@@ -55,6 +72,34 @@ class TestTSeries:
     def test_render_lines(self):
         a = TSeries([poly(1), poly(1, 1)])
         assert a.render_lines() == ["t^0: 1", "t^1: 1 + q"]
+
+
+def _oracle_product(a, b):
+    """The truncated product of two TSeries, each t-power summed from oracle products."""
+    coefficients = []
+    for k in range(a.truncation_order + 1):
+        products = [
+            poly_mul(list(a.coefficients[i].coefficients), list(b.coefficients[k - i].coefficients))
+            for i in range(k + 1)
+        ]
+        width = max(map(len, products))
+        total = (sum(p[d] for p in products if d < len(p)) for d in range(width))
+        coefficients.append(QPolynomial(total))
+    return tuple(coefficients)
+
+
+def _series_pair(order):
+    # Small signed coefficients, so that the sums of products often cancel.
+    coefficients = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=8)
+    series = st.lists(coefficients, min_size=order + 1, max_size=order + 1)
+    return st.tuples(series, series)
+
+
+@given(st.integers(min_value=0, max_value=5).flatmap(_series_pair))
+def test_product_matches_the_oracle_property(pair):
+    # The oracle's coefficients are canonical, so equality makes the product's canonical too.
+    a, b = (TSeries([QPolynomial(c) for c in coefficients]) for coefficients in pair)
+    assert (a * b).coefficients == _oracle_product(a, b)
 
 
 class TestGeneratingIdentity:
@@ -131,6 +176,52 @@ class TestGeneratingIdentity:
         assert latcount.qcalc._last_row_size(999_999, 0) == 1_000_000
         for n, order in ((2, 1412), (1, 999_999)):
             assert rhs_sum(n, order).truncation_order == order
+
+    def test_lhs_cells_are_the_cells_of_its_products(self, monkeypatch):
+        cells = 0
+        multiply = QPolynomial.__mul__
+
+        def counted(a, b):
+            nonlocal cells
+            product = multiply(a, b)
+            cells += len(product.coefficients)
+            return product
+
+        monkeypatch.setattr(QPolynomial, "__mul__", counted)
+        for n in range(1, 7):
+            for order in range(9):
+                cells = 0
+                lhs_product(n, order)
+                assert latcount.series._lhs_cells(n, order) == cells, (n, order)
+
+    @pytest.mark.parametrize("n, last", [(2, 491), (12, 98), (200, 13)])
+    def test_lhs_budget_admits_the_last_order_and_refuses_the_next(self, monkeypatch, n, last):
+        products = []
+        monkeypatch.setattr(TSeries, "__mul__", lambda a, b: products.append(b) or a)
+        assert latcount.series._lhs_cells(n, last) <= MAX_LHS_CELLS
+        assert lhs_product(n, last).truncation_order == last
+        assert len(products) == n - 1
+        products.clear()
+        predicted = latcount.series._lhs_cells(n, last + 1)
+        with pytest.raises(CapacityError) as excinfo:
+            lhs_product(n, last + 1)
+        assert str(excinfo.value) == (
+            f"lhs_product({n}, {last + 1}) would touch {predicted} coefficient cells in its "
+            f"products, above the limit {MAX_LHS_CELLS}"
+        )
+        assert predicted > MAX_LHS_CELLS
+        assert products == []
+
+    def test_lhs_budget_is_over_ten_times_the_largest_benchmark_lhs(self):
+        sys.path.insert(0, PERFBENCH)
+        try:
+            import workloads
+        finally:
+            sys.path.remove(PERFBENCH)
+        pairs = {pair for triple in workloads.series_triples() for pair in triple}
+        largest = max(latcount.series._lhs_cells(n, order) for n, order in pairs)
+        assert largest == latcount.series._lhs_cells(15, 19) == 263_620
+        assert 10 * largest <= MAX_LHS_CELLS
 
     @pytest.mark.parametrize(
         "function, args", [(rhs_sum, (3,)), (lhs_product, (3,)), (euler_factor, (2, 3))]
