@@ -11,8 +11,10 @@ Ordered factorizations, and the factorization sum and the recursion in
 `latcount.count`, walk the divisor lattice of m and read it from an index:
 index[q] is q's sorted divisors, for every divisor q of m.  Two kinds of
 index back the counts, and each count's body is the same for both.
-`ordered_factorizations` walks its tuples as an odometer, one prefix and
-one iterator of (divisor, cofactor) pairs per level, so no call depth grows
+`ordered_factorizations` yields the leaves of one `latcount.core.walk`: a
+node is a prefix of parts and the quotient it leaves, and the last level
+adds every (divisor, cofactor) pair of the quotient.  The walk holds one
+open iterator per level and does not recurse, so the stack does not grow
 with n.
 
   * For one m, a `DivisorIndex`, made per call and filled lazily from
@@ -36,7 +38,7 @@ from itertools import accumulate, chain, cycle
 from math import comb, isqrt, prod
 from typing import Iterator
 
-from .core import CapacityError, UsageError, check_args, check_at_least
+from .core import CapacityError, UsageError, check_args, check_at_least, walk
 
 DEFAULT_TRIAL_DIVISION_BOUND = 10**7
 
@@ -236,25 +238,16 @@ def _lazy_ordered_factorizations(m: int, n: int) -> Iterator[tuple[int, ...]]:
     if n == 1:
         yield (m,)
         return
-    # An odometer over the first n - 2 parts, the last fastest.  Each open level
-    # is an iterator over its children, each a prefix one part longer and the
-    # quotient it leaves; the last two parts are every (divisor, cofactor) pair
-    # of the quotient.
-    prefix, q = (), m
-    levels: list[Iterator[tuple[tuple[int, ...], int]]] = []
-    while True:
+
+    # A node is a prefix of parts and the quotient it leaves.
+    def children(node):
+        prefix, q = node
         divs = index[q]
-        if len(levels) < n - 2:
-            levels.append(zip(map(prefix.__add__, zip(divs)), reversed(divs)))
-        else:
-            # A loop is faster here than yield from map(prefix.__add__, ...).
-            for pair in zip(divs, reversed(divs)):
-                yield prefix + pair
-        while levels:
-            child = next(levels[-1], None)
-            if child is not None:
-                break
-            levels.pop()
-        else:
-            return
-        prefix, q = child
+        return zip(map(prefix.__add__, zip(divs)), reversed(divs))
+
+    def leaves(node):
+        prefix, q = node
+        divs = index[q]
+        return map(prefix.__add__, zip(divs, reversed(divs)))
+
+    yield from walk(((), m), [children] * (n - 2) + [leaves])

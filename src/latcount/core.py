@@ -1,4 +1,4 @@
-"""Shared result types, errors and argument checks used by every counting backend.
+"""Shared result types, errors, argument checks and the one tree walk.
 
 Every bad argument to the package raises `UsageError`, most through
 `check_at_least`.  `Record`, the base of `CountResult` and
@@ -7,12 +7,21 @@ than as a frozen dataclass: the `dataclasses` module imports `inspect`, and
 with it `ast`, `dis` and `tokenize`.  Those imports and the decorator's own
 work were more than half of `import latcount.cli`, and every CLI command is
 a fresh process that pays for them.
+
+`walk` yields the leaves of a tree given one children function per level.
+Both products the package enumerates are such trees: the ordered
+factorizations of m (`latcount.arith`), a prefix of parts per node, and the
+normal-form bases of one diagonal (`latcount.hnf`), a prefix of rows or of
+entry text per node.  It holds one open iterator per level and never
+recurses, so a tree thousands of levels deep leaves the Python stack as it
+found it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter
+from typing import Callable, Iterator, Sequence
 
 
 class CapacityError(RuntimeError):
@@ -69,6 +78,32 @@ def check_args(n: int, m: int | None = None) -> None:
     check_at_least(n, 1, "dimension n")
     if m is not None:
         check_at_least(m, 1, "index m")
+
+
+def walk(root, levels: Sequence[Callable[[object], Iterator]]) -> Iterator:
+    """Yield the leaves under root, depth first, each node's children in order.
+
+    levels[k](node) returns an iterator over the children of a node at depth
+    k, the root being at depth 0, and the children of the last level are the
+    leaves.  No inner node may be None.  One open iterator is held per level
+    and no call nests, so the Python stack does not grow with the depth.
+    """
+    *inner, last = levels
+    iterators: list[Iterator] = []
+    node = root
+    while True:
+        depth = len(iterators)
+        if depth < len(inner):
+            iterators.append(inner[depth](node))
+        else:
+            yield from last(node)
+        while iterators:
+            node = next(iterators[-1], None)
+            if node is not None:
+                break
+            iterators.pop()
+        else:
+            return
 
 
 class Method(str, Enum):

@@ -9,12 +9,15 @@ lower triangular with
 
 so counting those matrices counts sublattices, and enumerating them lists
 every sublattice once.  Enumeration order is deterministic: diagonals in
-lexicographic order, then a row-major odometer over the entries below the
-diagonal.
+lexicographic order, then the entries below the diagonal, row-major with
+the last fastest.
 
-The odometer is lazy.  Per diagonal it holds one open iterator and one
-prefix per level (a row for matrices, a sub-diagonal entry for text lines),
-so O(n^2) of each, plus each level's pieces: the values 0 .. d-1 of an entry
+The bases of one diagonal are the leaves of one `latcount.core.walk`, the
+same stack-free walk that yields the diagonals.  A node is a prefix, and a
+level's children are the prefix plus each of the level's pieces.  The walk
+is lazy.  Per diagonal it holds one open iterator and one prefix per level
+(a row for matrices, a sub-diagonal entry for text lines), so O(n^2) of
+each, plus each level's pieces: the values 0 .. d-1 of an entry
 bounded by d, listed once per diagonal when d <= LISTED_BOUND and made again
 on every pass otherwise.  Memory therefore grows neither with the d^(n-1)
 matrices of a diagonal nor with m.  Outputs share the prefix of earlier
@@ -24,14 +27,13 @@ further line costs one concatenation.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain, islice, repeat
 from math import prod
 from operator import attrgetter
 from typing import Callable, Iterator
 
 from .arith import ordered_factorizations
-from .core import CapacityError, CountResult, Method, Record, UsageError, check_at_least
+from .core import CapacityError, CountResult, Method, Record, UsageError, check_at_least, walk
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -112,60 +114,37 @@ def validate_hnf(matrix: HnfMatrix, m: int) -> bool:
     return matrix.determinant() == m
 
 
-Level = Callable[[], Iterator]
-
-
-def _odometer(start, levels: list[Level]) -> Iterator:
-    """Yield start + p_0 + p_1 + ... for each choice of p_k from levels[k], the last fastest.
-
-    Each level is a function returning a fresh iterator over its pieces,
-    none of them None.  Only one iterator and one prefix per level are held.
-    """
-    *outer, last = levels
-    prefixes = [start]
-    iterators: list[Iterator] = []
-    while True:
-        depth = len(iterators)
-        if depth < len(outer):
-            iterators.append(outer[depth]())
-        else:
-            yield from map(prefixes[depth].__add__, last())
-        while iterators:
-            piece = next(iterators[-1], None)
-            if piece is not None:
-                break
-            iterators.pop()
-        else:
-            return
-        del prefixes[len(iterators) :]
-        prefixes.append(prefixes[-1] + piece)
+Level = Callable[[object], Iterator]
 
 
 def _entry_level(bound: int, piece: Callable[[int], object]) -> Level:
-    """The level whose pieces are piece(a) for a = 0 .. bound-1."""
+    """The level whose children of a prefix are prefix + piece(a) for a = 0 .. bound-1."""
     if bound <= LISTED_BOUND:
-        return list(map(piece, range(bound))).__iter__
-    return partial(map, piece, range(bound))
+        pieces = list(map(piece, range(bound)))
+        return lambda prefix: map(prefix.__add__, pieces)
+    return lambda prefix: map(prefix.__add__, map(piece, range(bound)))
 
 
 def _row_levels(diagonal: tuple[int, ...]) -> list[Level]:
-    """One level per row, each piece a 1-tuple holding the row."""
+    """One level per row, a node being the tuple of the rows above."""
     n = len(diagonal)
-    levels = [[((diagonal[0],) + (0,) * (n - 1),)].__iter__]
+    first = ((diagonal[0],) + (0,) * (n - 1),)
+    levels = [_entry_level(1, lambda _: first)]
     for i in range(1, n):
         d = diagonal[i]
         tail = (d,) + (0,) * (n - 1 - i)
         entries = [_entry_level(d, lambda a: (a,))] * (i - 1)
         entries.append(_entry_level(d, lambda a, tail=tail: (a,) + tail))
         # zip over one iterator wraps each row in a 1-tuple
-        levels.append(lambda entries=entries: zip(_odometer((), entries)))
+        levels.append(lambda rows, entries=entries: map(rows.__add__, zip(walk((), entries))))
     return levels
 
 
 def _text_levels(diagonal: tuple[int, ...]) -> list[Level]:
-    """One level per sub-diagonal entry, its pieces the entry's text with the separators."""
+    """One level per sub-diagonal entry, a node being the text so far, separators included."""
     n = len(diagonal)
-    levels = [[f"{diagonal[0]}" + ",0" * (n - 1)].__iter__]
+    first = f"{diagonal[0]}" + ",0" * (n - 1)
+    levels = [_entry_level(1, lambda _: first)]
     for i in range(1, n):
         d = diagonal[i]
         tail = f",{d}" + ",0" * (n - 1 - i)
@@ -175,11 +154,11 @@ def _text_levels(diagonal: tuple[int, ...]) -> list[Level]:
     return levels
 
 
-def _stream(n: int, m: int, start, levels: Callable[[tuple[int, ...]], list[Level]]) -> Iterator:
-    """The odometer's output over every diagonal of (n, m), diagonals in lexicographic order."""
+def _stream(n: int, m: int, root, levels: Callable[[tuple[int, ...]], list[Level]]) -> Iterator:
+    """The leaves of every diagonal's walk from root, diagonals in lexicographic order."""
     # ordered_factorizations checks n and m here, when the generator expression is made.
     return chain.from_iterable(
-        _odometer(start, levels(diagonal)) for diagonal in ordered_factorizations(m, n)
+        walk(root, levels(diagonal)) for diagonal in ordered_factorizations(m, n)
     )
 
 
@@ -196,7 +175,7 @@ def enumerate_hnf(n: int, m: int) -> Iterator[HnfMatrix]:
 def enumerate_lines(n: int, m: int) -> Iterator[str]:
     """Yield ``mx.to_line()`` for each ``mx`` of ``enumerate_hnf(n, m)``, in the same order.
 
-    The lines are built as text straight from the odometer, with no matrix
+    The lines are built as text straight from the walk, with no matrix
     in between, and the stream is as lazy as ``enumerate_hnf``.
     """
     return _stream(n, m, "", _text_levels)

@@ -94,9 +94,20 @@ class TSeries:
 
 
 def geometric_factor(k: int, truncation_order: int) -> TSeries:
-    """The series 1 / (1 - q^k t) truncated: sum_{j=0..K} q^(k j) t^j."""
+    """The series 1 / (1 - q^k t) truncated: sum_{j=0..K} q^(k j) t^j.
+
+    Its monomials hold k K(K+1)/2 + K + 1 coefficients; above
+    MAX_QPASCAL_COEFFICIENTS that raises CapacityError before the first
+    monomial is made.
+    """
     check_at_least(k, 0, "exponent k")
     check_at_least(truncation_order, 0, "truncation order")
+    predicted = (truncation_order + 1) * (k * truncation_order + 2) // 2
+    if predicted > MAX_QPASCAL_COEFFICIENTS:
+        raise CapacityError(
+            f"geometric_factor({k}, {truncation_order}) would hold {predicted} coefficients "
+            f"in its monomials, above the limit {MAX_QPASCAL_COEFFICIENTS}"
+        )
     return TSeries([QPolynomial.monomial(k * j) for j in range(truncation_order + 1)])
 
 
@@ -123,7 +134,8 @@ def lhs_product(n: int, truncation_order: int) -> TSeries:
 
     Its products touch (n-1)^2 K(K+1)(K+2)/6 + (n-1)(K+1)(K+2)/2 coefficient
     cells; above MAX_LHS_CELLS that raises CapacityError before the first
-    product.
+    product.  Each factor checks its own size as `geometric_factor` makes it,
+    which binds at n = 1, where there are no products.
     """
     check_args(n)
     check_at_least(truncation_order, 0, "truncation order")

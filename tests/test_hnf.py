@@ -1,7 +1,7 @@
 import math
 import pickle
 import tracemalloc
-from itertools import groupby, islice
+from itertools import groupby, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from latcount import (
     validate_hnf,
 )
 from latcount import hnf
+from latcount.core import walk
 from oracles import brute_hnf_matrices
 
 
@@ -207,6 +208,33 @@ class TestOdometer:
             tracemalloc.stop()
         assert len(items) == 10
         assert peak < 2 * 2**20
+
+
+class TestWalk:
+    def test_a_chain_deeper_than_the_stack_yields_its_leaf(self):
+        levels = [lambda node: iter((node + 1,))] * 5000
+        assert list(walk(0, levels)) == [5000]
+
+    def test_leaves_come_in_product_order(self):
+        factors = [range(3), "ab", (), (7,)]
+        for k in range(1, len(factors) + 1):
+            # zip(f) wraps each element of f in a 1-tuple
+            levels = [lambda node, f=f: map(node.__add__, zip(f)) for f in factors[:k]]
+            assert list(walk((), levels)) == list(product(*factors[:k]))
+        # a node's children may depend on the node, and may be none
+        levels = [lambda a: iter(range(4)), lambda a: map((a,).__add__, zip(range(a)))]
+        assert list(walk(0, levels)) == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+
+    def test_levels_of_a_trillion_children_are_read_lazily(self):
+        levels = [lambda node: map(node.__add__, range(10**12))] * 2
+        tracemalloc.start()
+        try:
+            head = list(islice(walk(0, levels), 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert head == [0, 1, 2, 3, 4]
+        assert peak < 2**20
 
 
 class TestCountByEnumeration:

@@ -223,6 +223,43 @@ class TestGeneratingIdentity:
         assert largest == latcount.series._lhs_cells(15, 19) == 263_620
         assert 10 * largest <= MAX_LHS_CELLS
 
+    def test_geometric_factor_admits_998991_and_refuses_1000405_coefficients(self):
+        held = sum(len(c.coefficients) for c in geometric_factor(1, 1412).coefficients)
+        assert held == 998_991
+        with pytest.raises(CapacityError) as excinfo:
+            geometric_factor(1, 1413)
+        assert str(excinfo.value) == (
+            "geometric_factor(1, 1413) would hold 1000405 coefficients in its monomials, "
+            "above the limit 1000000"
+        )
+
+    def test_n_one_lhs_admits_and_refuses_the_orders_the_rhs_does(self, monkeypatch):
+        # n = 1 makes no products, so only the one factor's size bounds the lhs.
+        powers = []
+        one = QPolynomial.one()
+        monkeypatch.setattr(
+            QPolynomial, "monomial", classmethod(lambda cls, power: powers.append(power) or one)
+        )
+        assert lhs_product(1, 999_999).truncation_order == 999_999
+        assert len(powers) == 10**6
+        powers.clear()
+        with pytest.raises(CapacityError, match=r"^geometric_factor\(0, 1000000\) would hold"):
+            lhs_product(1, 10**6)
+        assert powers == []
+
+    def test_n_one_over_the_budget_is_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for side in (lhs_product, rhs_sum):
+                with pytest.raises(CapacityError, match="above the limit 1000000$"):
+                    side(1, 10**6)
+            with pytest.raises(CapacityError, match="1000000001 coefficients"):
+                verify_generating_identity(1, 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     @pytest.mark.parametrize(
         "function, args", [(rhs_sum, (3,)), (lhs_product, (3,)), (euler_factor, (2, 3))]
     )
