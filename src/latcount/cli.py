@@ -25,7 +25,7 @@ import sys
 from itertools import islice
 
 from .arith import ENV_TRIAL_DIVISION_BOUND
-from .core import CapacityError, DiscrepancyError, ExactnessError, Method, UsageError
+from .core import CapacityError, DiscrepancyError, ExactnessError, Method, UsageError, check_budget
 from .count import (
     FORMULA_METHODS,
     check_agreement,
@@ -37,7 +37,7 @@ from .count import (
 )
 from .hnf import enumerate_hnf, enumerate_lines, validate_hnf
 from .qcalc import MAX_QPASCAL_COEFFICIENTS, _last_row_size, gauss_binomial
-from .series import euler_factor, lhs_product, rhs_sum
+from .series import _check_lhs_budget, euler_factor, lhs_product, rhs_sum
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -151,15 +151,14 @@ def _symmetry_pairs(bound: int):
 
 def _check_symmetry_budget(bound: int) -> None:
     """Refuse a symmetry check whose last q-Pascal rows add up to more than the cap."""
+    work = (
+        f"qbinomial-symmetry up to m={bound} (n-max + t-order) would hold at least {{}} "
+        "coefficients in its last q-Pascal rows"
+    )
     total = 0
     for m, k in _symmetry_pairs(bound):
         total += _last_row_size(m, k) + _last_row_size(m, m - k)
-        if total > MAX_QPASCAL_COEFFICIENTS:
-            raise CapacityError(
-                f"qbinomial-symmetry up to m={bound} (n-max + t-order) would hold at least "
-                f"{total} coefficients in its last q-Pascal rows, above the limit "
-                f"{MAX_QPASCAL_COEFFICIENTS}"
-            )
+        check_budget(total, MAX_QPASCAL_COEFFICIENTS, work)
 
 
 def _verify_symmetry(bound: int):
@@ -203,8 +202,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    # The right-hand side first, so that a q-Pascal row over its cap is refused
-    # before the left-hand product is multiplied out.
+    # The left-hand product's budget first, so that its refusal builds neither
+    # side; then the right-hand side, so that a q-Pascal row over its cap is
+    # refused before the product is multiplied out.
+    _check_lhs_budget(args.n, args.t_order)
     rhs = rhs_sum(args.n, args.t_order)
     lhs = lhs_product(args.n, args.t_order)
     print("lhs:")

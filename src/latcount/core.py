@@ -1,12 +1,15 @@
 """Shared result types, errors, argument checks and the one tree walk.
 
 Every bad argument to the package raises `UsageError`, most through
-`check_at_least`.  `Record`, the base of `CountResult` and
-`latcount.hnf.HnfMatrix`, is written out by hand with `__slots__` rather
-than as a frozen dataclass: the `dataclasses` module imports `inspect`, and
-with it `ast`, `dis` and `tokenize`.  Those imports and the decorator's own
-work were more than half of `import latcount.cli`, and every CLI command is
-a fresh process that pays for them.
+`check_at_least`, and every size predicted above its limit raises
+`CapacityError` through `check_budget`.
+
+`Record`, the base of `CountResult` and `latcount.hnf.HnfMatrix`, is
+written out by hand with `__slots__` rather than as a frozen dataclass: the
+`dataclasses` module imports `inspect`, and with it `ast`, `dis` and
+`tokenize`.  Those imports and the decorator's own work were more than half
+of `import latcount.cli`, and every CLI command is a fresh process that
+pays for them.
 
 `walk` yields the leaves of a tree given one children function per level.
 Both products the package enumerates are such trees: the ordered
@@ -27,10 +30,16 @@ from typing import Callable, Iterator, Sequence
 class CapacityError(RuntimeError):
     """A computation exceeded one of its configured resource bounds.
 
-    Raised when trial division would have to search past its bound, when
-    an enumeration would yield more matrices than its cap, or when a
-    Dirichlet limit is above its cap.  Never raised for malformed input;
-    those get UsageError.
+    Every size predicted before the work starts is refused by `check_budget`:
+    the last q-Pascal row of `gauss_binomial`, the monomials of
+    `geometric_factor` and the q-binomials of `rhs_sum` (all three against
+    MAX_QPASCAL_COEFFICIENTS), the product cells of `lhs_product`
+    (MAX_LHS_CELLS), the Dirichlet limit (MAX_DIRICHLET_LIMIT), the squared
+    bits of an Euler factor (MAX_EULER_SQUARED_BITS), and the q-Pascal rows
+    of `verify`'s symmetry check.  Besides those, it is raised when trial
+    division would have to search past its bound, and when an enumeration
+    would yield, or has yielded, more matrices than its cap.  Never raised
+    for malformed input; those get UsageError.
     """
 
 
@@ -78,6 +87,16 @@ def check_args(n: int, m: int | None = None) -> None:
     check_at_least(n, 1, "dimension n")
     if m is not None:
         check_at_least(m, 1, "index m")
+
+
+def check_budget(predicted: int, limit: int, work: str) -> None:
+    """Refuse work predicted above its limit with a CapacityError, before any of it is done.
+
+    work describes the work with {} where the prediction goes; the message
+    is work filled in, then the limit.
+    """
+    if predicted > limit:
+        raise CapacityError(f"{work.format(predicted)}, above the limit {limit}")
 
 
 def walk(root, levels: Sequence[Callable[[object], Iterator]]) -> Iterator:

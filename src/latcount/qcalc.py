@@ -28,7 +28,7 @@ from itertools import repeat
 from math import comb
 from typing import Iterable
 
-from .core import CapacityError, ExactnessError, check_at_least
+from .core import ExactnessError, check_at_least, check_budget
 
 # The most coefficients the last q-Pascal row may hold, about 9x the largest
 # a test or benchmark makes ((120, 60): 109,861).  Under tracemalloc (1000, 2),
@@ -186,12 +186,8 @@ def gauss_binomial(m: int, k: int) -> QPolynomial:
     if k == m:
         # A row of one entry, which each of the k passes would leave at 1.
         return QPolynomial.one()
-    predicted = _last_row_size(m, k)
-    if predicted > MAX_QPASCAL_COEFFICIENTS:
-        raise CapacityError(
-            f"gauss_binomial({m}, {k}) would hold {predicted} coefficients in its last "
-            f"q-Pascal row, above the limit {MAX_QPASCAL_COEFFICIENTS}"
-        )
+    work = f"gauss_binomial({m}, {k}) would hold {{}} coefficients in its last q-Pascal row"
+    check_budget(_last_row_size(m, k), MAX_QPASCAL_COEFFICIENTS, work)
     # After pass i, row[j] = [i+j choose i]_q, held as a list of ints.  The grid
     # is always k passes of m-k steps, never the mirror [m choose m-k], so that
     # the symmetry checks compare two different computations.  Each step grows

@@ -20,7 +20,7 @@ from operator import add
 from typing import Sequence
 
 from .arith import is_prime
-from .core import CapacityError, CountResult, Method, UsageError, check_args, check_at_least
+from .core import CountResult, Method, UsageError, check_args, check_at_least, check_budget
 from .qcalc import (
     MAX_QPASCAL_COEFFICIENTS,
     QPolynomial,
@@ -96,18 +96,17 @@ class TSeries:
 def geometric_factor(k: int, truncation_order: int) -> TSeries:
     """The series 1 / (1 - q^k t) truncated: sum_{j=0..K} q^(k j) t^j.
 
-    Its monomials hold k K(K+1)/2 + K + 1 coefficients; above
+    Its monomials hold k K(K+1)/2 + K + 1 coefficients, as many as
+    gauss_binomial(k + K, k)'s last q-Pascal row; above
     MAX_QPASCAL_COEFFICIENTS that raises CapacityError before the first
     monomial is made.
     """
     check_at_least(k, 0, "exponent k")
     check_at_least(truncation_order, 0, "truncation order")
-    predicted = (truncation_order + 1) * (k * truncation_order + 2) // 2
-    if predicted > MAX_QPASCAL_COEFFICIENTS:
-        raise CapacityError(
-            f"geometric_factor({k}, {truncation_order}) would hold {predicted} coefficients "
-            f"in its monomials, above the limit {MAX_QPASCAL_COEFFICIENTS}"
-        )
+    work = (
+        f"geometric_factor({k}, {truncation_order}) would hold {{}} coefficients in its monomials"
+    )
+    check_budget(_last_row_size(k + truncation_order, k), MAX_QPASCAL_COEFFICIENTS, work)
     return TSeries([QPolynomial.monomial(k * j) for j in range(truncation_order + 1)])
 
 
@@ -129,6 +128,12 @@ def _lhs_cells(n: int, truncation_order: int) -> int:
     return (n - 1) ** 2 * (K * pairs // 3) + (n - 1) * pairs
 
 
+def _check_lhs_budget(n: int, K: int) -> None:
+    """Refuse lhs_product(n, K) above MAX_LHS_CELLS, before any factor is made."""
+    work = f"lhs_product({n}, {K}) would touch {{}} coefficient cells in its products"
+    check_budget(_lhs_cells(n, K), MAX_LHS_CELLS, work)
+
+
 def lhs_product(n: int, truncation_order: int) -> TSeries:
     """The product of geometric factors for k = 0 .. n-1, truncated.
 
@@ -139,12 +144,7 @@ def lhs_product(n: int, truncation_order: int) -> TSeries:
     """
     check_args(n)
     check_at_least(truncation_order, 0, "truncation order")
-    predicted = _lhs_cells(n, truncation_order)
-    if predicted > MAX_LHS_CELLS:
-        raise CapacityError(
-            f"lhs_product({n}, {truncation_order}) would touch {predicted} coefficient cells "
-            f"in its products, above the limit {MAX_LHS_CELLS}"
-        )
+    _check_lhs_budget(n, truncation_order)
     return reduce(
         TSeries.__mul__,
         (geometric_factor(k, truncation_order) for k in range(n)),
@@ -161,12 +161,8 @@ def rhs_sum(n: int, truncation_order: int) -> TSeries:
     """
     check_args(n)
     check_at_least(truncation_order, 0, "truncation order")
-    predicted = _last_row_size(n - 1 + truncation_order, n - 1)
-    if predicted > MAX_QPASCAL_COEFFICIENTS:
-        raise CapacityError(
-            f"rhs_sum({n}, {truncation_order}) would hold {predicted} coefficients in its "
-            f"q-binomials, above the limit {MAX_QPASCAL_COEFFICIENTS}"
-        )
+    work = f"rhs_sum({n}, {truncation_order}) would hold {{}} coefficients in its q-binomials"
+    check_budget(_last_row_size(n - 1 + truncation_order, n - 1), MAX_QPASCAL_COEFFICIENTS, work)
     return TSeries([gauss_binomial(n + k - 1, k) for k in range(truncation_order + 1)])
 
 
@@ -175,17 +171,43 @@ def verify_generating_identity(n: int, truncation_order: int) -> bool:
     return lhs_product(n, truncation_order) == rhs_sum(n, truncation_order)
 
 
+# The most squared bits an Euler factor may cost, and what each line adds to
+# its coefficients' cost.  Printing is most of the time: int -> str is
+# quadratic in the digits, and a line of a small coefficient takes about as
+# long as 800 bits.  On a 2-vCPU VM the last orders admitted at (p, n) =
+# (2, 2), (1000003, 2) and (2, 1) take about 2 s to print, as long as
+# `series --n 2 --t-order 491`.
+MAX_EULER_SQUARED_BITS = 4 * 10**11
+EULER_LINE_BITS = 800
+
+
+def _euler_squared_bits(p: int, n: int, truncation_order: int) -> int:
+    """The cost of euler_factor(p, n, K): its coefficients' squared bits, plus each line's."""
+    # [n+k-1 choose k]_p < 4 p^(k(n-1)) <= 2^(a k + 2), a = (n-1) ceil(log2 p),
+    # so coefficient k has at most a k + 2 bits.  Summed over k = 0 .. K,
+    # (a k + 2)^2 + EULER_LINE_BITS^2 gives this closed form.
+    K = truncation_order
+    a = (n - 1) * (p - 1).bit_length()
+    squares = a * a * K * (K + 1) * (2 * K + 1) // 6 + 2 * a * K * (K + 1) + 4 * (K + 1)
+    return squares + (K + 1) * EULER_LINE_BITS**2
+
+
 def euler_factor(p: int, n: int, truncation_order: int) -> list[int]:
     """The local factor at prime p: coefficient of p^(-s k) for k = 0 .. K.
 
     Entry k is the q-binomial [n+k-1 choose k] evaluated at p, i.e. the
     sublattice count at the prime power p^k.  Composite p would silently
-    break the Euler-product interpretation, so it is rejected.
+    break the Euler-product interpretation, so it is rejected.  Entry k has
+    at most (n-1) k ceil(log2 p) + 2 bits; those bits squared, plus
+    EULER_LINE_BITS squared for each entry, above MAX_EULER_SQUARED_BITS
+    raise CapacityError before the first entry is computed.
     """
     check_args(n)
     check_at_least(truncation_order, 0, "truncation order")
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
+    work = f"euler_factor({p}, {n}, {truncation_order}) would cost {{}} squared bits to print"
+    check_budget(_euler_squared_bits(p, n, truncation_order), MAX_EULER_SQUARED_BITS, work)
     return [gauss_binomial_at(n + k - 1, k, p) for k in range(truncation_order + 1)]
 
 
@@ -212,11 +234,8 @@ def dirichlet_coefficients(n: int, limit: int) -> list[int]:
     is allocated.
     """
     check_args(n, limit)
-    if limit > MAX_DIRICHLET_LIMIT:
-        raise CapacityError(
-            f"Dirichlet coefficients up to {limit} would need lists of {limit + 1} "
-            f"entries, above the limit {MAX_DIRICHLET_LIMIT}"
-        )
+    work = f"Dirichlet coefficients up to {limit} would need lists of {limit + 1} entries"
+    check_budget(limit, MAX_DIRICHLET_LIMIT, work)
     values = [1] * (limit + 1)
     values[0] = 0
     half = limit // 2

@@ -18,6 +18,7 @@ import pytest
 import latcount.cli as cli
 import latcount.count
 import latcount.qcalc
+import latcount.series
 from latcount import (
     CapacityError,
     CountResult,
@@ -660,7 +661,9 @@ class TestSeries:
         )
 
     def test_q_pascal_row_over_the_cap_exits_3_before_output(self):
-        proc = run_cli("series", "--n", "2000", "--t-order", "3")
+        # (2000, 1)'s products touch 4,001,998 cells, inside their budget, so the
+        # first refusal is the rhs's second q-binomial.
+        proc = run_cli("series", "--n", "2000", "--t-order", "1")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
@@ -688,6 +691,17 @@ class TestSeries:
             "products, above the limit 20000000\n"
         )
 
+    @pytest.mark.parametrize("n, t_order", [(2, 1412), (200, 14)])
+    def test_lhs_refusal_builds_no_q_binomial(self, monkeypatch, capsys, n, t_order):
+        calls = []
+        monkeypatch.setattr(latcount.series, "gauss_binomial", lambda m, k: calls.append((m, k)))
+        code = cli.main(["series", "--n", str(n), "--t-order", str(t_order)])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: lhs_product({n}, {t_order}) would touch ")
+        assert calls == []
+
     def test_dimension_one_at_a_long_t_order(self):
         # every coefficient is [k choose k]_q = 1, a q-Pascal row of one entry
         proc = run_cli("series", "--n", "1", "--t-order", "20000", timeout=10)
@@ -708,6 +722,19 @@ class TestEulerFactor:
         proc = run_cli("euler-factor", "--p", "2", "--n", "1", "--k-max", "20000", timeout=10)
         assert proc.returncode == 0
         assert proc.stdout == "".join(f"{k} 1\n" for k in range(20001))
+
+    def test_over_the_budget_exits_3_before_any_coefficient(self, monkeypatch, capsys):
+        # (2, 2, 20000) printed for 12.8 s before the budget
+        calls = []
+        monkeypatch.setattr(latcount.series, "gauss_binomial_at", lambda m, k, q0: calls.append(k))
+        code = cli.main(["euler-factor", "--p", "2", "--n", "2", "--k-max", "20000"])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: euler_factor(2, 2, 20000) would cost 2680467430004 squared bits to print, "
+            "above the limit 400000000000\n",
+        )
+        assert calls == []
 
     def test_non_prime_exits_2(self):
         proc = run_cli("euler-factor", "--p", "4", "--n", "2", "--k-max", "1")

@@ -23,7 +23,7 @@ from latcount import (
     rhs_sum,
     verify_generating_identity,
 )
-from latcount.series import MAX_DIRICHLET_LIMIT, MAX_LHS_CELLS
+from latcount.series import MAX_DIRICHLET_LIMIT, MAX_EULER_SQUARED_BITS, MAX_LHS_CELLS
 from oracles import brute_sigma, dirichlet_by_divisor_sums, poly_mul
 
 
@@ -285,6 +285,33 @@ class TestEulerFactor:
                 local = euler_factor(p, n, 5)
                 for k in range(6):
                     assert local[k] == count_by_gruber(n, p**k).value
+
+    def test_predicted_squared_bits_bound_every_coefficient_and_line(self):
+        line = latcount.series.EULER_LINE_BITS**2
+        for p in (2, 3, 5, 7, 1000003):
+            for n in range(1, 8):
+                for order in (0, 1, 2, 5, 17, 40):
+                    printed = sum(c.bit_length() ** 2 + line for c in euler_factor(p, n, order))
+                    assert printed <= latcount.series._euler_squared_bits(p, n, order)
+
+    @pytest.mark.parametrize("p, n, last", [(2, 2, 10563), (1000003, 2, 1440), (2, 1, 624995)])
+    def test_budget_admits_the_last_order_and_refuses_the_next(self, monkeypatch, p, n, last):
+        # Each last order takes about 2 s to print as a process; here no value is computed.
+        calls = []
+        monkeypatch.setattr(latcount.series, "gauss_binomial_at", lambda m, k, q0: calls.append(k))
+        assert len(euler_factor(p, n, last)) == last + 1
+        assert len(calls) == last + 1
+        calls.clear()
+        predicted = latcount.series._euler_squared_bits(p, n, last + 1)
+        with pytest.raises(CapacityError) as excinfo:
+            euler_factor(p, n, last + 1)
+        assert str(excinfo.value) == (
+            f"euler_factor({p}, {n}, {last + 1}) would cost {predicted} squared bits to print, "
+            f"above the limit {MAX_EULER_SQUARED_BITS}"
+        )
+        assert latcount.series._euler_squared_bits(p, n, last) <= MAX_EULER_SQUARED_BITS
+        assert predicted > MAX_EULER_SQUARED_BITS
+        assert calls == []
 
 
 class TestDirichletCoefficients:
