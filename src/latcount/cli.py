@@ -14,7 +14,7 @@ symmetry check's last q-Pascal rows are summed, and a sum above
 MAX_QPASCAL_COEFFICIENTS exits 3 with nothing on stdout.
 
 Every command is a fresh process, so the module imports only argparse and the
-package at start; json is imported when a json-lines record is written.
+package at start; json-lines records are written as strings, without json.
 """
 
 from __future__ import annotations
@@ -68,11 +68,18 @@ def int_at_least(low: int):
 
 
 def _record(fmt: str, plain: str, csv: str, fields: dict) -> str:
-    """One record's line in the chosen --format: plain, csv, or its fields as json-lines."""
-    if fmt == "json-lines":
-        import json
+    """One record's line in the chosen --format: plain, csv, or its fields as json-lines.
 
-        return json.dumps(fields, separators=(",", ":"))
+    Every field is an int or a string of digits or a method name, so the
+    json-lines record is written directly, with no escaping, in the same
+    bytes as json.dumps(fields, separators=(",", ":")).
+    """
+    if fmt == "json-lines":
+        pairs = (
+            f'"{key}":{value}' if isinstance(value, int) else f'"{key}":"{value}"'
+            for key, value in fields.items()
+        )
+        return "{" + ",".join(pairs) + "}"
     return csv if fmt == "csv" else plain
 
 

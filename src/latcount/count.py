@@ -15,12 +15,16 @@ They are provably equal, so `check_agreement` treats any disagreement as
 an internal bug and raises DiscrepancyError.
 
 Each method has one body, which a single count, `count_table` and
-`count_all_methods` all reach.  Factorization-sum and recursion take the
-divisor lattice as an argument: a `DivisorIndex` of m for one count or an
-over-budget sweep, one divisor table for any other sweep.  Factorization-sum
-walks the tuples in one loop over a list of pending prefixes, at most
-(n - 2) * tau(m) of them for n >= 3, so no call depth grows with n, and
-still adds every tuple on its own.  One rule, `left_out_methods`, decides
+`count_all_methods` all reach.  Factorization-sum takes the divisor lattice
+as an argument: a `DivisorIndex` of m for one count or an over-budget sweep,
+one divisor table for any other sweep.  It walks the tuples in one loop over
+a list of pending prefixes, at most (n - 2) * tau(m) of them for n >= 3, so
+no call depth grows with n, and still adds every tuple on its own.  The
+recursion fills one level at a time over a set of nodes closed under
+divisors, each node with its own divisor list: the divisors of m, from a
+`DivisorIndex`, for one count or an over-budget sweep; every m <= max_m,
+from one divisor table, for any other sweep, which frees the table before
+its first result.  One rule, `left_out_methods`, decides
 which methods `count_all_methods` skips, and the same rule refuses an
 over-cap enumeration.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import attrgetter, mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .arith import DivisorIndex, _divisor_table, _divisor_table_size, factorize
 from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method, check_args
@@ -101,22 +105,49 @@ def count_by_recursion(n: int, m: int) -> CountResult:
     table and the index live only for the duration of this call.
     """
     check_args(n, m)
-    return _recursion(n, m, DivisorIndex(m))
-
-
-def _recursion(n: int, m: int, index: DivisorIndex | list[list[int]]) -> CountResult:
-    """count_by_recursion, with the divisor lists read from index."""
+    index = DivisorIndex(m)
     divs = index[m]
     # Largest first, so that each entry is filtered from a parent already made.
     sub_divisors = [index[d] for d in reversed(divs)][::-1]
-    values = dict.fromkeys(divs, 1)
+    values = _recursion_levels(n, divs, sub_divisors)
+    visits = (n - 1) * sum(map(len, sub_divisors))
+    return CountResult(values[m], Method.RECURSION, work_stats={"divisor_visits": visits})
+
+
+def _recursion_table(n: int, max_m: int) -> Iterator[CountResult]:
+    """count_by_recursion for every m <= max_m, from one pass per level over a divisor table.
+
+    Every value is made, and the table dropped, before this returns.  A
+    result's divisor_visits is (n - 1) * tau(m): the divisors its own node
+    reads over the n - 1 levels.
+    """
+    # Less the table's empty entry 0, so that entry m - 1 is the divisors of m.
+    sub_divisors = _divisor_table(max_m)[1:]
+    # Each entry ends with the table's own int object for m, so no level makes new keys.
+    nodes = [sub[-1] for sub in sub_divisors]
+    values = _recursion_levels(n, nodes, sub_divisors)
+    visits = [(n - 1) * len(sub) for sub in sub_divisors]
+    return (
+        CountResult(value, Method.RECURSION, work_stats={"divisor_visits": count})
+        for value, count in zip(values.values(), visits)
+    )
+
+
+def _recursion_levels(
+    n: int, nodes: Sequence[int], sub_divisors: list[list[int]]
+) -> dict[int, int]:
+    """f_n(d) for each node d, whose divisors are the matching entry of sub_divisors.
+
+    The nodes are closed under divisors, and each level k holds f_k at every
+    node, d * f_(k-1)(d) summed over the node's divisors d.
+    """
+    values = dict.fromkeys(nodes, 1)
     for _ in range(n - 1):
         values = {
             d: sum(map(mul, sub, map(values.__getitem__, sub)))
-            for d, sub in zip(divs, sub_divisors)
+            for d, sub in zip(nodes, sub_divisors)
         }
-    visits = (n - 1) * sum(map(len, sub_divisors))
-    return CountResult(values[m], Method.RECURSION, work_stats={"divisor_visits": visits})
+    return values
 
 
 def count_by_gruber(n: int, m: int) -> CountResult:
@@ -181,13 +212,12 @@ _DISPATCH = {
     Method.HNF: count_by_enumeration,
 }
 
-# The two methods that walk the divisor lattice, each with the divisor lists
-# passed in, for count_table's sweeps.
-_SWEEPS = {Method.FACTORIZATION_SUM: _factorization_sum, Method.RECURSION: _recursion}
+# The two methods whose sweeps read one divisor table.
+_TABLE_SWEEPS = (Method.FACTORIZATION_SUM, Method.RECURSION)
 
 # A sweep's divisor table holds sum over m <= max_m of tau(m) pointers.  Above
-# this many (max_m of about 8.7 * 10**4, about 17 MB), count_table builds a
-# DivisorIndex per m instead.
+# this many (max_m of about 8.7 * 10**4, about 17 MB), count_table runs a
+# single count, with its own DivisorIndex, per m instead.
 MAX_DIVISOR_TABLE_POINTERS = 10**6
 
 # Every method but enumeration, whose work is the count itself.
@@ -206,11 +236,15 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
     """The results of one method for m = 1 .. max_m, in order of m.
 
     Dirichlet fills the whole table from one convolution pass before this
-    returns; every other method runs once per m, as the results are consumed.
-    Factorization-sum and recursion run the bodies of a single count, with
-    every m's divisor lists read from one divisor table, made before this
-    returns, unless the table would hold more than MAX_DIVISOR_TABLE_POINTERS
-    pointers; each m then gets its own DivisorIndex, as in a single count.
+    returns, and so does the recursion, one pass per level over every m,
+    reading one divisor table that it frees before its first result; each
+    result's divisor_visits is then (n - 1) * tau(m), the visits the sweep
+    makes for that m.  Factorization-sum runs the body of a single count once
+    per m, as the results are consumed, with every m's divisor lists read from
+    one divisor table, made before this returns and held by the iterator.
+    Above MAX_DIVISOR_TABLE_POINTERS pointers no table is made, and both
+    run a single count per m, each with its own DivisorIndex.  Every other
+    method runs once per m, as the results are consumed.
     Enumeration first checks every m's count against the default cap, so an
     over-cap m is refused before the first matrix of any.
     """
@@ -219,12 +253,11 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
     ms = range(1, max_m + 1)
     if method is Method.DIRICHLET:
         return (CountResult(value, method) for value in dirichlet_coefficients(n, max_m)[1:])
-    if method in _SWEEPS:
-        sweep = _SWEEPS[method]
-        if _divisor_table_size(max_m) > MAX_DIVISOR_TABLE_POINTERS:
-            return (sweep(n, m, DivisorIndex(m)) for m in ms)
+    if method in _TABLE_SWEEPS and _divisor_table_size(max_m) <= MAX_DIVISOR_TABLE_POINTERS:
+        if method is Method.RECURSION:
+            return _recursion_table(n, max_m)
         table = _divisor_table(max_m)
-        return (sweep(n, m, table) for m in ms)
+        return (_factorization_sum(n, m, table) for m in ms)
     if method is Method.HNF:
         for m in ms:
             check_enumeration_size(n, m)

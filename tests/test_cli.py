@@ -122,6 +122,12 @@ SWEEP_DIGESTS = [
     ("verify --n-max 4 --m-max 1014 --t-order 8", "74275ab06cccebe93da40fb45615e35e6262e37d2288990c1033ca5c654944bf"),
 ]
 
+# sha256 of the stdout of a recursion table, recorded from the count_table that
+# ran the recursion once per m over the divisors of m in one divisor table.
+RECURSION_SWEEP_DIGESTS = [
+    ("table --n 5 --max-m 3000 --method recursion", "efb55cd4bcb2bff839ee04fdce5fabf9f68b8636a7a2576138537c9d24cf4a65"),
+]
+
 # sha256 of the stdout of Dirichlet tables, recorded from the convolution that
 # built a list of powers and a fresh list of sums for every shift.
 DIRICHLET_DIGESTS = [
@@ -414,6 +420,24 @@ def test_import_loads_no_dataclasses_inspect_or_json():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "4", "--m", "360", "--all"],
+        ["count", "--n", "40", "--m", str(2**200), "--method", "recursion"],
+        ["table", "--n", "5", "--max-m", "30", "--method", "factorization-sum"],
+        ["euler-factor", "--p", "1000003", "--n", "7", "--k-max", "30"],
+    ],
+)
+def test_json_lines_records_are_the_bytes_of_json_dumps(argv, capsys):
+    assert cli.main([*argv, "--format", "json-lines"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for line in lines:
+        fields = json.loads(line)
+        assert line == json.dumps(fields, separators=(",", ":"))
 
 
 class TestEnumerate:
@@ -764,7 +788,9 @@ class TestDeterminism:
     def test_q_side_stdout_matches_recorded_digest(self, args, digest):
         assert_stdout_digest(args, digest)
 
-    @pytest.mark.parametrize("args, digest", DIVISOR_LATTICE_DIGESTS + SWEEP_DIGESTS)
+    @pytest.mark.parametrize(
+        "args, digest", DIVISOR_LATTICE_DIGESTS + SWEEP_DIGESTS + RECURSION_SWEEP_DIGESTS
+    )
     def test_divisor_lattice_stdout_matches_recorded_digest(self, args, digest):
         assert_stdout_digest(args, digest, DIGEST_NOTES.get(args, ""))
 

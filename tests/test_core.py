@@ -68,3 +68,37 @@ def test_capacity_errors_are_constructed_only_at_the_known_sites():
     assert "core.check_budget" in sites
     stray = sorted(set(sites) - CAPACITY_ERROR_SITES)
     assert stray == [], f"CapacityError built outside check_budget and the known sites: {stray}"
+
+
+# The methods stay independent: plumbing may be shared, the arithmetic may not.
+# Each function named here may reference none of the names beside it.
+FORBIDDEN_NAMES = {
+    "series": (
+        ("dirichlet_coefficients", "count_by_dirichlet"),
+        {"factorize", "divisors", "DivisorIndex", "_divisor_table", "ordered_factorizations"},
+    ),
+    "count": (
+        (
+            "count_by_factorization_sum",
+            "_factorization_sum",
+            "count_by_recursion",
+            "_recursion_table",
+            "_recursion_levels",
+        ),
+        {"dirichlet_coefficients", "count_by_dirichlet", "count_by_gruber"},
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(FORBIDDEN_NAMES))
+def test_method_bodies_reference_no_other_methods_arithmetic(module):
+    functions, forbidden = FORBIDDEN_NAMES[module]
+    path = Path(latcount.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(functions) <= set(bodies)
+    for name in functions:
+        referenced = {
+            getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(bodies[name])
+        }
+        assert referenced & forbidden == set(), f"{module}.{name} references {referenced & forbidden}"

@@ -22,7 +22,7 @@ from latcount import (
     ordered_factorization_count,
     run_count,
 )
-from latcount.arith import DivisorIndex, _divisor_table
+from latcount.arith import DivisorIndex, _divisor_table, _divisor_table_size, divisors
 from latcount.count import _factorization_sum, left_out_methods
 from latcount.hnf import DEFAULT_ENUMERATION_CAP
 from latcount.series import MAX_DIRICHLET_LIMIT
@@ -256,46 +256,81 @@ class TestRequestDispatch:
 
     def test_table_keeps_each_results_work_counters(self):
         # CountResult equality ignores work_stats, so compare them on their own.
-        for method, count in (
-            (Method.FACTORIZATION_SUM, count_by_factorization_sum),
-            (Method.RECURSION, count_by_recursion),
-        ):
-            for n in range(1, 6):
-                table = list(count_table(n, 300, method))
-                expected = [count(n, m) for m in range(1, 301)]
-                assert table == expected
-                assert [r.work_stats for r in table] == [r.work_stats for r in expected]
+        ms = range(1, 301)
+        for n in range(1, 6):
+            table = list(count_table(n, 300, Method.FACTORIZATION_SUM))
+            expected = [count_by_factorization_sum(n, m) for m in ms]
+            assert table == expected
+            assert [r.work_stats for r in table] == [r.work_stats for r in expected]
+            # The recursion sweep reads each m's own divisors once per level.
+            table = list(count_table(n, 300, Method.RECURSION))
+            assert table == [count_by_recursion(n, m) for m in ms]
+            visits = [r.work_stats["divisor_visits"] for r in table]
+            assert visits == [(n - 1) * len(divisors(m)) for m in ms]
+            assert sum(visits) == (n - 1) * _divisor_table_size(300)
+
+    def test_recursion_table_matches_single_counts(self):
+        for n in range(1, 7):
+            for max_m in (1, 2, 3, 300):
+                table = list(count_table(n, max_m, Method.RECURSION))
+                assert [r.method for r in table] == [Method.RECURSION] * max_m
+                assert table == [count_by_recursion(n, m) for m in range(1, max_m + 1)]
+
+    def test_recursion_table_builds_no_divisor_index(self, monkeypatch):
+        expected = [count_by_recursion(4, m) for m in range(1, 301)]
+
+        def unbuilt(m):
+            raise AssertionError(f"a DivisorIndex of {m} was built")
+
+        monkeypatch.setattr(latcount.count, "DivisorIndex", unbuilt)
+        assert list(count_table(4, 300, Method.RECURSION)) == expected
 
     def test_table_over_the_divisor_budget_counts_per_m(self, monkeypatch):
         def unbuilt(max_m):
             raise AssertionError(f"a divisor table up to {max_m} was built")
 
-        expected = {
-            method: [(r.value, r.work_stats) for r in count_table(4, 300, method)]
-            for method in (Method.FACTORIZATION_SUM, Method.RECURSION)
-        }
         predicted = latcount.count._divisor_table_size(300)
         monkeypatch.setattr(latcount.count, "MAX_DIVISOR_TABLE_POINTERS", predicted - 1)
         monkeypatch.setattr(latcount.count, "_divisor_table", unbuilt)
-        for method, values in expected.items():
-            assert [(r.value, r.work_stats) for r in count_table(4, 300, method)] == values
+        for method, count in (
+            (Method.FACTORIZATION_SUM, count_by_factorization_sum),
+            (Method.RECURSION, count_by_recursion),
+        ):
+            table = list(count_table(4, 300, method))
+            expected = [count(4, m) for m in range(1, 301)]
+            assert table == expected
+            assert [r.work_stats for r in table] == [r.work_stats for r in expected]
 
     def test_divisor_budget_admits_max_m_to_86763(self):
         budget = latcount.count.MAX_DIVISOR_TABLE_POINTERS
         assert latcount.count._divisor_table_size(86_763) <= budget
         assert latcount.count._divisor_table_size(86_764) > budget
 
-    def test_table_frees_its_divisor_table_when_exhausted(self):
+    @staticmethod
+    def _traced_while_read(make):
+        """Bytes traced once make() returns and once its results are read: (holding, left)."""
         tracemalloc.start()
         try:
-            results = count_table(1, 20_000, Method.RECURSION)
+            results = make()
             holding, _ = tracemalloc.get_traced_memory()
             for _ in results:
                 pass
             left, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return holding, left
+
+    def test_table_frees_its_divisor_table_when_exhausted(self):
+        # Factorization-sum reads the table as its results are read.
+        holding, left = self._traced_while_read(
+            lambda: count_table(1, 20_000, Method.FACTORIZATION_SUM)
+        )
         assert holding > 2_000_000
+        assert left < 100_000
+        # The recursion has dropped the table before its first result.
+        table, _ = self._traced_while_read(lambda: _divisor_table(20_000))
+        holding, left = self._traced_while_read(lambda: count_table(3, 20_000, Method.RECURSION))
+        assert holding < table
         assert left < 100_000
 
     def test_table_predicts_each_enumeration_once(self, monkeypatch):
