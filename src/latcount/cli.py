@@ -9,12 +9,17 @@ error.
 
 verify runs all three of its checks before the first line: cross-method
 agreement, q-binomial symmetry once per unordered pair (k < m-k), and the
-generating identity once per n at the full t-order.  Before any of them, the
-symmetry check's last q-Pascal rows are summed, and a sum above
-MAX_QPASCAL_COEFFICIENTS exits 3 with nothing on stdout.
+generating identity once per n at the full t-order.  The symmetry sweep,
+`latcount.qcalc.first_asymmetric_pair`, runs first, because it sums its
+last q-Pascal rows before any pair and refuses above MAX_QPASCAL_COEFFICIENTS
+(exit 3, nothing on stdout).  series and the identity check take both sides
+from `latcount.series.identity_sides`, which orders their budgets.  Every
+size decision lives in the library; this module imports none of its private
+names.
 
 Every command is a fresh process, so the module imports only argparse and the
-package at start; json-lines records are written as strings, without json.
+package at start; json-lines records are written as strings, without json,
+by one function, `_record`.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import sys
 from itertools import islice
 
 from .arith import ENV_TRIAL_DIVISION_BOUND
-from .core import CapacityError, DiscrepancyError, ExactnessError, Method, UsageError, check_budget
+from .core import CapacityError, DiscrepancyError, ExactnessError, Method, UsageError
 from .count import (
     FORMULA_METHODS,
     check_agreement,
@@ -36,8 +41,8 @@ from .count import (
     run_count,
 )
 from .hnf import enumerate_hnf, enumerate_lines, validate_hnf
-from .qcalc import MAX_QPASCAL_COEFFICIENTS, _last_row_size, gauss_binomial
-from .series import _check_lhs_budget, euler_factor, lhs_product, rhs_sum
+from .qcalc import first_asymmetric_pair
+from .series import euler_factor, identity_sides
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -87,7 +92,7 @@ def cmd_count(args) -> int:
     if args.all:
         results = count_all_methods(args.n, args.m)
         # Every value agrees, so any one is f_n(m).
-        for method, reason in left_out_methods(args.m, results[0].value).items():
+        for method, reason in left_out_methods(args.n, args.m, results[0].value).items():
             print(f"note: {method} left out: {reason}", file=sys.stderr)
     else:
         results = [run_count(args.n, args.m, args.method)]
@@ -115,12 +120,11 @@ def cmd_enumerate(args) -> int:
     lines = enumerate_lines(args.n, args.m)
     if args.limit is not None:
         lines = islice(lines, args.limit)
-    # Each chunk is printed as one string: the lines joined by sep, inside head and end.
-    head, sep, end = "", "\n", ""
-    if args.format == "json-lines":
-        # the same bytes as _record's json for {"n": n, "m": m, "matrix": line}: no escaping needed
-        head = f'{{"n":{args.n},"m":{args.m},"matrix":"'
-        sep, end = '"}\n' + head, '"}'
+    # Each chunk is printed as one string: the lines joined by sep, inside head
+    # and end, which are _record's line for a matrix split where the matrix goes.
+    fields = {"n": args.n, "m": args.m, "matrix": "\0"}
+    head, end = _record(args.format, "\0", "\0", fields).split("\0")
+    sep = end + "\n" + head
     emitted = 0
     while chunk := list(islice(lines, CHUNK_LINES)):
         if not emitted:
@@ -151,55 +155,30 @@ def _verify_cross_methods(n_max: int, m_max: int):
     return None
 
 
-def _symmetry_pairs(bound: int):
-    """The (m, k) whose [m choose k] and [m choose m-k] are compared: each unordered pair once."""
-    return ((m, k) for m in range(bound + 1) for k in range((m + 1) // 2))
-
-
-def _check_symmetry_budget(bound: int) -> None:
-    """Refuse a symmetry check whose last q-Pascal rows add up to more than the cap."""
-    work = (
-        f"qbinomial-symmetry up to m={bound} (n-max + t-order) would hold at least {{}} "
-        "coefficients in its last q-Pascal rows"
-    )
-    total = 0
-    for m, k in _symmetry_pairs(bound):
-        total += _last_row_size(m, k) + _last_row_size(m, m - k)
-        check_budget(total, MAX_QPASCAL_COEFFICIENTS, work)
-
-
-def _verify_symmetry(bound: int):
-    # (m, k) fails exactly when (m, m-k) does, so the first k < m-k to fail is the row's first.
-    for m, k in _symmetry_pairs(bound):
-        if gauss_binomial(m, k) != gauss_binomial(m, m - k):
-            return f"m={m} k={k}"
-    return None
-
-
 def _verify_identity(n_max: int, t_order: int):
     # Truncations are prefixes, so the first differing t-power is the least failing order.
     for n in range(1, n_max + 1):
-        sides = zip(lhs_product(n, t_order).coefficients, rhs_sum(n, t_order).coefficients)
-        for order, (lhs, rhs) in enumerate(sides):
-            if lhs != rhs:
+        lhs, rhs = identity_sides(n, t_order)
+        for order, (left, right) in enumerate(zip(lhs.coefficients, rhs.coefficients)):
+            if left != right:
                 return f"n={n} t-order={order}"
     return None
 
 
 def cmd_verify(args) -> int:
     n_max, m_max, t_order = args.n_max, args.m_max, args.t_order
-    symmetry_bound = n_max + t_order
-    _check_symmetry_budget(symmetry_bound)
-    # Every check runs before the first line, so a refusal prints none.  Each
-    # returns its first counterexample, a non-empty string, or None when it passes.
+    # Every check runs before the first line, so a refusal prints none, and the
+    # symmetry sweep first, so that its budget is refused before any other check.
+    asymmetric = first_asymmetric_pair(n_max + t_order)
+    # Each counterexample is a non-empty string, or None when its check passes.
     counterexamples = (
         _verify_cross_methods(n_max, m_max),
-        _verify_symmetry(symmetry_bound),
+        asymmetric and "m={} k={}".format(*asymmetric),
         _verify_identity(n_max, t_order),
     )
     checks = (
         ("cross-method-agreement", f"n <= {n_max}, m <= {m_max}"),
-        ("qbinomial-symmetry", f"m <= {symmetry_bound}"),
+        ("qbinomial-symmetry", f"m <= {n_max + t_order}"),
         ("generating-identity", f"n <= {n_max}, t-order <= {t_order}"),
     )
     for (name, scope), counterexample in zip(checks, counterexamples):
@@ -209,18 +188,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    # The left-hand product's budget first, so that its refusal builds neither
-    # side; then the right-hand side, so that a q-Pascal row over its cap is
-    # refused before the product is multiplied out.
-    _check_lhs_budget(args.n, args.t_order)
-    rhs = rhs_sum(args.n, args.t_order)
-    lhs = lhs_product(args.n, args.t_order)
-    print("lhs:")
-    for line in lhs.render_lines():
-        print(line)
-    print("rhs:")
-    for line in rhs.render_lines():
-        print(line)
+    lhs, rhs = identity_sides(args.n, args.t_order)
+    for name, side in (("lhs", lhs), ("rhs", rhs)):
+        print(f"{name}:")
+        for line in side.render_lines():
+            print(line)
     if lhs == rhs:
         print("verdict: match")
         return EXIT_OK

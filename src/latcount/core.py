@@ -34,9 +34,11 @@ class CapacityError(RuntimeError):
     the last q-Pascal row of `gauss_binomial`, the monomials of
     `geometric_factor` and the q-binomials of `rhs_sum` (all three against
     MAX_QPASCAL_COEFFICIENTS), the product cells of `lhs_product`
-    (MAX_LHS_CELLS), the Dirichlet limit (MAX_DIRICHLET_LIMIT), the squared
-    bits of an Euler factor (MAX_EULER_SQUARED_BITS), and the q-Pascal rows
-    of `verify`'s symmetry check.  Besides those, it is raised when trial
+    (MAX_LHS_CELLS), the Dirichlet limit (MAX_DIRICHLET_LIMIT) and
+    convolution cells (MAX_DIRICHLET_CELLS), the squared bits of an Euler
+    factor (MAX_EULER_SQUARED_BITS), the q-Pascal rows of the symmetry sweep
+    `first_asymmetric_pair`, and the text prefixes of `enumerate_lines`
+    (MAX_PREFIX_CHARS).  Besides those, it is raised when trial
     division would have to search past its bound, and when an enumeration
     would yield, or has yielded, more matrices than its cap.  Never raised
     for malformed input; those get UsageError.

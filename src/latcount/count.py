@@ -38,7 +38,8 @@ from typing import Iterable, Iterator, Sequence
 from .arith import DivisorIndex, _divisor_table, _divisor_table_size, factorize
 from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method, check_args
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
-from .series import MAX_DIRICHLET_LIMIT, count_by_dirichlet, dirichlet_coefficients
+from .series import MAX_DIRICHLET_CELLS, MAX_DIRICHLET_LIMIT, _dirichlet_cells
+from .series import count_by_dirichlet, dirichlet_coefficients
 
 __all__ = [
     "CountResult",
@@ -197,7 +198,7 @@ def check_enumeration_size(n: int, m: int, advice: str = "") -> None:
     and m is not factored for it.
     """
     if n > 1:
-        reason = left_out_methods(m, count_by_gruber(n, m).value).get(Method.HNF)
+        reason = left_out_methods(n, m, count_by_gruber(n, m).value).get(Method.HNF)
         if reason:
             raise CapacityError(
                 f"enumeration of (n={n}, m={m}) {reason.removeprefix('it ')}{advice}"
@@ -273,14 +274,21 @@ def check_agreement(n: int, m: int, results: Iterable[CountResult]) -> list[Coun
     return results
 
 
-def left_out_methods(m: int, count: int) -> dict[Method, str]:
-    """The methods count_all_methods leaves out at index m, each with the reason.
+def left_out_methods(n: int, m: int, count: int) -> dict[Method, str]:
+    """The methods count_all_methods leaves out at (n, m), each with the reason.
 
-    count is f_n(m), as the product formula gives it.
+    count is f_n(m), as the product formula gives it.  Dirichlet is left out
+    by the two budgets of dirichlet_coefficients(n, m), so it never refuses.
     """
     left_out = {}
+    cells = _dirichlet_cells(n, m)
     if m > MAX_DIRICHLET_LIMIT:
         left_out[Method.DIRICHLET] = f"m={m} is above its limit {MAX_DIRICHLET_LIMIT}"
+    elif cells > MAX_DIRICHLET_CELLS:
+        left_out[Method.DIRICHLET] = (
+            f"it would cost {cells} cells in its convolutions, "
+            f"above the limit {MAX_DIRICHLET_CELLS}"
+        )
     if count > DEFAULT_ENUMERATION_CAP:
         left_out[Method.HNF] = (
             f"it would emit {count} matrices, above the default cap {DEFAULT_ENUMERATION_CAP}"
@@ -293,10 +301,11 @@ def count_all_methods(n: int, m: int) -> list[CountResult]:
 
     Gruber always runs, and its value decides which of the others
     left_out_methods leaves out: enumeration above DEFAULT_ENUMERATION_CAP
-    matrices, Dirichlet above MAX_DIRICHLET_LIMIT.  Results come back sorted
-    by method name so the aggregation order never depends on evaluation order.
+    matrices, Dirichlet above MAX_DIRICHLET_LIMIT or MAX_DIRICHLET_CELLS.
+    Results come back sorted by method name so the aggregation order never
+    depends on evaluation order.
     """
     gruber = count_by_gruber(n, m)
-    left_out = left_out_methods(m, gruber.value)
+    left_out = left_out_methods(n, m, gruber.value)
     others = (method for method in Method if method is not Method.GRUBER and method not in left_out)
     return check_agreement(n, m, [gruber, *(_DISPATCH[method](n, m) for method in others)])

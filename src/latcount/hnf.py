@@ -20,7 +20,9 @@ is lazy.  Per diagonal it holds one open iterator and one prefix per level
 each, plus each level's pieces: the values 0 .. d-1 of an entry
 bounded by d, listed once per diagonal when d <= LISTED_BOUND and made again
 on every pass otherwise.  Memory therefore grows neither with the d^(n-1)
-matrices of a diagonal nor with m.  Outputs share the prefix of earlier
+matrices of a diagonal nor with m, but the text prefixes, up to a whole line
+each, hold O(n^4) characters, so `enumerate_lines` predicts them and refuses
+above MAX_PREFIX_CHARS.  Outputs share the prefix of earlier
 levels: the text of a row is made once per prefix of earlier rows, and each
 further line costs one concatenation.
 """
@@ -33,7 +35,8 @@ from operator import attrgetter
 from typing import Callable, Iterator
 
 from .arith import ordered_factorizations
-from .core import CapacityError, CountResult, Method, Record, UsageError, check_at_least, walk
+from .core import CapacityError, CountResult, Method, Record, UsageError, walk
+from .core import check_args, check_at_least, check_budget
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -44,6 +47,12 @@ DEFAULT_ENUMERATION_CAP = 10**6
 # list of 4096 pieces holds about 0.25 MB, one of 65536 would hold 4 MB, a
 # quarter of the peak RSS of an enumerate run.
 LISTED_BOUND = 4096
+
+# The most characters enumerate_lines's prefixes may hold, as predicted.
+# Their memory is quartic in n: `enumerate --n 100 --m 2 --limit 1`, the last
+# admitted at m = 2 (99,020,000 predicted), peaks at 81 MB max RSS, --n 110
+# at 111 MB, and --n 400 was killed by the kernel.
+MAX_PREFIX_CHARS = 10**8
 
 
 class HnfMatrix(Record):
@@ -172,12 +181,24 @@ def enumerate_hnf(n: int, m: int) -> Iterator[HnfMatrix]:
     return map(HnfMatrix._trusted, repeat(n), _stream(n, m, (), _row_levels))
 
 
+def _prefix_chars(n: int, m: int) -> int:
+    """A bound on the characters enumerate_lines(n, m)'s prefixes hold at once."""
+    # One prefix per level, n(n-1)/2 + 1 of them, each at most a whole line:
+    # n^2 entries, none above m, each with its separator.
+    return (n * (n - 1) // 2 + 1) * n * n * (len(str(m)) + 1)
+
+
 def enumerate_lines(n: int, m: int) -> Iterator[str]:
     """Yield ``mx.to_line()`` for each ``mx`` of ``enumerate_hnf(n, m)``, in the same order.
 
     The lines are built as text straight from the walk, with no matrix
-    in between, and the stream is as lazy as ``enumerate_hnf``.
+    in between, and the stream is as lazy as ``enumerate_hnf``.  Its
+    prefixes, predicted at (n(n-1)/2 + 1) n^2 (digits of m + 1) characters,
+    above MAX_PREFIX_CHARS raise CapacityError when this is called.
     """
+    check_args(n, m)
+    work = f"enumerate_lines({n}, {m}) would hold up to {{}} characters in its prefixes"
+    check_budget(_prefix_chars(n, m), MAX_PREFIX_CHARS, work)
     return _stream(n, m, "", _text_levels)
 
 

@@ -18,13 +18,16 @@ stays inside integer polynomial arithmetic; the textbook quotient of
 q-factorials lives only in tests/oracles.py, as a test oracle.  Evaluated
 q-binomials (`gauss_binomial_at`) take an independent route through exact
 integer division, over the shorter of the two products for [m choose k] and
-[m choose m-k], so the two can cross-check each other.
+[m choose m-k], so the two can cross-check each other.  The symmetry sweep
+(`first_asymmetric_pair`) compares [m choose k] with [m choose m-k] for
+every m up to a bound, after summing all of its last rows against the same
+cap.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb
 from typing import Iterable
 
@@ -200,6 +203,38 @@ def gauss_binomial(m: int, k: int) -> QPolynomial:
             high[i:] = map(operator.add, high[i:], low)
     # The leading coefficient of a q-binomial is 1, so the last entry is canonical.
     return QPolynomial._trusted(tuple(row[-1]))
+
+
+def _symmetry_pairs(bound: int):
+    """The (m, k) whose [m choose k] and [m choose m-k] are compared: each unordered pair once."""
+    return ((m, k) for m in range(bound + 1) for k in range((m + 1) // 2))
+
+
+def _check_symmetry_budget(bound: int) -> None:
+    """Refuse a symmetry sweep whose last q-Pascal rows add up to more than the cap."""
+    work = (
+        f"qbinomial-symmetry up to m={bound} (n-max + t-order) would hold at least {{}} "
+        "coefficients in its last q-Pascal rows"
+    )
+    sizes = (_last_row_size(m, k) + _last_row_size(m, m - k) for m, k in _symmetry_pairs(bound))
+    for total in accumulate(sizes):
+        check_budget(total, MAX_QPASCAL_COEFFICIENTS, work)
+
+
+def first_asymmetric_pair(bound: int) -> tuple[int, int] | None:
+    """The first (m, k) with m <= bound and [m choose k] != [m choose m-k], or None.
+
+    Each unordered pair is compared once, k < m-k, in order of m and then k;
+    (m, k) fails exactly when (m, m-k) does, so this is the first failing k
+    of its row.  bound is `verify`'s n-max + t-order.  The last q-Pascal rows
+    of every pair are summed first, and as soon as the sum is above
+    MAX_QPASCAL_COEFFICIENTS, CapacityError is raised before the first
+    q-binomial is made.
+    """
+    _check_symmetry_budget(bound)
+    pairs = _symmetry_pairs(bound)
+    failing = ((m, k) for m, k in pairs if gauss_binomial(m, k) != gauss_binomial(m, m - k))
+    return next(failing, None)
 
 
 def gauss_binomial_at(m: int, k: int, q0: int) -> int:

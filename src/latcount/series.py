@@ -6,6 +6,9 @@ sides of the identity
 
     prod_{k=0..n-1} 1 / (1 - q^k t)  =  sum_{k>=0} [n+k-1 choose k]_q t^k.
 
+`identity_sides` builds the two, ordered so that each refuses over its
+budget before any work it would waste.
+
 The other is the coefficient list a(1..M) of a Dirichlet series.  The zeta
 factor shifted by i is just the stream m -> m^i, so the coefficients of
 zeta(s) zeta(s-1) ... zeta(s-n+1) fall out of n-1 exact Dirichlet
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import repeat
-from operator import add
+from operator import add, eq
 from typing import Sequence
 
 from .arith import is_prime
@@ -129,7 +132,9 @@ def _lhs_cells(n: int, truncation_order: int) -> int:
 
 
 def _check_lhs_budget(n: int, K: int) -> None:
-    """Refuse lhs_product(n, K) above MAX_LHS_CELLS, before any factor is made."""
+    """Check lhs_product(n, K)'s arguments, and refuse it above MAX_LHS_CELLS."""
+    check_args(n)
+    check_at_least(K, 0, "truncation order")
     work = f"lhs_product({n}, {K}) would touch {{}} coefficient cells in its products"
     check_budget(_lhs_cells(n, K), MAX_LHS_CELLS, work)
 
@@ -142,8 +147,6 @@ def lhs_product(n: int, truncation_order: int) -> TSeries:
     product.  Each factor checks its own size as `geometric_factor` makes it,
     which binds at n = 1, where there are no products.
     """
-    check_args(n)
-    check_at_least(truncation_order, 0, "truncation order")
     _check_lhs_budget(n, truncation_order)
     return reduce(
         TSeries.__mul__,
@@ -166,9 +169,22 @@ def rhs_sum(n: int, truncation_order: int) -> TSeries:
     return TSeries([gauss_binomial(n + k - 1, k) for k in range(truncation_order + 1)])
 
 
+def identity_sides(n: int, truncation_order: int) -> tuple[TSeries, TSeries]:
+    """Both sides of the identity, (lhs_product(n, K), rhs_sum(n, K)), each budget first.
+
+    The left-hand budget is checked first, so that its refusal builds
+    neither side.  Then the right-hand side is built, each q-binomial
+    refused before it is made, so that a q-Pascal row over its cap is
+    refused before the product is multiplied out.  The product comes last.
+    """
+    _check_lhs_budget(n, truncation_order)
+    rhs = rhs_sum(n, truncation_order)
+    return lhs_product(n, truncation_order), rhs
+
+
 def verify_generating_identity(n: int, truncation_order: int) -> bool:
     """Check the two sides coefficient by coefficient."""
-    return lhs_product(n, truncation_order) == rhs_sum(n, truncation_order)
+    return eq(*identity_sides(n, truncation_order))
 
 
 # The most squared bits an Euler factor may cost, and what each line adds to
@@ -216,6 +232,20 @@ def euler_factor(p: int, n: int, truncation_order: int) -> list[int]:
 # n = 5 peaks at 8.7 MB for a limit of 10^5 and at 95 MB for this one.
 MAX_DIRICHLET_LIMIT = 2**20
 
+# The most cells the convolutions may cost: time, where the limit above is
+# memory.  Each of the n - 1 shifts touches limit cells, and a cell's
+# operands grow with n: on a 2-vCPU VM a cell took about 2 us up to n = 30,
+# 3.2 us at n = 100 and 28 us at n = 1000, so (1000, 1049) ran for 42 s.  So
+# a cell of b bits costs 1 + b // 512, b being the bits of limit^(n-1).  The
+# last limit admitted at each n from 2 to 3000 took 0.6-4 s, (2, 2^20) the longest.
+MAX_DIRICHLET_CELLS = 2**20
+
+
+def _dirichlet_cells(n: int, limit: int) -> int:
+    """dirichlet_coefficients(n, limit)'s cost: limit cells a shift, each 1 + b // 512."""
+    cells = (n - 1) * limit
+    return cells * (1 + (n - 1) * limit.bit_length() // 512)
+
 
 def dirichlet_coefficients(n: int, limit: int) -> list[int]:
     """First `limit` coefficients of zeta(s) zeta(s-1) ... zeta(s-n+1).
@@ -230,12 +260,14 @@ def dirichlet_coefficients(n: int, limit: int) -> list[int]:
     largest d first, with q^i read from a list of powers up to limit/2; d = 1
     comes last and adds x^i to every x >= 2.  Entry m of the returned list is
     the sublattice count f_n(m); entry 0 is 0.  Each shift is O(M log M).
-    A limit above MAX_DIRICHLET_LIMIT raises CapacityError before anything
-    is allocated.
+    A limit above MAX_DIRICHLET_LIMIT, or a cost above MAX_DIRICHLET_CELLS,
+    raises CapacityError before anything is allocated.
     """
     check_args(n, limit)
     work = f"Dirichlet coefficients up to {limit} would need lists of {limit + 1} entries"
     check_budget(limit, MAX_DIRICHLET_LIMIT, work)
+    work = f"dirichlet_coefficients({n}, {limit}) would cost {{}} cells in its convolutions"
+    check_budget(_dirichlet_cells(n, limit), MAX_DIRICHLET_CELLS, work)
     values = [1] * (limit + 1)
     values[0] = 0
     half = limit // 2

@@ -504,6 +504,47 @@ class TestEnumerate:
         assert proc.stderr == ""
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
+    # --n 140 peaked at 260 MB; --n 400, killed by the kernel, is checked in tests/test_hnf.py,
+    # where a lost budget leaves a lazy stream and not a process that eats the memory.
+    @pytest.mark.parametrize("n", [101, 140])
+    def test_prefixes_over_the_budget_exit_3_before_output(self, n):
+        proc = run_cli("enumerate", "--n", str(n), "--m", "2", "--limit", "1", timeout=10)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        predicted = (n * (n - 1) // 2 + 1) * n * n * 2
+        assert proc.stderr == (
+            f"error: enumerate_lines({n}, 2) would hold up to {predicted} characters in its "
+            "prefixes, above the limit 100000000\n"
+        )
+
+    def test_last_admitted_prefixes_peak_near_100_mb(self):
+        # --n 100 peaked at 81 MB max RSS, --n 101 would at 83 MB and --n 140 at 260 MB.
+        # A child's max RSS counts its parent's image before exec, so, as the
+        # benchmark harness does, the child is spawned from a small process.
+        spawner = (
+            "import os, sys\n"
+            "argv = [sys.executable, '-m', 'latcount', 'enumerate', '--n', '100', '--m', '2',"
+            " '--limit', '1']\n"
+            "read_fd, write_fd = os.pipe()\n"
+            "pid = os.posix_spawn(argv[0], argv, os.environ,"
+            " file_actions=[(os.POSIX_SPAWN_DUP2, write_fd, 1)])\n"
+            "os.close(write_fd)\n"
+            "lines = 0\n"
+            "while chunk := os.read(read_fd, 1 << 16):\n"
+            "    lines += chunk.count(b'\\n')\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), lines, usage.ru_maxrss)\n"
+        )
+        src = Path(latcount.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", spawner], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, lines, max_rss_kb = map(int, proc.stdout.split())
+        assert (code, lines) == (0, 2)
+        assert max_rss_kb < 100 * 1024
+
     def test_closed_pipe_exits_1_quietly(self):
         # f_3(360) = 624,650 lines: far more than a pipe buffer holds
         proc = subprocess.Popen(
@@ -576,7 +617,7 @@ class TestVerify:
 
     @staticmethod
     def skew_rhs(monkeypatch, fault_n, fault_power):
-        real_rhs_sum = cli.rhs_sum
+        real_rhs_sum = latcount.series.rhs_sum
 
         def skewed_rhs_sum(n, order):
             coefficients = list(real_rhs_sum(n, order).coefficients)
@@ -584,7 +625,7 @@ class TestVerify:
                 coefficients[fault_power] += QPolynomial.one()
             return TSeries(coefficients)
 
-        monkeypatch.setattr(cli, "rhs_sum", skewed_rhs_sum)
+        monkeypatch.setattr(latcount.series, "rhs_sum", skewed_rhs_sum)
 
     def test_injected_fault_exits_4(self, monkeypatch, capsys):
         self.skew_rhs(monkeypatch, None, 0)
@@ -621,7 +662,6 @@ class TestVerify:
     def test_symmetry_budget_is_refused_before_the_first_line(self, monkeypatch, capsys):
         # the rows up to m=2 hold 7 coefficients, and (3, 0) and (3, 3) add 4 + 1 more
         monkeypatch.setattr(latcount.qcalc, "MAX_QPASCAL_COEFFICIENTS", 10)
-        monkeypatch.setattr(cli, "MAX_QPASCAL_COEFFICIENTS", 10)
         code = cli.main(["verify", "--n-max", "1", "--m-max", "3", "--t-order", "6"])
         assert code == 3
         out, err = capsys.readouterr()
@@ -630,18 +670,18 @@ class TestVerify:
 
     def test_symmetry_budget_admits_the_rows_up_to_m_40(self):
         # rows up to m=40 hold 951,223 coefficients and up to m=41, 1,075,536
-        cli._check_symmetry_budget(40)
+        latcount.qcalc._check_symmetry_budget(40)
         with pytest.raises(CapacityError, match="up to m=41 "):
-            cli._check_symmetry_budget(41)
+            latcount.qcalc._check_symmetry_budget(41)
 
     def test_symmetry_fault_exits_4(self, monkeypatch, capsys):
-        real_binomial = cli.gauss_binomial
+        real_binomial = latcount.qcalc.gauss_binomial
 
         def skewed_binomial(m, k):
             # [3 choose 1] comes out as [3 choose 0] = 1, so it no longer equals [3 choose 2]
             return real_binomial(m, 0 if (m, k) == (3, 1) else k)
 
-        monkeypatch.setattr(cli, "gauss_binomial", skewed_binomial)
+        monkeypatch.setattr(latcount.qcalc, "gauss_binomial", skewed_binomial)
         code = cli.main(["verify", "--n-max", "2", "--m-max", "5", "--t-order", "3"])
         assert code == 4
         assert capsys.readouterr().out.splitlines() == [

@@ -70,6 +70,25 @@ def test_capacity_errors_are_constructed_only_at_the_known_sites():
     assert stray == [], f"CapacityError built outside check_budget and the known sites: {stray}"
 
 
+def test_cli_imports_no_private_name_from_the_package():
+    # Every size decision lives in the library, so the CLI needs none of its private names.
+    path = Path(latcount.__file__).parent / "cli.py"
+    imported = [
+        (node.level * "." + (node.module or ""), alias.name)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "latcount")
+        for alias in node.names
+    ]
+    assert imported
+    private = [
+        f"{module} {name}"
+        for module, name in imported
+        if any(part.startswith("_") for part in [*module.split("."), name])
+    ]
+    assert private == [], f"cli.py imports private names: {private}"
+
+
 # The methods stay independent: plumbing may be shared, the arithmetic may not.
 # Each function named here may reference none of the names beside it.
 FORBIDDEN_NAMES = {

@@ -200,17 +200,35 @@ class TestHarness:
         assert {r.value for r in results} == {brute_sigma(10000000019)}
 
     def test_left_out_methods_name_each_skip_and_its_reason(self):
-        assert left_out_methods(5040, 891_777_744_000) == {
+        assert left_out_methods(4, 5040, 891_777_744_000) == {
             Method.HNF: "it would emit 891777744000 matrices, above the default cap 1000000"
         }
-        assert left_out_methods(720, count_by_gruber(3, 720).value) == {
+        assert left_out_methods(3, 720, count_by_gruber(3, 720).value) == {
             Method.HNF: "it would emit 2623530 matrices, above the default cap 1000000"
         }
-        assert left_out_methods(10000000019, 10000000020) == {
+        assert left_out_methods(2, 10000000019, 10000000020) == {
             Method.DIRICHLET: "m=10000000019 is above its limit 1048576",
             Method.HNF: "it would emit 10000000020 matrices, above the default cap 1000000",
         }
-        assert left_out_methods(MAX_DIRICHLET_LIMIT, DEFAULT_ENUMERATION_CAP) == {}
+        assert left_out_methods(2, MAX_DIRICHLET_LIMIT, DEFAULT_ENUMERATION_CAP) == {}
+
+    def test_left_out_methods_leave_dirichlet_out_by_its_cell_budget(self):
+        assert left_out_methods(5, 2**18, 1) == {}
+        assert left_out_methods(5, 2**18 + 1, 1) == {
+            Method.DIRICHLET: "it would cost 1048580 cells in its convolutions, "
+            "above the limit 1048576"
+        }
+        assert left_out_methods(2, MAX_DIRICHLET_LIMIT + 1, 1) == {
+            Method.DIRICHLET: "m=1048577 is above its limit 1048576"
+        }
+
+    def test_all_never_refuses_for_dirichlet(self, monkeypatch):
+        def unbuilt(n, m):
+            raise AssertionError(f"dirichlet was run at ({n}, {m})")
+
+        monkeypatch.setitem(latcount.count._DISPATCH, Method.DIRICHLET, unbuilt)
+        results = count_all_methods(1000, 1049)
+        assert [str(r.method) for r in results] == ["factorization-sum", "gruber", "recursion"]
 
     def test_discrepancy_raises_with_all_values(self, monkeypatch):
         def wrong_gruber(n, m):

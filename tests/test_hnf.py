@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from latcount import (
     CapacityError,
     HnfMatrix,
+    UsageError,
     count_by_enumeration,
     count_by_recursion,
     enumerate_hnf,
@@ -208,6 +209,35 @@ class TestOdometer:
             tracemalloc.stop()
         assert len(items) == 10
         assert peak < 2 * 2**20
+
+
+class TestPrefixBudget:
+    def test_the_prediction_is_refused_when_the_stream_is_made(self):
+        assert hnf._prefix_chars(100, 2) == 99_020_000 <= hnf.MAX_PREFIX_CHARS
+        assert next(enumerate_lines(100, 2)).startswith("1,0,0")
+        with pytest.raises(CapacityError) as excinfo:
+            enumerate_lines(101, 2)
+        assert str(excinfo.value) == (
+            "enumerate_lines(101, 2) would hold up to 103050502 characters in its prefixes, "
+            "above the limit 100000000"
+        )
+
+    def test_n_400_is_refused_at_once(self):
+        # `enumerate --n 400 --m 2 --limit 1` was killed by the kernel with empty stdout
+        with pytest.raises(CapacityError, match=r"^enumerate_lines\(400, 2\) .* 25536320000 "):
+            enumerate_lines(400, 2)
+
+    def test_the_prediction_bounds_the_prefixes(self):
+        # every level's prefix at the last line of each diagonal
+        for n, m in ((1, 7), (2, 12), (3, 30), (4, 12), (5, 6)):
+            *_, last = enumerate_lines(n, m)
+            levels = n * (n - 1) // 2 + 1
+            assert levels * len(last) <= hnf._prefix_chars(n, m)
+
+    def test_bad_arguments_are_usage_errors_before_the_budget(self):
+        for n, m in ((0, 2), (-1000, 2), (3, 0)):
+            with pytest.raises(UsageError):
+                enumerate_lines(n, m)
 
 
 class TestWalk:

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import pytest
+import latcount.qcalc
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from latcount import (
     gauss_binomial,
     gauss_binomial_at,
 )
-from latcount.qcalc import MAX_QPASCAL_COEFFICIENTS
+from latcount.qcalc import MAX_QPASCAL_COEFFICIENTS, first_asymmetric_pair
 from oracles import poly_mul, q_factorial, qbinomial_by_quotient
 
 
@@ -155,6 +156,36 @@ class TestGaussBinomial:
             gauss_binomial(-1, 0)
         with pytest.raises(ValueError):
             gauss_binomial(3, -2)
+
+
+class TestSymmetrySweep:
+    def test_every_pair_up_to_the_bound_is_symmetric(self):
+        assert first_asymmetric_pair(0) is None
+        assert first_asymmetric_pair(14) is None
+
+    def test_over_its_budget_it_is_refused_before_the_first_q_binomial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(latcount.qcalc, "gauss_binomial", lambda m, k: calls.append((m, k)))
+        with pytest.raises(CapacityError) as excinfo:
+            first_asymmetric_pair(41)
+        # the rows up to m=40 hold 951,223 coefficients; the sum first passes the cap at m=41
+        assert str(excinfo.value) == (
+            "qbinomial-symmetry up to m=41 (n-max + t-order) would hold at least 1006564 "
+            "coefficients in its last q-Pascal rows, above the limit 1000000"
+        )
+        assert calls == []
+
+    def test_an_injected_fault_returns_the_first_failing_pair(self, monkeypatch):
+        real_binomial = latcount.qcalc.gauss_binomial
+
+        def skewed_binomial(m, k):
+            # [6 choose 4] and [7 choose 1] come out as [m choose 0] = 1
+            return real_binomial(m, 0 if (m, k) in {(6, 4), (7, 1)} else k)
+
+        monkeypatch.setattr(latcount.qcalc, "gauss_binomial", skewed_binomial)
+        assert first_asymmetric_pair(5) is None
+        # (6, 4) is compared as its mirror (6, 2), which comes before (7, 1)
+        assert first_asymmetric_pair(9) == (6, 2)
 
 
 class TestGaussBinomialAt:

@@ -23,7 +23,13 @@ from latcount import (
     rhs_sum,
     verify_generating_identity,
 )
-from latcount.series import MAX_DIRICHLET_LIMIT, MAX_EULER_SQUARED_BITS, MAX_LHS_CELLS
+from latcount.series import (
+    MAX_DIRICHLET_CELLS,
+    MAX_DIRICHLET_LIMIT,
+    MAX_EULER_SQUARED_BITS,
+    MAX_LHS_CELLS,
+    identity_sides,
+)
 from oracles import brute_sigma, dirichlet_by_divisor_sums, poly_mul
 
 
@@ -260,6 +266,29 @@ class TestGeneratingIdentity:
             tracemalloc.stop()
         assert peak < 1 << 16
 
+    def test_identity_sides_are_the_two_sides(self):
+        for n, order in ((1, 4), (3, 5), (5, 2)):
+            assert identity_sides(n, order) == (lhs_product(n, order), rhs_sum(n, order))
+
+    def test_a_q_pascal_row_over_its_cap_is_refused_before_any_product(self, monkeypatch):
+        # (2000, 1)'s products touch 4,001,998 cells, inside their budget, so the
+        # first refusal is the rhs's second q-binomial.
+        products = []
+        multiply = TSeries.__mul__
+        monkeypatch.setattr(TSeries, "__mul__", lambda a, b: products.append(b) or multiply(a, b))
+        with pytest.raises(CapacityError) as excinfo:
+            verify_generating_identity(2000, 1)
+        assert str(excinfo.value) == (
+            "gauss_binomial(2000, 1) would hold 2001000 coefficients in its last q-Pascal row, "
+            "above the limit 1000000"
+        )
+        assert products == []
+
+    def test_bad_arguments_are_usage_errors_before_any_budget(self):
+        for n, order in ((0, 3), (-10**6, 10**6), (2, -1)):
+            with pytest.raises(UsageError):
+                identity_sides(n, order)
+
     @pytest.mark.parametrize(
         "function, args", [(rhs_sum, (3,)), (lhs_product, (3,)), (euler_factor, (2, 3))]
     )
@@ -372,6 +401,35 @@ class TestDirichletCoefficients:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+    def test_cell_budget_edges_at_n_2(self):
+        # At n = 2 the cells are the limit, so both budgets admit 2^20 and refuse 2^20 + 1.
+        assert latcount.series._dirichlet_cells(2, MAX_DIRICHLET_LIMIT) == MAX_DIRICHLET_CELLS
+        with pytest.raises(CapacityError) as excinfo:
+            dirichlet_coefficients(2, MAX_DIRICHLET_LIMIT + 1)
+        assert str(excinfo.value) == (
+            "Dirichlet coefficients up to 1048577 would need lists of 1048578 entries, "
+            "above the limit 1048576"
+        )
+
+    def test_cell_budget_edges_at_n_5(self):
+        # the last limit admitted at n = 5: 4 shifts of 2^18 cells, about 3 s
+        table = dirichlet_coefficients(5, 2**18)
+        assert table[2**18] == count_by_gruber(5, 2**18).value
+        with pytest.raises(CapacityError) as excinfo:
+            dirichlet_coefficients(5, 2**18 + 1)
+        assert str(excinfo.value) == (
+            "dirichlet_coefficients(5, 262145) would cost 1048580 cells in its convolutions, "
+            "above the limit 1048576"
+        )
+
+    def test_wide_cells_cost_more(self):
+        # (1000, 1049) is 2^20 cells of up to 10,989 bits; unweighted it ran for 42 s
+        assert latcount.series._dirichlet_cells(1000, 1049) == 1_047_951 * 22
+        with pytest.raises(CapacityError, match="would cost 23054922 cells"):
+            dirichlet_coefficients(1000, 1049)
+        assert latcount.series._dirichlet_cells(1000, 74) <= MAX_DIRICHLET_CELLS
+        assert latcount.series._dirichlet_cells(1000, 75) > MAX_DIRICHLET_CELLS
 
     def test_count_by_dirichlet(self):
         assert count_by_dirichlet(2, 6).value == 12
