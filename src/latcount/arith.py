@@ -18,8 +18,9 @@ open iterator per level and does not recurse, so the stack does not grow
 with n.
 
   * For one m, a `DivisorIndex`, made per call and filled lazily from
-    `divisors(m)`, each entry filtered from a parent's list and holding the
-    same int objects, so an entry costs one pointer per divisor.  Entries
+    `divisors(m)`, which is refused above MAX_DIVISOR_CELLS before it is
+    made, each entry filtered from a parent's list and holding the same int
+    objects, so an entry costs one pointer per divisor.  Entries
     are made in the order the tuples first need them, so for n >= 3 the
     index never holds more pointers than the tuples already emitted plus
     tau(m), and for n = 2 it holds only the divisors of m.
@@ -33,12 +34,12 @@ with n.
 from __future__ import annotations
 
 import os
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, cycle
 from math import comb, isqrt, prod
 from typing import Iterator
 
-from .core import CapacityError, UsageError, check_args, check_at_least, walk
+from .core import CapacityError, UsageError, check_args, check_at_least, check_budget, walk
 
 DEFAULT_TRIAL_DIVISION_BOUND = 10**7
 
@@ -184,25 +185,40 @@ def ordered_factorization_count(m: int, n: int) -> int:
     return prod(comb(e + n - 1, n - 1) for _, e in factorize(m))
 
 
+# The most cells the divisor list of one m may cost, each divisor counted
+# 1 + b // 512 times, b being the bits of m: about 40 bytes a cell, and the
+# last admitted lists peak at 5-7 MB under tracemalloc.  It admits every m
+# below 10^18 (tau(m) <= 103,680 there) and 2^8190, and refuses 2^8191,
+# 10^5000 and 2^99999, whose 10^5 divisors alone would hold about 0.7 GB.
+MAX_DIVISOR_CELLS = 2**17
+
+
 class DivisorIndex(dict):
     """Each divisor q of m mapped to q's own divisors, in increasing order.
 
-    Only m's list is made up front, by `divisors(m)`.  Any other entry is
-    made on first use, by filtering the list of a parent q*p, where p is a
-    prime of m and q*p divides m; a missing parent is filled the same way
-    first, by a loop, so no chain of parents deepens the Python stack.
-    Every list holds the int objects of `divisors(m)`, so an entry costs one
-    pointer per divisor, and the index never outgrows sum over d | m of
-    tau(d) pointers.  It is kept by no one past the call that made it.
+    Only m's list is made up front, by `divisors(m)`, after its cost is
+    predicted from the factorization: tau(m) = prod (r + 1) divisors, each
+    counted 1 + b // 512 times, b being the bits of m.  Above
+    MAX_DIVISOR_CELLS that raises CapacityError before the list is made.
+    Any other entry is made on first use, by filtering the list of a parent
+    q*p, where p is a prime of m and q*p divides m; a missing parent is
+    filled the same way first, by a loop, so no chain of parents deepens the
+    Python stack.  Every list holds the int objects of `divisors(m)`, so an
+    entry costs one pointer per divisor, and the index never outgrows sum
+    over d | m of tau(d) pointers.  It is kept by no one past the call that
+    made it.
     """
 
     def __init__(self, m: int):
+        factors = factorize(m)
+        tau = prod(e + 1 for _, e in factors)
+        bits = m.bit_length()
+        # The message leaves m out: it may have more digits than str() allows.
+        work = f"listing the {tau} divisors of an m of {bits} bits would cost {{}} cells"
+        check_budget(tau * (1 + bits // 512), MAX_DIVISOR_CELLS, work)
         super().__init__({m: divisors(m)})
         self.m = m
-
-    @cached_property
-    def _primes(self) -> list[int]:
-        return [p for p, _ in factorize(self.m)]
+        self._primes = [p for p, _ in factors]
 
     def __missing__(self, q: int) -> list[int]:
         if q < 1 or self.m % q:

@@ -37,8 +37,10 @@ class CapacityError(RuntimeError):
     (MAX_LHS_CELLS), the Dirichlet limit (MAX_DIRICHLET_LIMIT) and
     convolution cells (MAX_DIRICHLET_CELLS), the squared bits of an Euler
     factor (MAX_EULER_SQUARED_BITS), the q-Pascal rows of the symmetry sweep
-    `first_asymmetric_pair`, and the text prefixes of `enumerate_lines`
-    (MAX_PREFIX_CHARS).  Besides those, it is raised when trial
+    `first_asymmetric_pair`, the text prefixes of `enumerate_lines`
+    (MAX_PREFIX_CHARS) and its m's digits (sys.get_int_max_str_digits()),
+    and the divisor list of a `DivisorIndex` (MAX_DIVISOR_CELLS).  Besides
+    those, it is raised when trial
     division would have to search past its bound, and when an enumeration
     would yield, or has yielded, more matrices than its cap.  Never raised
     for malformed input; those get UsageError.

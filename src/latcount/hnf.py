@@ -29,6 +29,7 @@ further line costs one concatenation.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain, islice, repeat
 from math import prod
 from operator import attrgetter
@@ -181,22 +182,38 @@ def enumerate_hnf(n: int, m: int) -> Iterator[HnfMatrix]:
     return map(HnfMatrix._trusted, repeat(n), _stream(n, m, (), _row_levels))
 
 
+def _digits(m: int) -> int:
+    """A bound on the decimal digits of m >= 1, from its bits alone: log10(2) < 0.30103."""
+    return m.bit_length() * 30103 // 100000 + 1
+
+
 def _prefix_chars(n: int, m: int) -> int:
     """A bound on the characters enumerate_lines(n, m)'s prefixes hold at once."""
     # One prefix per level, n(n-1)/2 + 1 of them, each at most a whole line:
     # n^2 entries, none above m, each with its separator.
-    return (n * (n - 1) // 2 + 1) * n * n * (len(str(m)) + 1)
+    return (n * (n - 1) // 2 + 1) * n * n * (_digits(m) + 1)
 
 
 def enumerate_lines(n: int, m: int) -> Iterator[str]:
     """Yield ``mx.to_line()`` for each ``mx`` of ``enumerate_hnf(n, m)``, in the same order.
 
     The lines are built as text straight from the walk, with no matrix
-    in between, and the stream is as lazy as ``enumerate_hnf``.  Its
-    prefixes, predicted at (n(n-1)/2 + 1) n^2 (digits of m + 1) characters,
-    above MAX_PREFIX_CHARS raise CapacityError when this is called.
+    in between, and the stream is as lazy as ``enumerate_hnf``.  When this
+    is called it raises CapacityError if m may have more digits than
+    ``sys.get_int_max_str_digits()`` lets an int be written in (unless that
+    limit is 0, as the CLI sets it), and if its prefixes, predicted at
+    (n(n-1)/2 + 1) n^2 (digits of m + 1) characters, are above
+    MAX_PREFIX_CHARS.  Every entry is at most m, so no line then passes the
+    digit limit.
     """
     check_args(n, m)
+    # An interpreter without the limit reads as 0 through int(), as a lifted limit does.
+    max_digits = getattr(sys, "get_int_max_str_digits", int)()
+    if max_digits:
+        # The message leaves m out, since str(m) is what would fail.
+        bits = m.bit_length()
+        work = f"enumerate_lines({n}, m) would write an m of {bits} bits in up to {{}} digits"
+        check_budget(_digits(m), max_digits, work)
     work = f"enumerate_lines({n}, {m}) would hold up to {{}} characters in its prefixes"
     check_budget(_prefix_chars(n, m), MAX_PREFIX_CHARS, work)
     return _stream(n, m, "", _text_levels)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import repeat
-from operator import add, eq
+from math import isqrt
+from operator import add, eq, mul
 from typing import Sequence
 
 from .arith import is_prime
@@ -234,10 +235,11 @@ MAX_DIRICHLET_LIMIT = 2**20
 
 # The most cells the convolutions may cost: time, where the limit above is
 # memory.  Each of the n - 1 shifts touches limit cells, and a cell's
-# operands grow with n: on a 2-vCPU VM a cell took about 2 us up to n = 30,
-# 3.2 us at n = 100 and 28 us at n = 1000, so (1000, 1049) ran for 42 s.  So
-# a cell of b bits costs 1 + b // 512, b being the bits of limit^(n-1).  The
-# last limit admitted at each n from 2 to 3000 took 0.6-4 s, (2, 2^20) the longest.
+# operands grow with n: on a 2-vCPU VM a cell took 1.4-2.6 us up to n = 30,
+# 3 us at n = 100, and at n = 1000 14 us at limit 74 and 65 us at limit 1049,
+# so (1000, 1049) ran for 68 s.  So a cell of b bits costs 1 + b // 512, b
+# being the bits of limit^(n-1).  The last limit admitted at 16 values of n
+# from 2 to 3000 took 1.1-3.2 s, (30, 36157) the longest.
 MAX_DIRICHLET_CELLS = 2**20
 
 
@@ -245,6 +247,22 @@ def _dirichlet_cells(n: int, limit: int) -> int:
     """dirichlet_coefficients(n, limit)'s cost: limit cells a shift, each 1 + b // 512."""
     cells = (n - 1) * limit
     return cells * (1 + (n - 1) * limit.bit_length() // 512)
+
+
+# Each slice update covers at most this many entries, so that its
+# temporaries stay a few kB whatever the limit.
+_RUN = 1024
+
+
+def _add_scaled(
+    values: list[int], c: int, source: list[int], start: int, stop: int, scale: int
+) -> None:
+    """values[c*k] += source[k] * scale for start <= k < stop, in slice updates of _RUN entries."""
+    scale = repeat(scale)
+    for a in range(start, stop, _RUN):
+        b = min(a + _RUN, stop)
+        targets = slice(c * a, c * b, c)
+        values[targets] = map(add, values[targets], map(mul, source[a:b], scale))
 
 
 def dirichlet_coefficients(n: int, limit: int) -> list[int]:
@@ -255,13 +273,23 @@ def dirichlet_coefficients(n: int, limit: int) -> list[int]:
 
         a_i(x) = sum over d | x of a_{i-1}(d) * (x/d)^i.
 
-    The term d = x, with (x/d)^i = 1, is the entry already there.  Every other
-    divisor d <= limit/2 adds a_{i-1}(d) * q^i into entry d*q for q >= 2,
-    largest d first, with q^i read from a list of powers up to limit/2; d = 1
-    comes last and adds x^i to every x >= 2.  Entry m of the returned list is
-    the sublattice count f_n(m); entry 0 is 0.  Each shift is O(M log M).
-    A limit above MAX_DIRICHLET_LIMIT, or a cost above MAX_DIRICHLET_CELLS,
-    raises CapacityError before anything is allocated.
+    The term d = x, with (x/d)^i = 1, is the entry already there.  Every
+    other divisor d <= limit/2 adds a_{i-1}(d) * q^i into entry d*q for
+    q >= 2, as slice updates split at r = isqrt(limit).  Each d must be read
+    before anything writes to it, and every write lands on entries already
+    read:
+
+      * d > r in blocks lo < d <= hi < 2(lo + 1), highest block first: each
+        q >= 2 adds q^i times the block's run of a(d) into entries q*d, which
+        lie above hi;
+      * d = r down to 2: each adds a(d) times the run of q^i into entries
+        d*q, which lie above d;
+      * d = 1 last, adding x^i to every x >= 2.
+
+    Entry m of the returned list is the sublattice count f_n(m); entry 0
+    is 0.  Each shift is O(M log M), and besides the result holds the powers
+    q^i up to limit/2.  A limit above MAX_DIRICHLET_LIMIT, or a cost above
+    MAX_DIRICHLET_CELLS, raises CapacityError before anything is allocated.
     """
     check_args(n, limit)
     work = f"Dirichlet coefficients up to {limit} would need lists of {limit + 1} entries"
@@ -270,18 +298,24 @@ def dirichlet_coefficients(n: int, limit: int) -> list[int]:
     check_budget(_dirichlet_cells(n, limit), MAX_DIRICHLET_CELLS, work)
     values = [1] * (limit + 1)
     values[0] = 0
-    half = limit // 2
+    root = isqrt(limit)
     for i in range(1, n):
-        powers = [q**i for q in range(half + 1)]
-        # Exact in place: writes from d land above d, and d is read before any smaller d' writes.
-        for d in range(half, 1, -1):
-            a = values[d]
-            q = 2
-            for x in range(2 * d, limit + 1, d):
-                values[x] += a * powers[q]
-                q += 1
-        for x in range(2, limit + 1):
-            values[x] += x**i
+        powers = [q**i for q in range(limit // 2 + 1)]
+        # d > root: a block's writes, at 2(lo + 1) or above, land past hi
+        hi = limit // 2
+        while hi > root:
+            lo = max(hi // 2, root)
+            for q in range(2, limit // (lo + 1) + 1):
+                _add_scaled(values, q, values, lo + 1, min(hi, limit // q) + 1, powers[q])
+            hi = lo
+        # d <= root: each d's writes land above d
+        for d in range(root, 1, -1):
+            _add_scaled(values, d, powers, 2, limit // d + 1, values[d])
+        # d = 1
+        exponent = repeat(i)
+        for a in range(2, limit + 1, _RUN):
+            b = min(a + _RUN, limit + 1)
+            values[a:b] = map(add, values[a:b], map(pow, range(a, b), exponent))
     return values
 
 

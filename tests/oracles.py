@@ -53,6 +53,30 @@ def dirichlet_by_divisor_sums(n, limit):
     return values
 
 
+def dirichlet_by_descending_divisors(n, limit):
+    """Coefficients of zeta(s) ... zeta(s-n+1) up to limit, one cell at a time, entry 0 is 0.
+
+    For each shift i, every divisor d <= limit/2, largest first, adds
+    a_{i-1}(d) * q^i into entry d*q for q >= 2; each d is read before any
+    smaller d writes, and every write lands above d.  Then d = 1 adds x^i
+    to every x >= 2.
+    """
+    values = [1] * (limit + 1)
+    values[0] = 0
+    half = limit // 2
+    for i in range(1, n):
+        powers = [q**i for q in range(half + 1)]
+        for d in range(half, 1, -1):
+            a = values[d]
+            q = 2
+            for x in range(2 * d, limit + 1, d):
+                values[x] += a * powers[q]
+                q += 1
+        for x in range(2, limit + 1):
+            values[x] += x**i
+    return values
+
+
 def brute_ordered_factorizations(m, n):
     """All n-tuples with product m, by recursive divisor scan; sorted."""
     if n == 1:

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 import latcount.arith
 from latcount import (
     CapacityError,
+    count_by_factorization_sum,
+    count_by_recursion,
     divisors,
+    enumerate_hnf,
     factorize,
     is_prime,
     ordered_factorization_count,
@@ -268,6 +271,51 @@ class TestDivisorIndex:
             if n == 2:
                 assert len(made[-1]) == 1
 
+
+class TestDivisorBudget:
+    # m's divisors cost tau(m) cells each 1 + b // 512, b the bits of m; below 2^512, tau(m).
+    PRIMORIAL_59 = math.prod(sieve_primes(59))  # 17 primes, so tau = 2^17, the limit
+
+    def test_the_last_admitted_lists_stay_under_8_mb(self):
+        # 897612484786617600 has 103,680 divisors, the most of any m below 10^18
+        for m, tau in ((self.PRIMORIAL_59, 2**17), (2**8190, 8191), (897612484786617600, 103_680)):
+            tracemalloc.start()
+            try:
+                index = DivisorIndex(m)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(index[m]) == tau
+            assert peak < 8 * 2**20, (m, peak)
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (PRIMORIAL_59 * 61, "listing the 262144 divisors of an m of 77 bits would cost 262144"),
+            (2**8191, "listing the 8192 divisors of an m of 8192 bits would cost 139264"),
+            (10**5000, "listing the 25010001 divisors of an m of 16610 bits would cost 825330033"),
+        ],
+        ids=["primorial-61", "2^8191", "10^5000"],
+    )
+    def test_the_first_refused_make_no_list(self, m, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as excinfo:
+                DivisorIndex(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == f"{message} cells, above the limit 131072"
+        assert peak < 2**20
+
+    def test_a_stream_is_refused_at_its_first_item(self):
+        # 10^5000 factors at once, but its 25,010,001 divisors would take gigabytes to list
+        for stream in (ordered_factorizations(10**5000, 2), enumerate_hnf(2, 10**5000)):
+            with pytest.raises(CapacityError, match="^listing the 25010001 divisors"):
+                next(stream)
+        for count in (count_by_factorization_sum, count_by_recursion):
+            with pytest.raises(CapacityError, match="^listing the 25010001 divisors"):
+                count(3, 10**5000)
 
 class TestDivisorTable:
     def test_entries_are_the_divisor_lists_to_five_thousand(self):

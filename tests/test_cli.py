@@ -356,6 +356,26 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == "error: internal: ValueError: count must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--n", "2", "--limit", "1"),
+            ("count", "--n", "2", "--method", "factorization-sum"),
+            ("count", "--n", "3", "--method", "recursion"),
+            ("count", "--n", "2", "--all"),
+        ],
+        ids=["enumerate", "factorization-sum", "recursion", "all"],
+    )
+    def test_an_m_with_too_many_divisors_exits_3_before_output(self, argv):
+        # 10^5000 factors at once, but its 5001^2 divisors would take gigabytes to list
+        proc = run_cli(*argv, "--m", "1" + "0" * 5000, timeout=30)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: listing the 25010001 divisors of an m of 16610 bits would cost 825330033 "
+            "cells, above the limit 131072\n"
+        )
+
     # TestCount::test_non_integer_bound_names_the_variable and
     # TestEulerFactor::test_non_prime_exits_2 cover the other two UsageError sites.
     def test_bound_below_two_exits_2(self):
@@ -516,6 +536,19 @@ class TestEnumerate:
             f"error: enumerate_lines({n}, 2) would hold up to {predicted} characters in its "
             "prefixes, above the limit 100000000\n"
         )
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+    def test_an_m_past_4300_digits_is_written_in_full(self):
+        # main lifts Python's int-to-str limit, so enumerate_lines does not check it
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            m = str(11**4200)  # 4374 digits and 4201 divisors
+        finally:
+            sys.set_int_max_str_digits(saved)
+        proc = run_cli("enumerate", "--n", "2", "--m", m, "--limit", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"1,0;0,{m}", "count: 1"]
 
     def test_last_admitted_prefixes_peak_near_100_mb(self):
         # --n 100 peaked at 81 MB max RSS, --n 101 would at 83 MB and --n 140 at 260 MB.

@@ -93,7 +93,7 @@ def test_cli_imports_no_private_name_from_the_package():
 # Each function named here may reference none of the names beside it.
 FORBIDDEN_NAMES = {
     "series": (
-        ("dirichlet_coefficients", "count_by_dirichlet"),
+        ("dirichlet_coefficients", "_add_scaled", "count_by_dirichlet"),
         {"factorize", "divisors", "DivisorIndex", "_divisor_table", "ordered_factorizations"},
     ),
     "count": (

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 import tracemalloc
 from itertools import groupby, islice, product
 
@@ -239,6 +240,47 @@ class TestPrefixBudget:
             with pytest.raises(UsageError):
                 enumerate_lines(n, m)
 
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+class TestDigitBudget:
+    # Python refuses str() of an int of more than sys.get_int_max_str_digits() digits,
+    # 4300 by default; the bound from m's bits may overcount by one, never undercount.
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        # cli.main, which some tests call in this process, lifts the limit
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    def test_digits_bound_the_decimal_length(self):
+        for m in [*range(1, 2000), *(10**k + e for k in range(1, 60) for e in (-1, 0, 1))]:
+            assert len(str(m)) <= hnf._digits(m) <= len(str(m)) + 1, m
+
+    def test_m_of_4300_digits_is_admitted_and_4301_refused_when_called(self):
+        assert sys.get_int_max_str_digits() == 4300
+        for m in (10**4299, 2**14284 - 1):
+            assert hnf._digits(m) <= 4300
+            enumerate_lines(2, m)
+        for m, bits in ((2**14284, 14285), (10**4300, 14285), (10**5000, 16610)):
+            with pytest.raises(CapacityError) as excinfo:
+                enumerate_lines(2, m)
+            assert str(excinfo.value) == (
+                f"enumerate_lines(2, m) would write an m of {bits} bits in up to "
+                f"{hnf._digits(m)} digits, above the limit 4300"
+            )
+
+    def test_a_line_of_4298_digits_is_written(self):
+        m = 11**4127  # 4298 digits and 4128 divisors
+        assert next(enumerate_lines(2, m)) == f"1,0;0,{m}"
+
+    def test_a_lifted_or_missing_limit_is_not_checked(self, monkeypatch):
+        # as under the CLI, which lifts the limit, and on an interpreter without one
+        assert hnf._prefix_chars(2, 10**5000) == 2 * 4 * 5002
+        sys.set_int_max_str_digits(0)
+        enumerate_lines(2, 10**5000)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        enumerate_lines(2, 10**5000)
 
 class TestWalk:
     def test_a_chain_deeper_than_the_stack_yields_its_leaf(self):

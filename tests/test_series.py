@@ -30,7 +30,12 @@ from latcount.series import (
     MAX_LHS_CELLS,
     identity_sides,
 )
-from oracles import brute_sigma, dirichlet_by_divisor_sums, poly_mul
+from oracles import (
+    brute_sigma,
+    dirichlet_by_descending_divisors,
+    dirichlet_by_divisor_sums,
+    poly_mul,
+)
 
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
@@ -378,6 +383,26 @@ class TestDirichletCoefficients:
             for limit in range(1, 61):
                 assert dirichlet_coefficients(n, limit) == expected[: limit + 1], (n, limit)
 
+    def test_equals_the_descending_loop_at_every_limit_to_300(self):
+        for n in range(1, 7):
+            expected = dirichlet_by_descending_divisors(n, 300)
+            for limit in range(1, 301):
+                assert dirichlet_coefficients(n, limit) == expected[: limit + 1], (n, limit)
+
+    def test_equals_the_descending_loop_at_the_split_and_run_edges(self):
+        # The split at r = isqrt(limit), the dyadic blocks above it, and the
+        # cut of each slice update into runs; the first block run longer than
+        # one run comes just past limit 4 * run.
+        run = latcount.series._RUN
+        limits = {r * r + e for r in (2, 3, 10, 31, 32, 45, 70) for e in (-1, 0, 1)}
+        limits |= {2**k + e for k in range(2, 13) for e in (-1, 1)}
+        limits |= {j * run + e for j in range(1, 5) for e in (-1, 1)}
+        limits |= {4 * run + e for e in range(2, 9)} | {5000}
+        for n in range(1, 7):
+            expected = dirichlet_by_descending_divisors(n, max(limits))
+            for limit in sorted(limits):
+                assert dirichlet_coefficients(n, limit) == expected[: limit + 1], (n, limit)
+
     def test_peak_memory_is_one_list_and_the_powers_to_half_the_limit(self):
         # One list of 2 * 10^4 ints and the powers to 10^4 peak at 1.6 MB; three lists, 2.4 MB.
         tracemalloc.start()
@@ -441,3 +466,9 @@ class TestDirichletCoefficients:
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=120))
 def test_dirichlet_matches_gruber_property(n, m):
     assert count_by_dirichlet(n, m).value == count_by_gruber(n, m).value
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3000))
+def test_dirichlet_equals_the_descending_loop_property(n, limit):
+    assert dirichlet_coefficients(n, limit) == dirichlet_by_descending_divisors(n, limit)
