@@ -7,10 +7,10 @@ coprime to 30, 8 in every 30.  Inputs whose unfactored part has no prime
 factor below the trial-division bound are rejected loudly (CapacityError)
 instead of silently falling back to slower machinery.
 
-Ordered factorizations, and the factorization sum and the recursion in
-`latcount.count`, walk the divisor lattice of m and read it from an index:
+Ordered factorizations, the factorization sum and a single recursion count
+in `latcount.count` walk the divisor lattice of m and read it from an index:
 index[q] is q's sorted divisors, for every divisor q of m.  Two kinds of
-index back the counts, and each count's body is the same for both.
+index back the factorization sum, and its body is the same for both.
 `ordered_factorizations` yields the leaves of one `latcount.core.walk`: a
 node is a prefix of parts and the quotient it leaves, and the last level
 adds every (divisor, cofactor) pair of the quotient.  The walk holds one
@@ -24,11 +24,13 @@ with n.
     are made in the order the tuples first need them, so for n >= 3 the
     index never holds more pointers than the tuples already emitted plus
     tau(m), and for n = 2 it holds only the divisors of m.
-  * For a sweep over m = 1 .. M (`latcount.count.count_table`), one divisor
-    table: a list whose entry q is q's divisors, made by a sieve with no
-    trial division.  It holds sum over q <= M of tau(q) pointers, which
-    `_divisor_table_size` predicts exactly in O(sqrt M) before the table is
-    made, so that a sweep over budget can make a `DivisorIndex` per m instead.
+  * For a factorization-sum sweep over m = 1 .. M
+    (`latcount.count.count_table`), one divisor table: a list whose entry q
+    is q's divisors, made by a sieve with no trial division.  It holds sum
+    over q <= M of tau(q) pointers, which `_divisor_table_size` predicts
+    exactly in O(sqrt M) before the table is made, so that a sweep over
+    budget can make a `DivisorIndex` per m instead.  The recursion's sweep
+    reads no index: it pushes each d's term into d's multiples.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from math import comb, isqrt, prod
 from typing import Iterator
 
 from .core import CapacityError, UsageError, check_args, check_at_least, check_budget, walk
+from .core import int_text
 
 DEFAULT_TRIAL_DIVISION_BOUND = 10**7
 
@@ -88,7 +91,7 @@ def _least_factor(x: int, candidates: Iterator[int], limit: int) -> int:
         if x % d == 0:
             return d
     if d <= root:
-        raise CapacityError(f"no prime factor of {x} below trial-division bound {limit}")
+        raise CapacityError(f"no prime factor of {int_text(x)} below trial-division bound {limit}")
     return x
 
 
@@ -114,7 +117,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     try:
         return _factorize(m, trial_division_bound())
     except CapacityError as exc:
-        raise CapacityError(f"cannot factor {m}: {exc}") from None
+        raise CapacityError(f"cannot factor {int_text(m)}: {exc}") from None
 
 
 # One command may factor the same m several times: enumerate, for instance,
@@ -129,10 +132,16 @@ def _factorize(m: int, limit: int) -> tuple[tuple[int, int], ...]:
     candidates = _trial_divisors()
     while remaining > 1:
         p = _least_factor(remaining, candidates, limit)
+        # Divide by p, p^2, p^4, ... while each divides, then start again
+        # from p with what is left: O(log(e)^2) divisions, where one power at
+        # a time makes e, and for a small e hardly more than that.
         e = 0
         while remaining % p == 0:
-            remaining //= p
-            e += 1
+            power, k = p, 1
+            while remaining % power == 0:
+                remaining //= power
+                e += k
+                power, k = power * power, 2 * k
         factors.append((p, e))
     return tuple(factors)
 

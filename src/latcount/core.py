@@ -93,6 +93,18 @@ def check_args(n: int, m: int | None = None) -> None:
         check_at_least(m, 1, "index m")
 
 
+def int_text(x: int) -> str:
+    """x in decimal, or its size in bits if it has more digits than str() may write.
+
+    A message that names a number the caller passed, or one derived from it,
+    writes it through this, so that the message itself never raises.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        return f"a number of {x.bit_length()} bits"
+
+
 def check_budget(predicted: int, limit: int, work: str) -> None:
     """Refuse work predicted above its limit with a CapacityError, before any of it is done.
 

@@ -14,17 +14,18 @@ All four methods compute the same multiplicative function:
 They are provably equal, so `check_agreement` treats any disagreement as
 an internal bug and raises DiscrepancyError.
 
-Each method has one body, which a single count, `count_table` and
-`count_all_methods` all reach.  Factorization-sum takes the divisor lattice
-as an argument: a `DivisorIndex` of m for one count or an over-budget sweep,
-one divisor table for any other sweep.  It walks the tuples in one loop over
-a list of pending prefixes, at most (n - 2) * tau(m) of them for n >= 3, so
-no call depth grows with n, and still adds every tuple on its own.  The
-recursion fills one level at a time over a set of nodes closed under
-divisors, each node with its own divisor list: the divisors of m, from a
-`DivisorIndex`, for one count or an over-budget sweep; every m <= max_m,
-from one divisor table, for any other sweep, which frees the table before
-its first result.  One rule, `left_out_methods`, decides
+Each method but the recursion has one body, which a single count,
+`count_table` and `count_all_methods` all reach.  Factorization-sum takes the
+divisor lattice as an argument: a `DivisorIndex` of m for one count or an
+over-budget sweep, one divisor table for any other sweep.  It walks the
+tuples in one loop over a list of pending prefixes, at most (n - 2) * tau(m)
+of them for n >= 3, so no call depth grows with n, and still adds every
+tuple on its own.  The recursion has two loops over the same recurrence,
+which cross-check each other.  A single count fills one level at a time over
+the divisors of m, each reading its own divisor list from a `DivisorIndex`.
+A sweep turns each level round: every d adds d * f_(k-1)(d) into its
+multiples as one slice update, so it reads no divisor list, and neither
+`factorize` nor the divisor table.  One rule, `left_out_methods`, decides
 which methods `count_all_methods` skips, and the same rule refuses an
 over-cap enumeration.
 """
@@ -37,6 +38,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .arith import DivisorIndex, _divisor_table, _divisor_table_size, factorize
 from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method, check_args
+from .core import int_text
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
 from .series import MAX_DIRICHLET_CELLS, MAX_DIRICHLET_LIMIT, _dirichlet_cells
 from .series import count_by_dirichlet, dirichlet_coefficients
@@ -116,21 +118,27 @@ def count_by_recursion(n: int, m: int) -> CountResult:
 
 
 def _recursion_table(n: int, max_m: int) -> Iterator[CountResult]:
-    """count_by_recursion for every m <= max_m, from one pass per level over a divisor table.
+    """count_by_recursion for every m <= max_m, each level pushed into the multiples.
 
-    Every value is made, and the table dropped, before this returns.  A
-    result's divisor_visits is (n - 1) * tau(m): the divisors its own node
-    reads over the n - 1 levels.
+    Level k starts from d * f_(k-1)(d) at every d and then, for d from
+    max_m / 2 down to 1, adds entry d into every proper multiple of d, so
+    that entry m ends as the sum over d | m of d * f_(k-1)(d).  Entry d is
+    read before any of its own divisors write to it.  No divisor list is
+    made, and every value is made before this returns.  A result's
+    divisor_visits is (n - 1) * tau(m), the visits the single count's
+    levels make, counted by one more pass that pushes n - 1 the same way.
     """
-    # Less the table's empty entry 0, so that entry m - 1 is the divisors of m.
-    sub_divisors = _divisor_table(max_m)[1:]
-    # Each entry ends with the table's own int object for m, so no level makes new keys.
-    nodes = [sub[-1] for sub in sub_divisors]
-    values = _recursion_levels(n, nodes, sub_divisors)
-    visits = [(n - 1) * len(sub) for sub in sub_divisors]
+    values = [0] + [1] * max_m
+    for _ in range(n - 1):
+        values = list(map(mul, range(max_m + 1), values))
+        for d in range(max_m // 2, 0, -1):
+            values[2 * d :: d] = map(values[d].__add__, values[2 * d :: d])
+    visits = [n - 1] * (max_m + 1)
+    for d in range(max_m // 2, 0, -1):
+        visits[2 * d :: d] = map(visits[d].__add__, visits[2 * d :: d])
     return (
         CountResult(value, Method.RECURSION, work_stats={"divisor_visits": count})
-        for value, count in zip(values.values(), visits)
+        for value, count in zip(values[1:], visits[1:])
     )
 
 
@@ -201,7 +209,7 @@ def check_enumeration_size(n: int, m: int, advice: str = "") -> None:
         reason = left_out_methods(n, m, count_by_gruber(n, m).value).get(Method.HNF)
         if reason:
             raise CapacityError(
-                f"enumeration of (n={n}, m={m}) {reason.removeprefix('it ')}{advice}"
+                f"enumeration of (n={n}, m={int_text(m)}) {reason.removeprefix('it ')}{advice}"
             )
 
 
@@ -213,12 +221,9 @@ _DISPATCH = {
     Method.HNF: count_by_enumeration,
 }
 
-# The two methods whose sweeps read one divisor table.
-_TABLE_SWEEPS = (Method.FACTORIZATION_SUM, Method.RECURSION)
-
-# A sweep's divisor table holds sum over m <= max_m of tau(m) pointers.  Above
-# this many (max_m of about 8.7 * 10**4, about 17 MB), count_table runs a
-# single count, with its own DivisorIndex, per m instead.
+# A factorization-sum sweep's divisor table holds sum over m <= max_m of tau(m)
+# pointers.  Above this many (max_m of about 8.7 * 10**4, about 17 MB),
+# count_table runs a single count, with its own DivisorIndex, per m instead.
 MAX_DIVISOR_TABLE_POINTERS = 10**6
 
 # Every method but enumeration, whose work is the count itself.
@@ -237,15 +242,15 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
     """The results of one method for m = 1 .. max_m, in order of m.
 
     Dirichlet fills the whole table from one convolution pass before this
-    returns, and so does the recursion, one pass per level over every m,
-    reading one divisor table that it frees before its first result; each
-    result's divisor_visits is then (n - 1) * tau(m), the visits the sweep
-    makes for that m.  Factorization-sum runs the body of a single count once
-    per m, as the results are consumed, with every m's divisor lists read from
-    one divisor table, made before this returns and held by the iterator.
-    Above MAX_DIVISOR_TABLE_POINTERS pointers no table is made, and both
-    run a single count per m, each with its own DivisorIndex.  Every other
-    method runs once per m, as the results are consumed.
+    returns, and so does the recursion, one pass per level that pushes each
+    d's term into its multiples, with no divisor list; each result's
+    divisor_visits is (n - 1) * tau(m), as its single count reports.
+    Factorization-sum runs the body of a single count once per m, as the
+    results are consumed, with every m's divisor lists read from one divisor
+    table, made before this returns and held by the iterator.  Above
+    MAX_DIVISOR_TABLE_POINTERS pointers no table is made, and it runs a
+    single count per m, each with its own DivisorIndex.  Every other method
+    runs once per m, as the results are consumed.
     Enumeration first checks every m's count against the default cap, so an
     over-cap m is refused before the first matrix of any.
     """
@@ -254,11 +259,12 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
     ms = range(1, max_m + 1)
     if method is Method.DIRICHLET:
         return (CountResult(value, method) for value in dirichlet_coefficients(n, max_m)[1:])
-    if method in _TABLE_SWEEPS and _divisor_table_size(max_m) <= MAX_DIVISOR_TABLE_POINTERS:
-        if method is Method.RECURSION:
-            return _recursion_table(n, max_m)
-        table = _divisor_table(max_m)
-        return (_factorization_sum(n, m, table) for m in ms)
+    if method is Method.RECURSION:
+        return _recursion_table(n, max_m)
+    if method is Method.FACTORIZATION_SUM:
+        if _divisor_table_size(max_m) <= MAX_DIVISOR_TABLE_POINTERS:
+            table = _divisor_table(max_m)
+            return (_factorization_sum(n, m, table) for m in ms)
     if method is Method.HNF:
         for m in ms:
             check_enumeration_size(n, m)
@@ -283,7 +289,7 @@ def left_out_methods(n: int, m: int, count: int) -> dict[Method, str]:
     left_out = {}
     cells = _dirichlet_cells(n, m)
     if m > MAX_DIRICHLET_LIMIT:
-        left_out[Method.DIRICHLET] = f"m={m} is above its limit {MAX_DIRICHLET_LIMIT}"
+        left_out[Method.DIRICHLET] = f"m={int_text(m)} is above its limit {MAX_DIRICHLET_LIMIT}"
     elif cells > MAX_DIRICHLET_CELLS:
         left_out[Method.DIRICHLET] = (
             f"it would cost {cells} cells in its convolutions, "
@@ -291,7 +297,8 @@ def left_out_methods(n: int, m: int, count: int) -> dict[Method, str]:
         )
     if count > DEFAULT_ENUMERATION_CAP:
         left_out[Method.HNF] = (
-            f"it would emit {count} matrices, above the default cap {DEFAULT_ENUMERATION_CAP}"
+            f"it would emit {int_text(count)} matrices, "
+            f"above the default cap {DEFAULT_ENUMERATION_CAP}"
         )
     return left_out
 

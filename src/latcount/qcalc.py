@@ -126,13 +126,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def evaluate(self, q0: int) -> int:
-        """Exact value at q = q0, by Horner's rule."""
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * q0 + c
-        return acc
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPolynomial):
             return NotImplemented

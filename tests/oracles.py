@@ -105,6 +105,14 @@ def brute_factorization(m):
     return tuple(factors)
 
 
+def poly_value(coefficients, x):
+    """The polynomial with these coefficients, lowest degree first, at x, by Horner's rule."""
+    value = 0
+    for c in reversed(coefficients):
+        value = value * x + c
+    return value
+
+
 def poly_mul(a, b):
     """Schoolbook product of dense coefficient lists."""
     if not a or not b:

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from itertools import islice
 
@@ -89,6 +90,24 @@ class TestFactorize:
         primes = [p for p, _ in fact]
         assert primes == sorted(set(primes))
         assert all(e >= 1 for _, e in fact)
+
+    @given(
+        st.integers(min_value=1, max_value=10**4),
+        st.sampled_from([2, 3, 7, 9973]),
+        st.integers(min_value=0, max_value=600),
+    )
+    def test_prime_powers_match_the_brute_force(self, c, p, e):
+        # every exponent up to 600, so every way the squaring restarts from p
+        assert factorize(c * p**e) == brute_factorization(c * p**e)
+
+    def test_a_high_power_takes_a_few_divisions(self):
+        # One power at a time took about 3 s at 2^99999; dividing by squares, milliseconds.
+        latcount.arith._factorize.cache_clear()
+        start = time.perf_counter()
+        assert factorize(2**99999) == ((2, 99999),)
+        with pytest.raises(CapacityError, match="^listing the 100000 divisors"):
+            DivisorIndex(3**99999)
+        assert time.perf_counter() - start < 1
 
     def test_product_invariant_to_ten_thousand(self):
         for m in range(1, 10**4 + 1):

@@ -1,11 +1,14 @@
 import ast
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
 import latcount
-from latcount import CapacityError
-from latcount.core import check_budget
+from latcount import CapacityError, factorize, run_count
+from latcount.core import check_budget, int_text
+from oracles import sieve_primes
 
 # The only functions that may construct a CapacityError.  Every refusal of a
 # predicted size goes through check_budget; the others are trial division's
@@ -30,6 +33,48 @@ class TestCheckBudget:
             check_budget(11, 10, "f(3, 4) would hold {} coefficients in its rows")
         message = "f(3, 4) would hold 11 coefficients in its rows, above the limit 10"
         assert str(excinfo.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+class TestIntText:
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        # cli.main, which some tests call in this process, lifts the limit
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    def test_writes_what_str_can_and_the_bits_of_what_it_cannot(self):
+        assert int_text(10**4299) == str(10**4299)
+        assert int_text(10**4300) == "a number of 14285 bits"
+
+    def test_messages_about_a_huge_m_are_capacity_errors(self, monkeypatch):
+        monkeypatch.setenv("LATCOUNT_TRIAL_DIVISION_BOUND", "100")
+        m = 3**10000 * 1000003
+        with pytest.raises(CapacityError) as excinfo:
+            factorize(m)
+        assert str(excinfo.value) == (
+            f"cannot factor a number of {m.bit_length()} bits: "
+            "no prime factor of 1000003 below trial-division bound 100"
+        )
+        m = 101**2200  # 4410 digits, none of whose prime factors is below 100
+        with pytest.raises(CapacityError) as excinfo:
+            factorize(m)
+        bits = m.bit_length()
+        assert str(excinfo.value) == (
+            f"cannot factor a number of {bits} bits: "
+            f"no prime factor of a number of {bits} bits below trial-division bound 100"
+        )
+        monkeypatch.delenv("LATCOUNT_TRIAL_DIVISION_BOUND")
+        # Squarefree, so that the product formula is quick: 4724 digits, and 4725 for f_2(m).
+        m = math.prod(sieve_primes(11_000))
+        with pytest.raises(CapacityError) as excinfo:
+            run_count(2, m, "hnf")
+        assert str(excinfo.value) == (
+            "enumeration of (n=2, m=a number of 15693 bits) would emit a number of 15697 bits "
+            "matrices, above the default cap 1000000"
+        )
 
 
 class _CapacityErrorSites(ast.NodeVisitor):
@@ -90,13 +135,16 @@ def test_cli_imports_no_private_name_from_the_package():
 
 
 # The methods stay independent: plumbing may be shared, the arithmetic may not.
-# Each function named here may reference none of the names beside it.
+# Each entry names a module and functions in it that may reference none of the
+# names beside them.
 FORBIDDEN_NAMES = {
     "series": (
+        "series",
         ("dirichlet_coefficients", "_add_scaled", "count_by_dirichlet"),
         {"factorize", "divisors", "DivisorIndex", "_divisor_table", "ordered_factorizations"},
     ),
     "count": (
+        "count",
         (
             "count_by_factorization_sum",
             "_factorization_sum",
@@ -106,12 +154,18 @@ FORBIDDEN_NAMES = {
         ),
         {"dirichlet_coefficients", "count_by_dirichlet", "count_by_gruber"},
     ),
+    # The recursion sweep pushes into multiples, so it reads no divisor list at all.
+    "recursion-sweep": (
+        "count",
+        ("_recursion_table",),
+        {"_divisor_table", "_divisor_table_size", "DivisorIndex", "divisors", "factorize"},
+    ),
 }
 
 
-@pytest.mark.parametrize("module", sorted(FORBIDDEN_NAMES))
-def test_method_bodies_reference_no_other_methods_arithmetic(module):
-    functions, forbidden = FORBIDDEN_NAMES[module]
+@pytest.mark.parametrize("entry", sorted(FORBIDDEN_NAMES))
+def test_method_bodies_reference_no_other_methods_arithmetic(entry):
+    module, functions, forbidden = FORBIDDEN_NAMES[entry]
     path = Path(latcount.__file__).parent / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}

@@ -294,30 +294,37 @@ class TestRequestDispatch:
                 assert [r.method for r in table] == [Method.RECURSION] * max_m
                 assert table == [count_by_recursion(n, m) for m in range(1, max_m + 1)]
 
+    @staticmethod
+    def _forbid(monkeypatch, name):
+        def unbuilt(m):
+            raise AssertionError(f"{name}({m}) was built")
+
+        monkeypatch.setattr(latcount.count, name, unbuilt)
+
     def test_recursion_table_builds_no_divisor_index(self, monkeypatch):
         expected = [count_by_recursion(4, m) for m in range(1, 301)]
-
-        def unbuilt(m):
-            raise AssertionError(f"a DivisorIndex of {m} was built")
-
-        monkeypatch.setattr(latcount.count, "DivisorIndex", unbuilt)
+        # No budget edge either: with none left, the sweep still makes no table.
+        monkeypatch.setattr(latcount.count, "MAX_DIVISOR_TABLE_POINTERS", 0)
+        self._forbid(monkeypatch, "DivisorIndex")
+        self._forbid(monkeypatch, "_divisor_table")
         assert list(count_table(4, 300, Method.RECURSION)) == expected
 
-    def test_table_over_the_divisor_budget_counts_per_m(self, monkeypatch):
-        def unbuilt(max_m):
-            raise AssertionError(f"a divisor table up to {max_m} was built")
+    def test_recursion_table_past_the_old_divisor_budget(self):
+        # 86,764 is the first max_m whose divisor table is over budget.
+        table = list(count_table(4, 86_764, Method.RECURSION))
+        assert len(table) == 86_764
+        for m in (*range(1, 50), 720, 65_536, 83_160, 86_763, 86_764):
+            assert table[m - 1].value == count_by_gruber(4, m).value, m
+            assert table[m - 1].work_stats["divisor_visits"] == 3 * len(divisors(m)), m
 
+    def test_table_over_the_divisor_budget_counts_per_m(self, monkeypatch):
         predicted = latcount.count._divisor_table_size(300)
         monkeypatch.setattr(latcount.count, "MAX_DIVISOR_TABLE_POINTERS", predicted - 1)
-        monkeypatch.setattr(latcount.count, "_divisor_table", unbuilt)
-        for method, count in (
-            (Method.FACTORIZATION_SUM, count_by_factorization_sum),
-            (Method.RECURSION, count_by_recursion),
-        ):
-            table = list(count_table(4, 300, method))
-            expected = [count(4, m) for m in range(1, 301)]
-            assert table == expected
-            assert [r.work_stats for r in table] == [r.work_stats for r in expected]
+        self._forbid(monkeypatch, "_divisor_table")
+        table = list(count_table(4, 300, Method.FACTORIZATION_SUM))
+        expected = [count_by_factorization_sum(4, m) for m in range(1, 301)]
+        assert table == expected
+        assert [r.work_stats for r in table] == [r.work_stats for r in expected]
 
     def test_divisor_budget_admits_max_m_to_86763(self):
         budget = latcount.count.MAX_DIVISOR_TABLE_POINTERS
@@ -338,17 +345,16 @@ class TestRequestDispatch:
             tracemalloc.stop()
         return holding, left
 
-    def test_table_frees_its_divisor_table_when_exhausted(self):
+    def test_table_frees_its_divisor_table_when_exhausted(self, monkeypatch):
         # Factorization-sum reads the table as its results are read.
         holding, left = self._traced_while_read(
             lambda: count_table(1, 20_000, Method.FACTORIZATION_SUM)
         )
         assert holding > 2_000_000
         assert left < 100_000
-        # The recursion has dropped the table before its first result.
-        table, _ = self._traced_while_read(lambda: _divisor_table(20_000))
-        holding, left = self._traced_while_read(lambda: count_table(3, 20_000, Method.RECURSION))
-        assert holding < table
+        # The recursion makes no table, and holds nothing once its results are read.
+        self._forbid(monkeypatch, "_divisor_table")
+        _, left = self._traced_while_read(lambda: count_table(3, 20_000, Method.RECURSION))
         assert left < 100_000
 
     def test_table_predicts_each_enumeration_once(self, monkeypatch):
