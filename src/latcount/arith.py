@@ -1,9 +1,12 @@
 """Exact integer arithmetic: factorization and divisor/tuple enumeration.
 
 Everything here is deterministic trial division over Python's native
-arbitrary-precision integers, done by one loop (`_least_factor`) that both
-`is_prime` and `factorize` call; past 2, 3 and 5 it tries only the integers
-coprime to 30, 8 in every 30.  Inputs whose unfactored part has no prime
+arbitrary-precision integers, done by one loop (`_least_factor`) that
+`is_prime`, `factorize` and `_least_prime` call; past 2, 3 and 5 it tries
+only the integers coprime to 30, 8 in every 30.  `_least_prime` serves the
+Gruber sweep of `latcount.count.count_table`, which needs only each m's
+least prime, under a bound it reads once; its refusal names m as
+`factorize`'s does.  Inputs whose unfactored part has no prime
 factor below the trial-division bound are rejected loudly (CapacityError)
 instead of silently falling back to slower machinery.
 
@@ -116,6 +119,18 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     check_at_least(m, 1, "m")
     try:
         return _factorize(m, trial_division_bound())
+    except CapacityError as exc:
+        raise CapacityError(f"cannot factor {int_text(m)}: {exc}") from None
+
+
+def _least_prime(m: int, limit: int) -> int:
+    """The least prime factor of m >= 2, by one trial loop up to limit.
+
+    A caller that reads the bound once passes it as limit.  A refusal names
+    m as factorize's does.
+    """
+    try:
+        return _least_factor(m, _trial_divisors(), limit)
     except CapacityError as exc:
         raise CapacityError(f"cannot factor {int_text(m)}: {exc}") from None
 

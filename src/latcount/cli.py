@@ -19,7 +19,8 @@ names.
 
 Every command is a fresh process, so the module imports only argparse and the
 package at start; json-lines records are written as strings, without json,
-by one function, `_record`.
+by one function, `_record`.  enumerate, table and euler-factor cut every
+line from one `_record` template per command.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import os
 import sys
 from itertools import islice
+from typing import Iterable, Iterator
 
 from .arith import ENV_TRIAL_DIVISION_BOUND
 from .core import CapacityError, DiscrepancyError, ExactnessError, Method, UsageError
@@ -88,6 +90,20 @@ def _record(fmt: str, plain: str, csv: str, fields: dict) -> str:
     return csv if fmt == "csv" else plain
 
 
+def _numbered_records(fmt: str, fields: dict, values: Iterable[int], start: int) -> Iterator[str]:
+    """_record's line for each value, numbered from start, all cut from one template.
+
+    fields holds "\1" where the number goes and "\0" where the value goes;
+    plain and csv lines are the number and the value, split by " " and ",".
+    The number is an int, which json-lines writes bare, so the quotes that
+    the template gives "\1" are dropped.
+    """
+    template = _record(fmt, "\1 \0", "\1,\0", fields).replace('"\1"', "\1")
+    head, rest = template.split("\1")
+    mid, end = rest.split("\0")
+    return (f"{head}{number}{mid}{value}{end}" for number, value in enumerate(values, start))
+
+
 def cmd_count(args) -> int:
     if args.all:
         results = count_all_methods(args.n, args.m)
@@ -138,9 +154,9 @@ def cmd_enumerate(args) -> int:
 def cmd_table(args) -> int:
     # The whole table is computed before the first line, so a failure prints none.
     values = [result.value for result in count_table(args.n, args.max_m, args.method)]
-    for m, value in enumerate(values, start=1):
-        fields = {"n": args.n, "m": m, "method": args.method, "value": str(value)}
-        print(_record(args.format, f"{m} {value}", f"{m},{value}", fields))
+    fields = {"n": args.n, "m": "\1", "method": args.method, "value": "\0"}
+    for line in _numbered_records(args.format, fields, values, 1):
+        print(line)
     return EXIT_OK
 
 
@@ -202,9 +218,9 @@ def cmd_series(args) -> int:
 
 def cmd_euler_factor(args) -> int:
     coefficients = euler_factor(args.p, args.n, args.k_max)
-    for k, value in enumerate(coefficients):
-        fields = {"p": args.p, "n": args.n, "k": k, "coefficient": str(value)}
-        print(_record(args.format, f"{k} {value}", f"{k},{value}", fields))
+    fields = {"p": args.p, "n": args.n, "k": "\1", "coefficient": "\0"}
+    for line in _numbered_records(args.format, fields, coefficients, 0):
+        print(line)
     return EXIT_OK
 
 

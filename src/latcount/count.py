@@ -14,13 +14,19 @@ All four methods compute the same multiplicative function:
 They are provably equal, so `check_agreement` treats any disagreement as
 an internal bug and raises DiscrepancyError.
 
-Each method but the recursion has one body, which a single count,
+Factorization-sum and Dirichlet each have one body, which a single count,
 `count_table` and `count_all_methods` all reach.  Factorization-sum takes the
 divisor lattice as an argument: a `DivisorIndex` of m for one count or an
 over-budget sweep, one divisor table for any other sweep.  It walks the
 tuples in one loop over a list of pending prefixes, at most (n - 2) * tau(m)
 of them for n >= 3, so no call depth grows with n, and still adds every
-tuple on its own.  The recursion has two loops over the same recurrence,
+tuple on its own; the last two parts of a tuple multiply to the quotient q
+their prefix leaves, so they are added as q^(n-2) times the sum of q's
+divisors.  A Gruber sweep runs the single count once per prime power
+p^r <= max_m, and multiplies: each other m, split as p^r * rest by its
+least prime p, takes the product of two values already made.  It finds p
+by one trial loop per m, under the bound read once per sweep, and reads no
+divisor list.  The recursion has two loops over the same recurrence,
 which cross-check each other.  A single count fills one level at a time over
 the divisors of m, each reading its own divisor list from a `DivisorIndex`.
 A sweep turns each level round: every d adds d * f_(k-1)(d) into its
@@ -36,7 +42,8 @@ from itertools import repeat
 from operator import attrgetter, mul
 from typing import Iterable, Iterator, Sequence
 
-from .arith import DivisorIndex, _divisor_table, _divisor_table_size, factorize
+from .arith import DivisorIndex, _divisor_table, _divisor_table_size, _least_prime, factorize
+from .arith import trial_division_bound
 from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method, check_args
 from .core import int_text
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
@@ -69,8 +76,10 @@ def _factorization_sum(n: int, m: int, index: DivisorIndex | list[list[int]]) ->
     quotient q still to be factored, the exponent i of the next part and the
     prefix's weight w = d_1^0 ... d_i^(i-1).  A quotient of 1 is one tuple of
     weight w; a prefix of n - 2 parts adds its last two parts as one sum over
-    the divisors of q.  Every tuple is still its own addend, and for n >= 3
-    the list holds at most (n - 2) * tau(m) prefixes.
+    the divisors of q: since d_(n-1) * d_n = q, each such tuple weighs
+    w * q^(n-2) * d_n, so the prefix adds w * q^(n-2) * sigma(q), and every
+    tuple still adds its own last part d_n.  For n >= 3 the list holds at
+    most (n - 2) * tau(m) prefixes.
     """
     if n == 1:
         return CountResult(1, Method.FACTORIZATION_SUM, work_stats={"tuples": 1})
@@ -78,7 +87,7 @@ def _factorization_sum(n: int, m: int, index: DivisorIndex | list[list[int]]) ->
     tuples = 0
     last = n - 2
     # Each repeat is endless, so one per exponent serves every prefix.
-    exponents = [repeat(i) for i in range(n)]
+    exponents = [repeat(i) for i in range(n - 1)]
     pending = [(m, 0, 1)]
     pop = pending.pop
     push = pending.extend
@@ -88,14 +97,15 @@ def _factorization_sum(n: int, m: int, index: DivisorIndex | list[list[int]]) ->
             total += w
             tuples += 1
             continue
-        # divs is sorted, so reversed(divs) is the cofactors q // d in the order of divs.
         divs = index[q]
-        powers = map(pow, divs, exponents[i])
         if i == last:
-            total += w * sum(map(mul, powers, map(pow, reversed(divs), exponents[-1])))
+            # d^(n-2) * (q/d)^(n-1) = q^(n-2) * (q/d), and the cofactors q/d are divs again.
+            total += w * q**i * sum(divs)
             tuples += len(divs)
         else:
-            push(zip(reversed(divs), exponents[i + 1], map(mul, repeat(w), powers)))
+            # divs is sorted, so reversed(divs) is the cofactors q // d in the order of divs.
+            weights = map(mul, repeat(w), map(pow, divs, exponents[i]))
+            push(zip(reversed(divs), exponents[i + 1], weights))
     return CountResult(total, Method.FACTORIZATION_SUM, work_stats={"tuples": tuples})
 
 
@@ -199,6 +209,34 @@ def count_by_gruber(n: int, m: int) -> CountResult:
     return CountResult(first, Method.GRUBER, work_stats={"primes": len(factors)})
 
 
+def _gruber_table(n: int, max_m: int) -> Iterator[CountResult]:
+    """count_by_gruber for every m <= max_m, one prime power at a time.
+
+    Each m >= 2 is split as p^r * rest, p its least prime, found by one trial
+    loop under the bound read once for the whole sweep.  A prime power's
+    value is its single count, so both product forms are checked once per
+    prime power; any other m multiplies the values of p^r and rest, both
+    already made.  Results come out as they are made, so a refusal at m
+    follows every result before it.
+    """
+    limit = trial_division_bound()
+    values = [0, 1]
+    primes = [0, 0]
+    yield CountResult(1, Method.GRUBER, work_stats={"primes": 0})
+    for m in range(2, max_m + 1):
+        p = _least_prime(m, limit)
+        rest = m // p
+        while rest % p == 0:
+            rest //= p
+        if rest == 1:
+            values.append(count_by_gruber(n, m).value)
+            primes.append(1)
+        else:
+            values.append(values[m // rest] * values[rest])
+            primes.append(primes[rest] + 1)
+        yield CountResult(values[m], Method.GRUBER, work_stats={"primes": primes[m]})
+
+
 def check_enumeration_size(n: int, m: int, advice: str = "") -> None:
     """Refuse with CapacityError an enumeration that left_out_methods leaves out.
 
@@ -245,6 +283,9 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
     returns, and so does the recursion, one pass per level that pushes each
     d's term into its multiples, with no divisor list; each result's
     divisor_visits is (n - 1) * tau(m), as its single count reports.
+    Gruber runs one pass over m, as the results are consumed: a single
+    count per prime power, and a product of two earlier values for any other
+    m (see `_gruber_table`).
     Factorization-sum runs the body of a single count once per m, as the
     results are consumed, with every m's divisor lists read from one divisor
     table, made before this returns and held by the iterator.  Above
@@ -261,6 +302,8 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
         return (CountResult(value, method) for value in dirichlet_coefficients(n, max_m)[1:])
     if method is Method.RECURSION:
         return _recursion_table(n, max_m)
+    if method is Method.GRUBER:
+        return _gruber_table(n, max_m)
     if method is Method.FACTORIZATION_SUM:
         if _divisor_table_size(max_m) <= MAX_DIVISOR_TABLE_POINTERS:
             table = _divisor_table(max_m)

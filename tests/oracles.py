@@ -88,6 +88,28 @@ def brute_ordered_factorizations(m, n):
     return sorted(tuples)
 
 
+def brute_tuple_sums(n_max, limit):
+    """sums[n][m], counts[n][m]: over the n-tuples of positive integers with product m <= limit,
+    the sum of d_1^0 d_2^1 ... d_n^(n-1) and how many there are, for n <= n_max.
+
+    Every tuple is listed, as a prefix extended by each part that keeps the
+    product within limit, and adds its own weight.
+    """
+    sums = [[0] * (limit + 1) for _ in range(n_max + 1)]
+    counts = [[0] * (limit + 1) for _ in range(n_max + 1)]
+    # (product, weight, parts) of each prefix still to be extended
+    pending = [(1, 1, 0)]
+    while pending:
+        product, weight, parts = pending.pop()
+        sums[parts][product] += weight
+        counts[parts][product] += 1
+        if parts < n_max:
+            pending.extend(
+                (product * d, weight * d**parts, parts + 1) for d in range(1, limit // product + 1)
+            )
+    return sums, counts
+
+
 def brute_factorization(m):
     """(prime, exponent) pairs of m, dividing out every integer d >= 2 in turn."""
     factors = []

@@ -448,7 +448,9 @@ def test_import_loads_no_dataclasses_inspect_or_json():
         ["count", "--n", "4", "--m", "360", "--all"],
         ["count", "--n", "40", "--m", str(2**200), "--method", "recursion"],
         ["table", "--n", "5", "--max-m", "30", "--method", "factorization-sum"],
+        ["table", "--n", "1", "--max-m", "1"],
         ["euler-factor", "--p", "1000003", "--n", "7", "--k-max", "30"],
+        ["euler-factor", "--p", "2", "--n", "3", "--k-max", "0"],
     ],
 )
 def test_json_lines_records_are_the_bytes_of_json_dumps(argv, capsys):
@@ -607,6 +609,15 @@ class TestTable:
         proc = run_cli("table", "--n", "1", "--max-m", "3")
         assert proc.stdout == "1 1\n2 1\n3 1\n"
 
+    def test_json_lines_golden(self, capsys):
+        # recorded from the printer that built a dict of fields per line
+        assert cli.main(["table", "--n", "2", "--max-m", "3", "--format", "json-lines"]) == 0
+        assert capsys.readouterr().out == (
+            '{"n":2,"m":1,"method":"gruber","value":"1"}\n'
+            '{"n":2,"m":2,"method":"gruber","value":"3"}\n'
+            '{"n":2,"m":3,"method":"gruber","value":"4"}\n'
+        )
+
     def test_dimension_three(self):
         proc = run_cli("table", "--n", "3", "--max-m", "4", "--format", "csv")
         assert proc.stdout == "1,1\n2,7\n3,13\n4,35\n"
@@ -625,6 +636,40 @@ class TestTable:
         folded = run_cli(*args, "factorization-sum", timeout=60)
         assert gruber.returncode == folded.returncode == 0, folded.stderr
         assert folded.stdout == gruber.stdout
+
+
+class TestGruberSweepRefusals:
+    # The stderr of the sweep that counted and factored each m on its own.
+    @pytest.mark.parametrize("command", ["table", "verify"])
+    @pytest.mark.parametrize("bound, m", [(2, 9), (3, 25), (10, 121)])
+    def test_the_first_m_past_the_bound_exits_3(self, command, bound, m):
+        argv = {
+            "table": ("table", "--n", "3", "--max-m", "200", "--method", "gruber"),
+            "verify": ("verify", "--n-max", "3", "--m-max", "200", "--t-order", "3"),
+        }[command]
+        proc = run_cli(*argv, env_extra={"LATCOUNT_TRIAL_DIVISION_BOUND": str(bound)})
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: cannot factor {m}: no prime factor of {m} below trial-division bound {bound}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            ("abc", "LATCOUNT_TRIAL_DIVISION_BOUND must be an integer, got 'abc'"),
+            ("1", "LATCOUNT_TRIAL_DIVISION_BOUND must be >= 2, got 1"),
+        ],
+    )
+    def test_a_bad_bound_exits_2_at_max_m_one(self, bound, message):
+        for argv in (
+            ("table", "--n", "3", "--max-m", "1", "--method", "gruber"),
+            ("verify", "--n-max", "1", "--m-max", "1", "--t-order", "0"),
+        ):
+            proc = run_cli(*argv, env_extra={"LATCOUNT_TRIAL_DIVISION_BOUND": bound})
+            assert proc.returncode == 2, argv
+            assert proc.stdout == ""
+            assert proc.stderr == f"error: {message}\n"
 
 
 class TestVerify:
@@ -809,6 +854,16 @@ class TestSeries:
 
 
 class TestEulerFactor:
+    def test_json_lines_golden(self, capsys):
+        # recorded from the printer that built a dict of fields per line
+        argv = ["euler-factor", "--p", "2", "--n", "3", "--k-max", "2", "--format", "json-lines"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            '{"p":2,"n":3,"k":0,"coefficient":"1"}\n'
+            '{"p":2,"n":3,"k":1,"coefficient":"7"}\n'
+            '{"p":2,"n":3,"k":2,"coefficient":"35"}\n'
+        )
+
     def test_golden(self):
         proc = run_cli("euler-factor", "--p", "2", "--n", "3", "--k-max", "2")
         assert proc.returncode == 0

@@ -12,12 +12,14 @@ from oracles import sieve_primes
 
 # The only functions that may construct a CapacityError.  Every refusal of a
 # predicted size goes through check_budget; the others are trial division's
-# bound, the enumeration cap shared with `count --all`'s notes, and the count
-# that exhausting an enumeration finds after the fact.
+# bound (the loop, and the two callers that name the m they were given), the
+# enumeration cap shared with `count --all`'s notes, and the count that
+# exhausting an enumeration finds after the fact.
 CAPACITY_ERROR_SITES = {
     "core.check_budget",
     "arith._least_factor",
     "arith.factorize",
+    "arith._least_prime",
     "count.check_enumeration_size",
     "hnf.count_by_enumeration",
 }
@@ -159,6 +161,26 @@ FORBIDDEN_NAMES = {
         "count",
         ("_recursion_table",),
         {"_divisor_table", "_divisor_table_size", "DivisorIndex", "divisors", "factorize"},
+    ),
+    # The Gruber sweep multiplies prime-power values, each a single Gruber count.
+    "gruber-sweep": (
+        "count",
+        ("_gruber_table",),
+        {
+            "_divisor_table",
+            "_divisor_table_size",
+            "DivisorIndex",
+            "divisors",
+            "ordered_factorizations",
+            "count_by_factorization_sum",
+            "_factorization_sum",
+            "count_by_recursion",
+            "_recursion_table",
+            "_recursion_levels",
+            "dirichlet_coefficients",
+            "count_by_dirichlet",
+            "count_by_enumeration",
+        },
     ),
 }
 

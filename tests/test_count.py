@@ -1,13 +1,16 @@
 import math
 import pickle
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import latcount.arith
 import latcount.count
 from latcount import (
+    CapacityError,
     CountResult,
     DiscrepancyError,
     Method,
@@ -26,7 +29,8 @@ from latcount.arith import DivisorIndex, _divisor_table, _divisor_table_size, di
 from latcount.count import _factorization_sum, left_out_methods
 from latcount.hnf import DEFAULT_ENUMERATION_CAP
 from latcount.series import MAX_DIRICHLET_LIMIT
-from oracles import brute_ordered_factorizations, brute_sigma, sieve_primes
+from oracles import brute_factorization, brute_ordered_factorizations, brute_sigma
+from oracles import brute_tuple_sums, sieve_primes
 
 METHODS = {
     Method.FACTORIZATION_SUM: count_by_factorization_sum,
@@ -50,15 +54,30 @@ class TestFactorizationSum:
         assert result.work_stats["tuples"] == 3
 
     def test_fold_matches_the_brute_force_tuples_over_both_indexes(self):
-        table = _divisor_table(300)
-        for n in range(1, 7):
-            for m in range(1, 301):
-                tuples = brute_ordered_factorizations(m, n)
-                value = sum(math.prod(d**i for i, d in enumerate(parts)) for parts in tuples)
-                for index in (DivisorIndex(m), table):
+        # The last two parts fold to q^(n-2) * sigma(q): checked against every tuple listed.
+        sums, counts = brute_tuple_sums(6, 2000)
+        table = _divisor_table(2000)
+        for m in range(1, 2001):
+            indexes = (DivisorIndex(m), table)
+            for n in range(1, 7):
+                tuples = ordered_factorization_count(m, n)
+                assert counts[n][m] == tuples, (n, m)
+                for index in indexes:
                     result = _factorization_sum(n, m, index)
-                    assert result.value == value, (n, m)
-                    assert result.work_stats["tuples"] == ordered_factorization_count(m, n)
+                    assert result.value == sums[n][m], (n, m)
+                    assert result.work_stats["tuples"] == tuples, (n, m)
+
+    def test_fold_at_the_smallest_and_a_large_n(self):
+        # Over m = 2 the tuples put the one 2 in part i, of weight 2^i: f_n(2) = 2^n - 1.
+        for n in (2, 990, 1000):
+            for index in (DivisorIndex(2), _divisor_table(2)):
+                result = _factorization_sum(n, 2, index)
+                assert result.value == 2**n - 1, n
+                assert result.work_stats["tuples"] == n
+        tuples = brute_ordered_factorizations(12, 2)
+        result = _factorization_sum(2, 12, DivisorIndex(12))
+        assert result.value == sum(d2 for _, d2 in tuples) == brute_sigma(12)
+        assert result.work_stats["tuples"] == len(tuples)
 
     def test_count_queries_inputs_agree_with_gruber(self):
         # the factorization-sum queries of the count-queries benchmark on seeds 1 and 11
@@ -293,6 +312,47 @@ class TestRequestDispatch:
                 table = list(count_table(n, max_m, Method.RECURSION))
                 assert [r.method for r in table] == [Method.RECURSION] * max_m
                 assert table == [count_by_recursion(n, m) for m in range(1, max_m + 1)]
+
+    def test_gruber_table_matches_single_counts(self):
+        for n in range(1, 7):
+            expected = [count_by_gruber(n, m) for m in range(1, 3001)]
+            for max_m in (1, 2, 3, 4, 3000):
+                table = list(count_table(n, max_m, Method.GRUBER))
+                assert [r.method for r in table] == [Method.GRUBER] * max_m
+                assert table == expected[:max_m], (n, max_m)
+                assert [r.work_stats for r in table] == [r.work_stats for r in expected[:max_m]]
+
+    def test_gruber_table_counts_each_prime_power_once(self, monkeypatch):
+        calls = []
+        bounds_read = []
+
+        def counted_gruber(n, m):
+            calls.append(m)
+            return count_by_gruber(n, m)
+
+        def counted_bound():
+            bounds_read.append(1)
+            return latcount.arith.trial_division_bound()
+
+        monkeypatch.setattr(latcount.count, "count_by_gruber", counted_gruber)
+        monkeypatch.setattr(latcount.count, "trial_division_bound", counted_bound)
+        values = [r.value for r in count_table(4, 1000, Method.GRUBER)]
+        assert calls == [m for m in range(2, 1001) if len(brute_factorization(m)) == 1]
+        assert bounds_read == [1]
+        assert values == [count_by_gruber(4, m).value for m in range(1, 1001)]
+
+    @pytest.mark.parametrize("bound, m", [(2, 9), (3, 25), (10, 121)])
+    def test_gruber_table_refuses_at_the_first_m_it_cannot_factor(self, monkeypatch, bound, m):
+        monkeypatch.setenv("LATCOUNT_TRIAL_DIVISION_BOUND", str(bound))
+        table = count_table(3, 200, Method.GRUBER)
+        assert [r.value for r in islice(table, m - 1)] == [
+            count_by_gruber(3, k).value for k in range(1, m)
+        ]
+        with pytest.raises(CapacityError) as excinfo:
+            next(table)
+        assert str(excinfo.value) == (
+            f"cannot factor {m}: no prime factor of {m} below trial-division bound {bound}"
+        )
 
     @staticmethod
     def _forbid(monkeypatch, name):
