@@ -11,8 +11,10 @@ All four methods compute the same multiplicative function:
   * Dirichlet          -- coefficient extraction from the zeta-factor
     convolution (lives in latcount.series).
 
-They are provably equal, so `check_agreement` treats any disagreement as
-an internal bug and raises DiscrepancyError.
+They are provably equal, so `count_all_methods` treats any disagreement as
+an internal bug and raises DiscrepancyError.  A single count returns a
+`CountResult` with its work counters; a sweep, `count_table`, yields plain
+ints and carries no counters.
 
 Factorization-sum and Dirichlet each have one body, which a single count,
 `count_table` and `count_all_methods` all reach.  Factorization-sum takes the
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import attrgetter, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .arith import DivisorIndex, _divisor_table, _divisor_table_size, _least_prime, factorize
 from .arith import trial_division_bound
@@ -53,7 +55,6 @@ from .series import count_by_dirichlet, dirichlet_coefficients
 __all__ = [
     "CountResult",
     "Method",
-    "check_agreement",
     "count_all_methods",
     "count_by_factorization_sum",
     "count_by_gruber",
@@ -127,29 +128,21 @@ def count_by_recursion(n: int, m: int) -> CountResult:
     return CountResult(values[m], Method.RECURSION, work_stats={"divisor_visits": visits})
 
 
-def _recursion_table(n: int, max_m: int) -> Iterator[CountResult]:
-    """count_by_recursion for every m <= max_m, each level pushed into the multiples.
+def _recursion_table(n: int, max_m: int) -> list[int]:
+    """f_n(m) for every m <= max_m, at index m - 1, each level pushed into the multiples.
 
     Level k starts from d * f_(k-1)(d) at every d and then, for d from
     max_m / 2 down to 1, adds entry d into every proper multiple of d, so
     that entry m ends as the sum over d | m of d * f_(k-1)(d).  Entry d is
     read before any of its own divisors write to it.  No divisor list is
-    made, and every value is made before this returns.  A result's
-    divisor_visits is (n - 1) * tau(m), the visits the single count's
-    levels make, counted by one more pass that pushes n - 1 the same way.
+    made.
     """
     values = [0] + [1] * max_m
     for _ in range(n - 1):
         values = list(map(mul, range(max_m + 1), values))
         for d in range(max_m // 2, 0, -1):
             values[2 * d :: d] = map(values[d].__add__, values[2 * d :: d])
-    visits = [n - 1] * (max_m + 1)
-    for d in range(max_m // 2, 0, -1):
-        visits[2 * d :: d] = map(visits[d].__add__, visits[2 * d :: d])
-    return (
-        CountResult(value, Method.RECURSION, work_stats={"divisor_visits": count})
-        for value, count in zip(values[1:], visits[1:])
-    )
+    return values[1:]
 
 
 def _recursion_levels(
@@ -206,23 +199,22 @@ def count_by_gruber(n: int, m: int) -> CountResult:
         raise ExactnessError(
             f"product forms disagree for n={n}, m={m}: {first} versus {second}"
         )
-    return CountResult(first, Method.GRUBER, work_stats={"primes": len(factors)})
+    return CountResult(first, Method.GRUBER)
 
 
-def _gruber_table(n: int, max_m: int) -> Iterator[CountResult]:
-    """count_by_gruber for every m <= max_m, one prime power at a time.
+def _gruber_table(n: int, max_m: int) -> Iterator[int]:
+    """f_n(m) for every m <= max_m, by count_by_gruber at each prime power.
 
     Each m >= 2 is split as p^r * rest, p its least prime, found by one trial
     loop under the bound read once for the whole sweep.  A prime power's
     value is its single count, so both product forms are checked once per
     prime power; any other m multiplies the values of p^r and rest, both
-    already made.  Results come out as they are made, so a refusal at m
-    follows every result before it.
+    already made.  Values come out as they are made, so a refusal at m
+    follows every value before it.
     """
     limit = trial_division_bound()
     values = [0, 1]
-    primes = [0, 0]
-    yield CountResult(1, Method.GRUBER, work_stats={"primes": 0})
+    yield 1
     for m in range(2, max_m + 1):
         p = _least_prime(m, limit)
         rest = m // p
@@ -230,11 +222,9 @@ def _gruber_table(n: int, max_m: int) -> Iterator[CountResult]:
             rest //= p
         if rest == 1:
             values.append(count_by_gruber(n, m).value)
-            primes.append(1)
         else:
             values.append(values[m // rest] * values[rest])
-            primes.append(primes[rest] + 1)
-        yield CountResult(values[m], Method.GRUBER, work_stats={"primes": primes[m]})
+        yield values[m]
 
 
 def check_enumeration_size(n: int, m: int, advice: str = "") -> None:
@@ -276,22 +266,21 @@ def run_count(n: int, m: int, method: Method | str) -> CountResult:
     return _DISPATCH[method](n, m)
 
 
-def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResult]:
-    """The results of one method for m = 1 .. max_m, in order of m.
+def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
+    """The values f_n(1) .. f_n(max_m) of one method, in order of m, as plain ints.
 
     Dirichlet fills the whole table from one convolution pass before this
     returns, and so does the recursion, one pass per level that pushes each
-    d's term into its multiples, with no divisor list; each result's
-    divisor_visits is (n - 1) * tau(m), as its single count reports.
-    Gruber runs one pass over m, as the results are consumed: a single
+    d's term into its multiples, with no divisor list.
+    Gruber runs one pass over m, as the values are consumed: a single
     count per prime power, and a product of two earlier values for any other
     m (see `_gruber_table`).
     Factorization-sum runs the body of a single count once per m, as the
-    results are consumed, with every m's divisor lists read from one divisor
+    values are consumed, with every m's divisor lists read from one divisor
     table, made before this returns and held by the iterator.  Above
     MAX_DIVISOR_TABLE_POINTERS pointers no table is made, and it runs a
     single count per m, each with its own DivisorIndex.  Every other method
-    runs once per m, as the results are consumed.
+    runs once per m, as the values are consumed.
     Enumeration first checks every m's count against the default cap, so an
     over-cap m is refused before the first matrix of any.
     """
@@ -299,28 +288,20 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[CountResul
     method = Method(method)
     ms = range(1, max_m + 1)
     if method is Method.DIRICHLET:
-        return (CountResult(value, method) for value in dirichlet_coefficients(n, max_m)[1:])
+        return iter(dirichlet_coefficients(n, max_m)[1:])
     if method is Method.RECURSION:
-        return _recursion_table(n, max_m)
+        return iter(_recursion_table(n, max_m))
     if method is Method.GRUBER:
         return _gruber_table(n, max_m)
     if method is Method.FACTORIZATION_SUM:
         if _divisor_table_size(max_m) <= MAX_DIVISOR_TABLE_POINTERS:
             table = _divisor_table(max_m)
-            return (_factorization_sum(n, m, table) for m in ms)
+            return (_factorization_sum(n, m, table).value for m in ms)
     if method is Method.HNF:
         for m in ms:
             check_enumeration_size(n, m)
     count = _DISPATCH[method]
-    return (count(n, m) for m in ms)
-
-
-def check_agreement(n: int, m: int, results: Iterable[CountResult]) -> list[CountResult]:
-    """Sort the results by method name; raise DiscrepancyError unless all values agree."""
-    results = sorted(results, key=attrgetter("method"))
-    if len({r.value for r in results}) > 1:
-        raise DiscrepancyError(n, m, [(r.method.value, r.value) for r in results])
-    return results
+    return (count(n, m).value for m in ms)
 
 
 def left_out_methods(n: int, m: int, count: int) -> dict[Method, str]:
@@ -347,7 +328,7 @@ def left_out_methods(n: int, m: int, count: int) -> dict[Method, str]:
 
 
 def count_all_methods(n: int, m: int) -> list[CountResult]:
-    """Run every applicable method and insist that they agree.
+    """Run every applicable method; raise DiscrepancyError unless all values agree.
 
     Gruber always runs, and its value decides which of the others
     left_out_methods leaves out: enumeration above DEFAULT_ENUMERATION_CAP
@@ -358,4 +339,8 @@ def count_all_methods(n: int, m: int) -> list[CountResult]:
     gruber = count_by_gruber(n, m)
     left_out = left_out_methods(n, m, gruber.value)
     others = (method for method in Method if method is not Method.GRUBER and method not in left_out)
-    return check_agreement(n, m, [gruber, *(_DISPATCH[method](n, m) for method in others)])
+    results = [gruber, *(_DISPATCH[method](n, m) for method in others)]
+    results.sort(key=attrgetter("method"))
+    if len({r.value for r in results}) > 1:
+        raise DiscrepancyError(n, m, [(r.method.value, r.value) for r in results])
+    return results

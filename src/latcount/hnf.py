@@ -37,7 +37,7 @@ from typing import Callable, Iterator
 
 from .arith import ordered_factorizations
 from .core import CapacityError, CountResult, Method, Record, UsageError, walk
-from .core import check_args, check_at_least, check_budget
+from .core import check_args, check_at_least, check_budget, int_text
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -229,7 +229,7 @@ def count_by_enumeration(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     count = sum(1 for _ in islice(enumerate_hnf(n, m), cap + 1))
     if count > cap:
         raise CapacityError(
-            f"enumeration of (n={n}, m={m}) exceeded cap {cap}; "
+            f"enumeration of (n={n}, m={int_text(m)}) exceeded cap {cap}; "
             f"stopped after {count} matrices"
         )
     return CountResult(count, Method.HNF, work_stats={"matrices": count})

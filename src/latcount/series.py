@@ -321,4 +321,4 @@ def dirichlet_coefficients(n: int, limit: int) -> list[int]:
 
 def count_by_dirichlet(n: int, m: int) -> CountResult:
     """Read the sublattice count off the Dirichlet coefficient stream."""
-    return CountResult(dirichlet_coefficients(n, m)[m], Method.DIRICHLET, work_stats={"limit": m})
+    return CountResult(dirichlet_coefficients(n, m)[m], Method.DIRICHLET)

@@ -2,6 +2,7 @@ import math
 import pickle
 import tracemalloc
 from itertools import islice
+from operator import attrgetter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,8 +26,8 @@ from latcount import (
     ordered_factorization_count,
     run_count,
 )
-from latcount.arith import DivisorIndex, _divisor_table, _divisor_table_size, divisors
-from latcount.count import _factorization_sum, left_out_methods
+from latcount.arith import DivisorIndex, _divisor_table
+from latcount.count import FORMULA_METHODS, _factorization_sum, left_out_methods
 from latcount.hnf import DEFAULT_ENUMERATION_CAP
 from latcount.series import MAX_DIRICHLET_LIMIT
 from oracles import brute_factorization, brute_ordered_factorizations, brute_sigma
@@ -285,42 +286,37 @@ class TestRequestDispatch:
         assert run_count(2, 6, "recursion").method is Method.RECURSION
 
     def test_table_matches_single_counts(self):
-        expected = [count_by_gruber(3, m).value for m in range(1, 13)]
+        # Enumeration emits every matrix it counts, so past n = 3 it sweeps less far.
         for method in Method:
-            table = list(count_table(3, 12, method))
-            assert [r.method for r in table] == [method] * 12
-            assert [r.value for r in table] == expected
+            for n in range(1, 6):
+                max_m = 12 if method is Method.HNF and n > 3 else 60
+                table = list(count_table(n, max_m, method))
+                assert all(type(value) is int for value in table), (method, n)
+                expected = [run_count(n, m, method).value for m in range(1, max_m + 1)]
+                assert table == expected, (method, n)
 
-    def test_table_keeps_each_results_work_counters(self):
-        # CountResult equality ignores work_stats, so compare them on their own.
-        ms = range(1, 301)
+    def test_formula_methods_are_in_method_name_order(self):
+        # verify names the four values of a failing m in this order.
+        assert list(FORMULA_METHODS) == sorted(FORMULA_METHODS, key=attrgetter("value"))
+        assert set(FORMULA_METHODS) == set(Method) - {Method.HNF}
+
+    def test_factorization_sum_table_matches_single_counts(self):
         for n in range(1, 6):
             table = list(count_table(n, 300, Method.FACTORIZATION_SUM))
-            expected = [count_by_factorization_sum(n, m) for m in ms]
-            assert table == expected
-            assert [r.work_stats for r in table] == [r.work_stats for r in expected]
-            # The recursion sweep reads each m's own divisors once per level.
-            table = list(count_table(n, 300, Method.RECURSION))
-            assert table == [count_by_recursion(n, m) for m in ms]
-            visits = [r.work_stats["divisor_visits"] for r in table]
-            assert visits == [(n - 1) * len(divisors(m)) for m in ms]
-            assert sum(visits) == (n - 1) * _divisor_table_size(300)
+            assert table == [count_by_factorization_sum(n, m).value for m in range(1, 301)]
 
     def test_recursion_table_matches_single_counts(self):
         for n in range(1, 7):
             for max_m in (1, 2, 3, 300):
                 table = list(count_table(n, max_m, Method.RECURSION))
-                assert [r.method for r in table] == [Method.RECURSION] * max_m
-                assert table == [count_by_recursion(n, m) for m in range(1, max_m + 1)]
+                assert table == [count_by_recursion(n, m).value for m in range(1, max_m + 1)]
 
     def test_gruber_table_matches_single_counts(self):
         for n in range(1, 7):
-            expected = [count_by_gruber(n, m) for m in range(1, 3001)]
+            expected = [count_by_gruber(n, m).value for m in range(1, 3001)]
             for max_m in (1, 2, 3, 4, 3000):
                 table = list(count_table(n, max_m, Method.GRUBER))
-                assert [r.method for r in table] == [Method.GRUBER] * max_m
                 assert table == expected[:max_m], (n, max_m)
-                assert [r.work_stats for r in table] == [r.work_stats for r in expected[:max_m]]
 
     def test_gruber_table_counts_each_prime_power_once(self, monkeypatch):
         calls = []
@@ -336,7 +332,7 @@ class TestRequestDispatch:
 
         monkeypatch.setattr(latcount.count, "count_by_gruber", counted_gruber)
         monkeypatch.setattr(latcount.count, "trial_division_bound", counted_bound)
-        values = [r.value for r in count_table(4, 1000, Method.GRUBER)]
+        values = list(count_table(4, 1000, Method.GRUBER))
         assert calls == [m for m in range(2, 1001) if len(brute_factorization(m)) == 1]
         assert bounds_read == [1]
         assert values == [count_by_gruber(4, m).value for m in range(1, 1001)]
@@ -345,7 +341,7 @@ class TestRequestDispatch:
     def test_gruber_table_refuses_at_the_first_m_it_cannot_factor(self, monkeypatch, bound, m):
         monkeypatch.setenv("LATCOUNT_TRIAL_DIVISION_BOUND", str(bound))
         table = count_table(3, 200, Method.GRUBER)
-        assert [r.value for r in islice(table, m - 1)] == [
+        assert list(islice(table, m - 1)) == [
             count_by_gruber(3, k).value for k in range(1, m)
         ]
         with pytest.raises(CapacityError) as excinfo:
@@ -362,7 +358,7 @@ class TestRequestDispatch:
         monkeypatch.setattr(latcount.count, name, unbuilt)
 
     def test_recursion_table_builds_no_divisor_index(self, monkeypatch):
-        expected = [count_by_recursion(4, m) for m in range(1, 301)]
+        expected = [count_by_recursion(4, m).value for m in range(1, 301)]
         # No budget edge either: with none left, the sweep still makes no table.
         monkeypatch.setattr(latcount.count, "MAX_DIVISOR_TABLE_POINTERS", 0)
         self._forbid(monkeypatch, "DivisorIndex")
@@ -374,17 +370,14 @@ class TestRequestDispatch:
         table = list(count_table(4, 86_764, Method.RECURSION))
         assert len(table) == 86_764
         for m in (*range(1, 50), 720, 65_536, 83_160, 86_763, 86_764):
-            assert table[m - 1].value == count_by_gruber(4, m).value, m
-            assert table[m - 1].work_stats["divisor_visits"] == 3 * len(divisors(m)), m
+            assert table[m - 1] == count_by_gruber(4, m).value, m
 
     def test_table_over_the_divisor_budget_counts_per_m(self, monkeypatch):
         predicted = latcount.count._divisor_table_size(300)
         monkeypatch.setattr(latcount.count, "MAX_DIVISOR_TABLE_POINTERS", predicted - 1)
         self._forbid(monkeypatch, "_divisor_table")
         table = list(count_table(4, 300, Method.FACTORIZATION_SUM))
-        expected = [count_by_factorization_sum(4, m) for m in range(1, 301)]
-        assert table == expected
-        assert [r.work_stats for r in table] == [r.work_stats for r in expected]
+        assert table == [count_by_factorization_sum(4, m).value for m in range(1, 301)]
 
     def test_divisor_budget_admits_max_m_to_86763(self):
         budget = latcount.count.MAX_DIVISOR_TABLE_POINTERS
@@ -425,7 +418,7 @@ class TestRequestDispatch:
             return count_by_gruber(n, m)
 
         monkeypatch.setattr(latcount.count, "count_by_gruber", counted_gruber)
-        assert [r.value for r in count_table(3, 40, Method.HNF)] == [
+        assert list(count_table(3, 40, Method.HNF)) == [
             count_by_gruber(3, m).value for m in range(1, 41)
         ]
         assert calls == list(range(1, 41))

@@ -274,6 +274,15 @@ class TestDigitBudget:
         m = 11**4127  # 4298 digits and 4128 divisors
         assert next(enumerate_lines(2, m)) == f"1,0;0,{m}"
 
+    def test_an_over_cap_count_names_an_m_past_the_limit_by_its_bits(self):
+        m = 11**4130  # 4302 digits and 4131 divisors
+        with pytest.raises(CapacityError) as excinfo:
+            count_by_enumeration(2, m, cap=1)
+        assert str(excinfo.value) == (
+            "enumeration of (n=2, m=a number of 14288 bits) exceeded cap 1; "
+            "stopped after 2 matrices"
+        )
+
     def test_a_lifted_or_missing_limit_is_not_checked(self, monkeypatch):
         # as under the CLI, which lifts the limit, and on an interpreter without one
         assert hnf._prefix_chars(2, 10**5000) == 2 * 4 * 5002
