@@ -4,7 +4,7 @@ Everything here is deterministic trial division over Python's native
 arbitrary-precision integers, done by one loop (`_least_factor`) that
 `is_prime`, `factorize` and `_least_prime` call; past 2, 3 and 5 it tries
 only the integers coprime to 30, 8 in every 30.  `_least_prime` serves the
-Gruber sweep of `latcount.count.count_table`, which needs only each m's
+Gruber sweep in `latcount.count`, which needs only each m's
 least prime, under a bound it reads once; its refusal names m as
 `factorize`'s does.  Inputs whose unfactored part has no prime
 factor below the trial-division bound are rejected loudly (CapacityError)
@@ -25,10 +25,12 @@ with n.
     made, each entry filtered from a parent's list and holding the same int
     objects, so an entry costs one pointer per divisor.  Entries
     are made in the order the tuples first need them, so for n >= 3 the
-    index never holds more pointers than the tuples already emitted plus
-    tau(m), and for n = 2 it holds only the divisors of m.
+    index never holds more pointers than the tuples counted after the
+    factorization sum's current fold, plus tau(m), and for n = 2 it holds
+    only the divisors of m.
   * For a factorization-sum sweep over m = 1 .. M
-    (`latcount.count.count_table`), one divisor table: a list whose entry q
+    (`latcount.count.count_table`, and every n of
+    `latcount.count.first_disagreement`), one divisor table: a list whose entry q
     is q's divisors, made by a sieve with no trial division.  It holds sum
     over q <= M of tau(q) pointers, which `_divisor_table_size` predicts
     exactly in O(sqrt M) before the table is made, so that a sweep over

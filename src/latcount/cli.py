@@ -9,7 +9,9 @@ error.
 
 verify runs all three of its checks before the first line: cross-method
 agreement, q-binomial symmetry once per unordered pair (k < m-k), and the
-generating identity once per n at the full t-order.  The symmetry sweep,
+generating identity once per n at the full t-order.  The cross-method check
+is `latcount.count.first_disagreement`, which makes each method's tables
+for every n in one sweep.  The symmetry sweep,
 `latcount.qcalc.first_asymmetric_pair`, runs first, because it sums its
 last q-Pascal rows before any pair and refuses above MAX_QPASCAL_COEFFICIENTS
 (exit 3, nothing on stdout).  series and the identity check take both sides
@@ -34,10 +36,10 @@ from typing import Iterable, Iterator
 from .arith import ENV_TRIAL_DIVISION_BOUND
 from .core import CapacityError, DiscrepancyError, ExactnessError, Method, UsageError
 from .count import (
-    FORMULA_METHODS,
     check_enumeration_size,
     count_all_methods,
     count_table,
+    first_disagreement,
     left_out_methods,
     run_count,
 )
@@ -159,15 +161,6 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _verify_cross_methods(n_max: int, m_max: int):
-    for n in range(1, n_max + 1):
-        tables = [count_table(n, m_max, method) for method in FORMULA_METHODS]
-        for m, values in enumerate(zip(*tables), start=1):
-            if len(set(values)) > 1:
-                return f"n={n} m={m} ({DiscrepancyError(n, m, zip(FORMULA_METHODS, values))})"
-    return None
-
-
 def _verify_identity(n_max: int, t_order: int):
     # Truncations are prefixes, so the first differing t-power is the least failing order.
     for n in range(1, n_max + 1):
@@ -183,9 +176,11 @@ def cmd_verify(args) -> int:
     # Every check runs before the first line, so a refusal prints none, and the
     # symmetry sweep first, so that its budget is refused before any other check.
     asymmetric = first_asymmetric_pair(n_max + t_order)
+    disagreement = first_disagreement(n_max, m_max)
     # Each counterexample is a non-empty string, or None when its check passes.
     counterexamples = (
-        _verify_cross_methods(n_max, m_max),
+        disagreement
+        and "n={} m={} ({})".format(*disagreement[:2], DiscrepancyError(*disagreement)),
         asymmetric and "m={} k={}".format(*asymmetric),
         _verify_identity(n_max, t_order),
     )

@@ -12,45 +12,53 @@ All four methods compute the same multiplicative function:
     convolution (lives in latcount.series).
 
 They are provably equal, so `count_all_methods` treats any disagreement as
-an internal bug and raises DiscrepancyError.  A single count returns a
-`CountResult` with its work counters; a sweep, `count_table`, yields plain
-ints and carries no counters.
+an internal bug and raises DiscrepancyError, and `first_disagreement`,
+behind `verify`, returns the first (n, m) where their tables disagree.  A
+single count returns a `CountResult` with its work counters; a sweep,
+`count_table`, yields plain ints and carries no counters.
 
+Each method's sweep yields its tables level by level, f_n(1 .. M) for
+n = 1, 2, ...: `first_disagreement` reads every level of one sweep per
+method, and `count_table` reads the n-th, so each method has one loop.
 Factorization-sum and Dirichlet each have one body, which a single count,
-`count_table` and `count_all_methods` all reach.  Factorization-sum takes the
+both sweeps and `count_all_methods` all reach.  Factorization-sum takes the
 divisor lattice as an argument: a `DivisorIndex` of m for one count or an
-over-budget sweep, one divisor table for any other sweep.  It walks the
-tuples in one loop over a list of pending prefixes, at most (n - 2) * tau(m)
-of them for n >= 3, so no call depth grows with n, and still adds every
-tuple on its own; the last two parts of a tuple multiply to the quotient q
-their prefix leaves, so they are added as q^(n-2) times the sum of q's
-divisors.  A Gruber sweep runs the single count once per prime power
-p^r <= max_m, and multiplies: each other m, split as p^r * rest by its
-least prime p, takes the product of two values already made.  It finds p
-by one trial loop per m, under the bound read once per sweep, and reads no
-divisor list.  The recursion has two loops over the same recurrence,
-which cross-check each other.  A single count fills one level at a time over
-the divisors of m, each reading its own divisor list from a `DivisorIndex`.
-A sweep turns each level round: every d adds d * f_(k-1)(d) into its
+over-budget sweep, one divisor table, shared by every level, for any other
+sweep.  It walks the tuples in one loop over a list of pending prefixes, at
+most (n - 3) * tau(m) of them for n >= 4, so no call depth grows with n,
+and still adds every tuple on its own; the last three parts of a tuple
+multiply to the quotient q their prefix leaves, so they are added as
+q^(n-3) times the sum over c | q of c * sigma(c).  A Gruber sweep runs the
+single count once per prime power p^r <= max_m and level, and multiplies:
+each other m, split as p^r * rest by its least prime p, takes the product
+of two values already made.  It finds p by one trial loop per m, under the
+bound read once per sweep, keeps the split for every level, and reads no
+divisor list.  Each single count predicts the cost of its products from
+the factorization and refuses above MAX_GRUBER_SQUARED_BITS before the
+first.  The recursion has two loops over the same recurrence, which
+cross-check each other.  A single count fills one level at a time over the
+divisors of m, each reading its own divisor list from a `DivisorIndex`.  A
+sweep turns each level round: every d adds d * f_(k-1)(d) into its
 multiples as one slice update, so it reads no divisor list, and neither
-`factorize` nor the divisor table.  One rule, `left_out_methods`, decides
+`factorize` nor the divisor table; its cells above MAX_RECURSION_CELLS are
+refused before the first level.  One rule, `left_out_methods`, decides
 which methods `count_all_methods` skips, and the same rule refuses an
 over-cap enumeration.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter, mul
 from typing import Iterator, Sequence
 
 from .arith import DivisorIndex, _divisor_table, _divisor_table_size, _least_prime, factorize
 from .arith import trial_division_bound
 from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method, check_args
-from .core import int_text
+from .core import check_budget, int_text
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
 from .series import MAX_DIRICHLET_CELLS, MAX_DIRICHLET_LIMIT, _dirichlet_cells
-from .series import count_by_dirichlet, dirichlet_coefficients
+from .series import _dirichlet_levels, count_by_dirichlet
 
 __all__ = [
     "CountResult",
@@ -60,6 +68,7 @@ __all__ = [
     "count_by_gruber",
     "count_by_recursion",
     "count_table",
+    "first_disagreement",
     "run_count",
 ]
 
@@ -76,22 +85,27 @@ def _factorization_sum(n: int, m: int, index: DivisorIndex | list[list[int]]) ->
     One loop over a list of pending prefixes d_1 ... d_i, each held as the
     quotient q still to be factored, the exponent i of the next part and the
     prefix's weight w = d_1^0 ... d_i^(i-1).  A quotient of 1 is one tuple of
-    weight w; a prefix of n - 2 parts adds its last two parts as one sum over
-    the divisors of q: since d_(n-1) * d_n = q, each such tuple weighs
-    w * q^(n-2) * d_n, so the prefix adds w * q^(n-2) * sigma(q), and every
-    tuple still adds its own last part d_n.  For n >= 3 the list holds at
-    most (n - 2) * tau(m) prefixes.
+    weight w; a prefix of n - 3 parts adds its last three parts as one sum
+    over the divisors c of q: with d * x * y = q and c = x * y, each such
+    tuple weighs w * d^(n-3) x^(n-2) y^(n-1) = w * q^(n-3) * c * y, so the
+    prefix adds w * q^(n-3) * sum over c | q of c * sigma(c), and every tuple
+    still adds its own last part y.  n = 2 adds sigma(m) over the pairs
+    (m / y, y).  For n >= 4 the list holds at most (n - 3) * tau(m) prefixes.
     """
     if n == 1:
         return CountResult(1, Method.FACTORIZATION_SUM, work_stats={"tuples": 1})
+    if n == 2:
+        divs = index[m]
+        return CountResult(sum(divs), Method.FACTORIZATION_SUM, work_stats={"tuples": len(divs)})
     total = 0
     tuples = 0
-    last = n - 2
+    last = n - 3
     # Each repeat is endless, so one per exponent serves every prefix.
-    exponents = [repeat(i) for i in range(n - 1)]
+    exponents = [repeat(i) for i in range(n - 2)]
     pending = [(m, 0, 1)]
     pop = pending.pop
     push = pending.extend
+    divisors_of = index.__getitem__
     while pending:
         q, i, w = pop()
         if q == 1:
@@ -100,14 +114,35 @@ def _factorization_sum(n: int, m: int, index: DivisorIndex | list[list[int]]) ->
             continue
         divs = index[q]
         if i == last:
-            # d^(n-2) * (q/d)^(n-1) = q^(n-2) * (q/d), and the cofactors q/d are divs again.
-            total += w * q**i * sum(divs)
-            tuples += len(divs)
+            # The tuples under this prefix are the pairs (c, y), y | c | q.
+            subs = list(map(divisors_of, divs))
+            total += w * q**i * sum(map(mul, divs, map(sum, subs)))
+            tuples += sum(map(len, subs))
         else:
             # divs is sorted, so reversed(divs) is the cofactors q // d in the order of divs.
             weights = map(mul, repeat(w), map(pow, divs, exponents[i]))
             push(zip(reversed(divs), exponents[i + 1], weights))
     return CountResult(total, Method.FACTORIZATION_SUM, work_stats={"tuples": tuples})
+
+
+def _factorization_sum_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
+    """For n = 1 .. n_max, an iterator over f_n(1) .. f_n(max_m), by _factorization_sum.
+
+    Every level reads one divisor table, made at the first level and held
+    by each level's iterator; above MAX_DIVISOR_TABLE_POINTERS pointers no
+    table is made, and each m reads its own DivisorIndex.  Values are made
+    as they are read.
+    """
+    if _divisor_table_size(max_m) <= MAX_DIVISOR_TABLE_POINTERS:
+        table = _divisor_table(max_m)
+    else:
+        table = None
+
+    def level(n: int) -> Iterator[int]:
+        for m in range(1, max_m + 1):
+            yield _factorization_sum(n, m, table or DivisorIndex(m)).value
+
+    yield from map(level, range(1, n_max + 1))
 
 
 def count_by_recursion(n: int, m: int) -> CountResult:
@@ -128,21 +163,46 @@ def count_by_recursion(n: int, m: int) -> CountResult:
     return CountResult(values[m], Method.RECURSION, work_stats={"divisor_visits": visits})
 
 
-def _recursion_table(n: int, max_m: int) -> list[int]:
-    """f_n(m) for every m <= max_m, at index m - 1, each level pushed into the multiples.
+# The most cells a recursion sweep's slice updates may cost, weighted by bits
+# as MAX_DIRICHLET_CELLS is.  On a 2-vCPU VM a cell takes 0.2-0.27 us: the
+# last sweep admitted at n = 4, up to m = 224,152, took 1.8-2.0 s and peaked
+# at 59 MB RSS.  (4, 86,764), the first max_m past the divisor table's
+# budget, costs 3,000,027 cells, and (4, 10**6), which ran 12-15 s and
+# peaked at 94 MiB, is refused.
+MAX_RECURSION_CELLS = 2**23
+
+
+def _recursion_cells(n: int, max_m: int) -> int:
+    """The cells a recursion sweep up to (n, max_m) updates, each counted 1 + b // 512 times.
+
+    Each level after the first scales max_m + 1 entries and then adds entry d
+    into its max_m // d - 1 proper multiples, for every d: with the scaling,
+    one cell per pair d * k <= max_m, plus one.  b is the bits of
+    max_m^(n-1), which bounds the values, as in Dirichlet's cells.
+    """
+    cells = (n - 1) * (_divisor_table_size(max_m) + 1)
+    return cells * (1 + (n - 1) * max_m.bit_length() // 512)
+
+
+def _recursion_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
+    """For n = 1 .. n_max, an iterator over f_n(1) .. f_n(max_m), each level pushed into multiples.
 
     Level k starts from d * f_(k-1)(d) at every d and then, for d from
     max_m / 2 down to 1, adds entry d into every proper multiple of d, so
     that entry m ends as the sum over d | m of d * f_(k-1)(d).  Entry d is
     read before any of its own divisors write to it.  No divisor list is
-    made.
+    made.  Its cost above MAX_RECURSION_CELLS raises CapacityError before
+    the first level.
     """
+    work = f"the recursion sweep up to n={n_max}, m={max_m} would cost {{}} cells"
+    check_budget(_recursion_cells(n_max, max_m), MAX_RECURSION_CELLS, work)
     values = [0] + [1] * max_m
-    for _ in range(n - 1):
+    yield islice(values, 1, None)
+    for _ in range(n_max - 1):
         values = list(map(mul, range(max_m + 1), values))
         for d in range(max_m // 2, 0, -1):
             values[2 * d :: d] = map(values[d].__add__, values[2 * d :: d])
-    return values[1:]
+        yield islice(values, 1, None)
 
 
 def _recursion_levels(
@@ -162,6 +222,32 @@ def _recursion_levels(
     return values
 
 
+# The most squared bits count_by_gruber's products may cost.  On a 2-vCPU VM
+# count_by_gruber(2, 2**10000) costs 1.33 * 10**12 and takes about 1.6 s, and
+# (2, 10**5000), which `count --all` runs before it refuses to list the
+# divisors, costs 1.67 * 10**12 and takes about 1.1 s.  (2, 2**20000), which
+# ran 9.2 s, is refused.
+MAX_GRUBER_SQUARED_BITS = 2 * 10**12
+
+
+def _gruber_squared_bits(n: int, factors: Sequence[tuple[int, int]]) -> int:
+    """The cost of count_by_gruber(n, m)'s products, from m's factorization.
+
+    A product form of a steps, with the other exponent b, makes at step j a
+    value of about j b L bits, L = ceil(log2 p), multiplies it by a factor
+    of (b + j) L bits and divides it by one of j L bits: (j b + b + j)(b + 2 j)
+    L^2 squared bits.  The first form has a = r and b = n - 1, the second
+    the two swapped.  Summed over j, each is this closed form.
+    """
+
+    def form(a: int, b: int) -> int:
+        s1 = a * (a + 1) // 2
+        s2 = s1 * (2 * a + 1) // 3
+        return 2 * (b + 1) * s2 + b * (b + 3) * s1 + b * b * a
+
+    return sum((p - 1).bit_length() ** 2 * (form(r, n - 1) + form(n - 1, r)) for p, r in factors)
+
+
 def count_by_gruber(n: int, m: int) -> CountResult:
     """Evaluate both closed-form products over the prime factorization of m.
 
@@ -173,10 +259,16 @@ def count_by_gruber(n: int, m: int) -> CountResult:
     Each running per-prime product is an integer, so the divisions are
     performed stepwise and checked; an inexact division or a mismatch
     between the two forms raises ExactnessError (an implementation bug,
-    never bad input).
+    never bad input).  Their cost is predicted from the factorization, and
+    above MAX_GRUBER_SQUARED_BITS raises CapacityError before the first
+    product.
     """
     check_args(n, m)
     factors = factorize(m)
+    # The message leaves m out: it may have more digits than str() allows.
+    bits = m.bit_length()
+    work = f"Gruber's products for n={n} at an m of {bits} bits would cost {{}} squared bits"
+    check_budget(_gruber_squared_bits(n, factors), MAX_GRUBER_SQUARED_BITS, work)
 
     def local(form: str, p: int, s: int, top: int) -> int:
         # prod_{j=1..top} (p^(s+j) - 1) / (p^j - 1), one checked division at a time
@@ -202,29 +294,39 @@ def count_by_gruber(n: int, m: int) -> CountResult:
     return CountResult(first, Method.GRUBER)
 
 
-def _gruber_table(n: int, max_m: int) -> Iterator[int]:
-    """f_n(m) for every m <= max_m, by count_by_gruber at each prime power.
+def _gruber_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
+    """For n = 1 .. n_max, an iterator over f_n(1) .. f_n(max_m), by Gruber at each prime power.
 
     Each m >= 2 is split as p^r * rest, p its least prime, found by one trial
-    loop under the bound read once for the whole sweep.  A prime power's
+    loop under the bound read once for the whole sweep; the split is found
+    by the first level to reach m and kept for every other.  A prime power's
     value is its single count, so both product forms are checked once per
-    prime power; any other m multiplies the values of p^r and rest, both
-    already made.  Values come out as they are made, so a refusal at m
-    follows every value before it.
+    prime power and level; any other m multiplies the values of p^r and
+    rest, both already made.  Values come out as they are made, so a
+    refusal at m follows every value before it.
     """
     limit = trial_division_bound()
-    values = [0, 1]
-    yield 1
-    for m in range(2, max_m + 1):
-        p = _least_prime(m, limit)
-        rest = m // p
-        while rest % p == 0:
-            rest //= p
-        if rest == 1:
-            values.append(count_by_gruber(n, m).value)
-        else:
-            values.append(values[m // rest] * values[rest])
-        yield values[m]
+    # powers[m] is the p^r of m's split, for m >= 2.
+    powers = [0, 1]
+
+    def level(n: int) -> Iterator[int]:
+        values = [0, 1]
+        yield 1
+        for m in range(2, max_m + 1):
+            if m == len(powers):
+                p = _least_prime(m, limit)
+                power = p
+                while m % (power * p) == 0:
+                    power *= p
+                powers.append(power)
+            power = powers[m]
+            if power == m:
+                values.append(count_by_gruber(n, m).value)
+            else:
+                values.append(values[power] * values[m // power])
+            yield values[m]
+
+    yield from map(level, range(1, n_max + 1))
 
 
 def check_enumeration_size(n: int, m: int, advice: str = "") -> None:
@@ -258,6 +360,22 @@ MAX_DIVISOR_TABLE_POINTERS = 10**6
 FORMULA_METHODS = (Method.DIRICHLET, Method.FACTORIZATION_SUM, Method.GRUBER, Method.RECURSION)
 
 
+def _dirichlet_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
+    """For n = 1 .. n_max, an iterator over f_n(1) .. f_n(max_m), from `_dirichlet_levels`."""
+    for values in _dirichlet_levels(n_max, max_m):
+        yield islice(values, 1, None)
+
+
+# Each formula method's sweep: for n = 1 .. n_max, an iterator over
+# f_n(1) .. f_n(max_m), each to be read before the next is made.
+_TABLES = {
+    Method.DIRICHLET: _dirichlet_table,
+    Method.FACTORIZATION_SUM: _factorization_sum_table,
+    Method.GRUBER: _gruber_table,
+    Method.RECURSION: _recursion_table,
+}
+
+
 def run_count(n: int, m: int, method: Method | str) -> CountResult:
     """Run the single named method, refusing an over-cap enumeration before its first matrix."""
     method = Method(method)
@@ -269,6 +387,8 @@ def run_count(n: int, m: int, method: Method | str) -> CountResult:
 def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
     """The values f_n(1) .. f_n(max_m) of one method, in order of m, as plain ints.
 
+    Each formula method takes its n-th level from the sweep that
+    `first_disagreement` runs, so every method has one loop.
     Dirichlet fills the whole table from one convolution pass before this
     returns, and so does the recursion, one pass per level that pushes each
     d's term into its multiples, with no divisor list.
@@ -278,30 +398,41 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
     Factorization-sum runs the body of a single count once per m, as the
     values are consumed, with every m's divisor lists read from one divisor
     table, made before this returns and held by the iterator.  Above
-    MAX_DIVISOR_TABLE_POINTERS pointers no table is made, and it runs a
-    single count per m, each with its own DivisorIndex.  Every other method
-    runs once per m, as the values are consumed.
-    Enumeration first checks every m's count against the default cap, so an
-    over-cap m is refused before the first matrix of any.
+    MAX_DIVISOR_TABLE_POINTERS pointers no table is made, and each m reads
+    its own DivisorIndex.
+    Enumeration runs once per m, as the values are consumed, but first
+    checks every m's count against the default cap, so an over-cap m is
+    refused before the first matrix of any.
     """
     check_args(n, max_m)
     method = Method(method)
-    ms = range(1, max_m + 1)
-    if method is Method.DIRICHLET:
-        return iter(dirichlet_coefficients(n, max_m)[1:])
-    if method is Method.RECURSION:
-        return iter(_recursion_table(n, max_m))
-    if method is Method.GRUBER:
-        return _gruber_table(n, max_m)
-    if method is Method.FACTORIZATION_SUM:
-        if _divisor_table_size(max_m) <= MAX_DIVISOR_TABLE_POINTERS:
-            table = _divisor_table(max_m)
-            return (_factorization_sum(n, m, table).value for m in ms)
     if method is Method.HNF:
+        ms = range(1, max_m + 1)
         for m in ms:
             check_enumeration_size(n, m)
-    count = _DISPATCH[method]
-    return (count(n, m).value for m in ms)
+        return (count_by_enumeration(n, m).value for m in ms)
+    return next(islice(_TABLES[method](n, max_m), n - 1, None))
+
+
+def first_disagreement(n_max: int, m_max: int) -> tuple[int, int, list[tuple[Method, int]]] | None:
+    """The first (n, m) in n-major order where the formula methods disagree, or None.
+
+    A disagreement comes back as (n, m, [(method, value), ...]), with the
+    methods in FORMULA_METHODS order.  Each method makes its levels
+    n = 1 .. n_max in one sweep, and every level is compared before the
+    next is made: Dirichlet convolves one more shift into one list, the
+    recursion pushes one more level into the multiples, factorization-sum
+    reads one divisor table for every n, and Gruber splits each m once.
+    Dirichlet's and the recursion's budgets are checked for n_max before
+    their first level.
+    """
+    check_args(n_max, m_max)
+    tables = [_TABLES[method](n_max, m_max) for method in FORMULA_METHODS]
+    for n, levels in enumerate(zip(*tables), start=1):
+        for m, values in enumerate(zip(*levels), start=1):
+            if len(set(values)) > 1:
+                return n, m, list(zip(FORMULA_METHODS, values))
+    return None
 
 
 def left_out_methods(n: int, m: int, count: int) -> dict[Method, str]:

@@ -12,7 +12,9 @@ budget before any work it would waste.
 The other is the coefficient list a(1..M) of a Dirichlet series.  The zeta
 factor shifted by i is just the stream m -> m^i, so the coefficients of
 zeta(s) zeta(s-1) ... zeta(s-n+1) fall out of n-1 exact Dirichlet
-convolutions; no zeta value is ever evaluated analytically.
+convolutions; no zeta value is ever evaluated analytically.  One in-place
+pass makes the coefficients for n = 1, 2, ... in turn, and
+`dirichlet_coefficients` is its last.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import reduce
 from itertools import repeat
 from math import isqrt
 from operator import add, eq, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arith import is_prime
 from .core import CountResult, Method, UsageError, check_args, check_at_least, check_budget
@@ -265,6 +267,43 @@ def _add_scaled(
         values[targets] = map(add, values[targets], map(mul, source[a:b], scale))
 
 
+def _dirichlet_levels(n: int, limit: int) -> Iterator[list[int]]:
+    """The coefficients of zeta(s) zeta(s-1) ... zeta(s-k+1) for k = 1 .. n, in one list.
+
+    Yields the same list n times, entry m being f_k(m) at the k-th, and
+    entry 0 being 0; each item is valid until the next is made, which
+    convolves it in place.  Both budgets are checked for n, before
+    anything is allocated.  See dirichlet_coefficients.
+    """
+    check_args(n, limit)
+    work = f"Dirichlet coefficients up to {limit} would need lists of {limit + 1} entries"
+    check_budget(limit, MAX_DIRICHLET_LIMIT, work)
+    work = f"dirichlet_coefficients({n}, {limit}) would cost {{}} cells in its convolutions"
+    check_budget(_dirichlet_cells(n, limit), MAX_DIRICHLET_CELLS, work)
+    values = [1] * (limit + 1)
+    values[0] = 0
+    yield values
+    root = isqrt(limit)
+    for i in range(1, n):
+        powers = [q**i for q in range(limit // 2 + 1)]
+        # d > root: a block's writes, at 2(lo + 1) or above, land past hi
+        hi = limit // 2
+        while hi > root:
+            lo = max(hi // 2, root)
+            for q in range(2, limit // (lo + 1) + 1):
+                _add_scaled(values, q, values, lo + 1, min(hi, limit // q) + 1, powers[q])
+            hi = lo
+        # d <= root: each d's writes land above d
+        for d in range(root, 1, -1):
+            _add_scaled(values, d, powers, 2, limit // d + 1, values[d])
+        # d = 1
+        exponent = repeat(i)
+        for a in range(2, limit + 1, _RUN):
+            b = min(a + _RUN, limit + 1)
+            values[a:b] = map(add, values[a:b], map(pow, range(a, b), exponent))
+        yield values
+
+
 def dirichlet_coefficients(n: int, limit: int) -> list[int]:
     """First `limit` coefficients of zeta(s) zeta(s-1) ... zeta(s-n+1).
 
@@ -290,32 +329,11 @@ def dirichlet_coefficients(n: int, limit: int) -> list[int]:
     is 0.  Each shift is O(M log M), and besides the result holds the powers
     q^i up to limit/2.  A limit above MAX_DIRICHLET_LIMIT, or a cost above
     MAX_DIRICHLET_CELLS, raises CapacityError before anything is allocated.
+    The list is the last item of `_dirichlet_levels(n, limit)`, whose
+    earlier items are the coefficients for each smaller n.
     """
-    check_args(n, limit)
-    work = f"Dirichlet coefficients up to {limit} would need lists of {limit + 1} entries"
-    check_budget(limit, MAX_DIRICHLET_LIMIT, work)
-    work = f"dirichlet_coefficients({n}, {limit}) would cost {{}} cells in its convolutions"
-    check_budget(_dirichlet_cells(n, limit), MAX_DIRICHLET_CELLS, work)
-    values = [1] * (limit + 1)
-    values[0] = 0
-    root = isqrt(limit)
-    for i in range(1, n):
-        powers = [q**i for q in range(limit // 2 + 1)]
-        # d > root: a block's writes, at 2(lo + 1) or above, land past hi
-        hi = limit // 2
-        while hi > root:
-            lo = max(hi // 2, root)
-            for q in range(2, limit // (lo + 1) + 1):
-                _add_scaled(values, q, values, lo + 1, min(hi, limit // q) + 1, powers[q])
-            hi = lo
-        # d <= root: each d's writes land above d
-        for d in range(root, 1, -1):
-            _add_scaled(values, d, powers, 2, limit // d + 1, values[d])
-        # d = 1
-        exponent = repeat(i)
-        for a in range(2, limit + 1, _RUN):
-            b = min(a + _RUN, limit + 1)
-            values[a:b] = map(add, values[a:b], map(pow, range(a, b), exponent))
+    for values in _dirichlet_levels(n, limit):
+        pass
     return values
 
 

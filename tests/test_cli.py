@@ -270,10 +270,13 @@ class TestCount:
 
     def test_gruber_product_mismatch_exits_4(self, monkeypatch, capsys):
         class Shifting:
-            """A factorization whose pairs change between Gruber's two passes."""
+            """A factorization whose pairs change between Gruber's two product passes.
+
+            The first pass is the budget's, which sees what the first product form sees.
+            """
 
             def __init__(self):
-                self.passes = iter((((2, 1),), ((3, 1),)))
+                self.passes = iter((((2, 1),), ((2, 1),), ((3, 1),)))
 
             def __iter__(self):
                 return iter(next(self.passes))
@@ -705,6 +708,19 @@ class TestVerify:
 
         monkeypatch.setattr(latcount.series, "rhs_sum", skewed_rhs_sum)
 
+    def test_the_dirichlet_budget_for_n_max_refuses_before_any_level(self):
+        # So it comes before the Gruber sweep's refusal at m = 9 of the first level.
+        proc = run_cli(
+            "verify", "--n-max", "5", "--m-max", "262145", "--t-order", "0",
+            env_extra={"LATCOUNT_TRIAL_DIVISION_BOUND": "2"},
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: dirichlet_coefficients(5, 262145) would cost 1048580 cells in its "
+            "convolutions, above the limit 1048576\n"
+        )
+
     def test_injected_fault_exits_4(self, monkeypatch, capsys):
         self.skew_rhs(monkeypatch, None, 0)
         code = cli.main(["verify", "--n-max", "2", "--m-max", "5", "--t-order", "3"])
@@ -769,15 +785,16 @@ class TestVerify:
         ]
 
     def test_cross_method_fault_exits_4(self, monkeypatch, capsys):
-        real_table = cli.count_table
+        real_sweep = latcount.count._TABLES[Method.GRUBER]
 
-        def skewed_table(n, max_m, method):
-            table = list(real_table(n, max_m, method))
-            if method is Method.GRUBER and n == 2:
-                table[5] = 999
-            return table
+        def skewed_sweep(n_max, max_m):
+            for n, level in enumerate(real_sweep(n_max, max_m), start=1):
+                level = list(level)
+                if n == 2:
+                    level[5] = 999
+                yield level
 
-        monkeypatch.setattr(cli, "count_table", skewed_table)
+        monkeypatch.setitem(latcount.count._TABLES, Method.GRUBER, skewed_sweep)
         code = cli.main(["verify", "--n-max", "2", "--m-max", "8", "--t-order", "1"])
         assert code == 4
         assert (

@@ -142,7 +142,7 @@ def test_cli_imports_no_private_name_from_the_package():
 FORBIDDEN_NAMES = {
     "series": (
         "series",
-        ("dirichlet_coefficients", "_add_scaled", "count_by_dirichlet"),
+        ("_dirichlet_levels", "dirichlet_coefficients", "_add_scaled", "count_by_dirichlet"),
         {"factorize", "divisors", "DivisorIndex", "_divisor_table", "ordered_factorizations"},
     ),
     "count": (
@@ -150,11 +150,18 @@ FORBIDDEN_NAMES = {
         (
             "count_by_factorization_sum",
             "_factorization_sum",
+            "_factorization_sum_table",
             "count_by_recursion",
             "_recursion_table",
             "_recursion_levels",
         ),
-        {"dirichlet_coefficients", "count_by_dirichlet", "count_by_gruber"},
+        {
+            "dirichlet_coefficients",
+            "_dirichlet_levels",
+            "count_by_dirichlet",
+            "count_by_gruber",
+            "_gruber_table",
+        },
     ),
     # The recursion sweep pushes into multiples, so it reads no divisor list at all.
     "recursion-sweep": (
@@ -174,10 +181,12 @@ FORBIDDEN_NAMES = {
             "ordered_factorizations",
             "count_by_factorization_sum",
             "_factorization_sum",
+            "_factorization_sum_table",
             "count_by_recursion",
             "_recursion_table",
             "_recursion_levels",
             "dirichlet_coefficients",
+            "_dirichlet_levels",
             "count_by_dirichlet",
             "count_by_enumeration",
         },

@@ -27,7 +27,8 @@ from latcount import (
     run_count,
 )
 from latcount.arith import DivisorIndex, _divisor_table
-from latcount.count import FORMULA_METHODS, _factorization_sum, left_out_methods
+from latcount.count import FORMULA_METHODS, _factorization_sum, check_enumeration_size
+from latcount.count import first_disagreement, left_out_methods
 from latcount.hnf import DEFAULT_ENUMERATION_CAP
 from latcount.series import MAX_DIRICHLET_LIMIT
 from oracles import brute_factorization, brute_ordered_factorizations, brute_sigma
@@ -55,7 +56,8 @@ class TestFactorizationSum:
         assert result.work_stats["tuples"] == 3
 
     def test_fold_matches_the_brute_force_tuples_over_both_indexes(self):
-        # The last two parts fold to q^(n-2) * sigma(q): checked against every tuple listed.
+        # The last three parts fold to q^(n-3) * sum over c | q of c * sigma(c): checked
+        # against every tuple listed.
         sums, counts = brute_tuple_sums(6, 2000)
         table = _divisor_table(2000)
         for m in range(1, 2001):
@@ -68,9 +70,22 @@ class TestFactorizationSum:
                     assert result.value == sums[n][m], (n, m)
                     assert result.work_stats["tuples"] == tuples, (n, m)
 
+    def test_fold_counts_every_tuple_up_to_seven_parts_over_both_indexes(self):
+        table = _divisor_table(400)
+        for m in range(1, 401):
+            tau = len(table[m])
+            for n in range(1, 8):
+                expected = (count_by_gruber(n, m).value, ordered_factorization_count(m, n))
+                index = DivisorIndex(m)
+                for lists in (index, table):
+                    result = _factorization_sum(n, m, lists)
+                    assert (result.value, result.work_stats["tuples"]) == expected, (n, m)
+                # The index holds no more pointers than the tuples counted, plus tau(m).
+                assert sum(map(len, index.values())) <= expected[1] + tau, (n, m)
+
     def test_fold_at_the_smallest_and_a_large_n(self):
         # Over m = 2 the tuples put the one 2 in part i, of weight 2^i: f_n(2) = 2^n - 1.
-        for n in (2, 990, 1000):
+        for n in (2, 3, 4, 990, 1000):
             for index in (DivisorIndex(2), _divisor_table(2)):
                 result = _factorization_sum(n, 2, index)
                 assert result.value == 2**n - 1, n
@@ -433,6 +448,101 @@ class TestRequestDispatch:
     def test_result_requires_positive_value(self):
         with pytest.raises(ValueError):
             CountResult(0, Method.GRUBER)
+
+
+class TestFirstDisagreement:
+    def test_each_sweep_gives_count_tables_values_at_every_level(self):
+        for method in FORMULA_METHODS:
+            levels = [list(level) for level in latcount.count._TABLES[method](6, 60)]
+            assert levels == [list(count_table(n, 60, method)) for n in range(1, 7)], method
+        assert first_disagreement(6, 60) is None
+
+    @staticmethod
+    def _skew(monkeypatch, method, fault_n, fault_m):
+        real_sweep = latcount.count._TABLES[method]
+
+        def skewed_sweep(n_max, max_m):
+            for n, level in enumerate(real_sweep(n_max, max_m), start=1):
+                level = list(level)
+                if n == fault_n:
+                    level[fault_m - 1] += 1
+                yield level
+
+        monkeypatch.setitem(latcount.count._TABLES, method, skewed_sweep)
+
+    def test_the_first_fault_in_n_major_order_is_named(self, monkeypatch):
+        self._skew(monkeypatch, Method.GRUBER, 3, 41)
+        self._skew(monkeypatch, Method.RECURSION, 4, 2)
+        self._skew(monkeypatch, Method.DIRICHLET, 3, 40)
+        value = count_by_gruber(3, 40).value
+        assert first_disagreement(5, 60) == (
+            3,
+            40,
+            [
+                (Method.DIRICHLET, value + 1),
+                (Method.FACTORIZATION_SUM, value),
+                (Method.GRUBER, value),
+                (Method.RECURSION, value),
+            ],
+        )
+
+    def test_each_method_sweeps_once_for_every_n(self, monkeypatch):
+        calls = {}
+
+        def counted(name, real):
+            calls[name] = []
+
+            def call(*args):
+                calls[name].append(args)
+                return real(*args)
+
+            monkeypatch.setattr(latcount.count, name, call)
+
+        counted("_dirichlet_levels", latcount.series._dirichlet_levels)
+        counted("_divisor_table", _divisor_table)
+        counted("_least_prime", latcount.arith._least_prime)
+        counted("count_by_gruber", count_by_gruber)
+        assert first_disagreement(5, 200) is None
+        prime_powers = [m for m in range(2, 201) if len(brute_factorization(m)) == 1]
+        assert calls["_dirichlet_levels"] == [(5, 200)]
+        assert calls["_divisor_table"] == [(200,)]
+        assert [m for m, _ in calls["_least_prime"]] == list(range(2, 201))
+        assert calls["count_by_gruber"] == [(n, m) for n in range(1, 6) for m in prime_powers]
+
+
+class TestSweepBudgets:
+    def test_recursion_sweep_refuses_past_its_cells_before_the_first_level(self):
+        cap = latcount.count.MAX_RECURSION_CELLS
+        assert latcount.count._recursion_cells(4, 224_152) <= cap
+        with pytest.raises(CapacityError) as excinfo:
+            count_table(4, 224_153, Method.RECURSION)
+        assert str(excinfo.value) == (
+            "the recursion sweep up to n=4, m=224153 would cost 8388612 cells, "
+            "above the limit 8388608"
+        )
+        with pytest.raises(CapacityError, match="recursion sweep up to n=4, m=224153 "):
+            first_disagreement(4, 224_153)
+        # In n, each cell counts once more for every 512 bits of its values.
+        assert list(count_table(23_046, 2, Method.RECURSION)) == [1, 2**23_046 - 1]
+        with pytest.raises(CapacityError, match="up to n=23047, m=2 would cost 8388744 cells"):
+            count_table(23_047, 2, Method.RECURSION)
+
+    def test_gruber_refuses_past_its_squared_bits_before_the_first_product(self):
+        # f_2(3^r) = (3^(r+1) - 1) / 2
+        assert count_by_gruber(2, 3**7209).value == (3**7210 - 1) // 2
+        with pytest.raises(CapacityError) as excinfo:
+            count_by_gruber(2, 3**7210)
+        assert str(excinfo.value) == (
+            "Gruber's products for n=2 at an m of 11428 bits would cost 2000209793688 "
+            "squared bits, above the limit 2000000000000"
+        )
+
+    def test_an_enumeration_past_gruber_budget_is_refused_by_it(self):
+        message = "Gruber's products for n=2 at an m of 20001 bits would cost "
+        with pytest.raises(CapacityError, match=message):
+            run_count(2, 2**20000, "hnf")
+        with pytest.raises(CapacityError, match=message):
+            check_enumeration_size(2, 2**20000)
 
 
 class TestCountResultType:
