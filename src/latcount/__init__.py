@@ -55,7 +55,6 @@ from .series import (
     geometric_factor,
     lhs_product,
     rhs_sum,
-    verify_generating_identity,
 )
 
 __version__ = "0.1.0"
@@ -96,5 +95,4 @@ __all__ = [
     "rhs_sum",
     "run_count",
     "validate_hnf",
-    "verify_generating_identity",
 ]

@@ -10,10 +10,11 @@ least prime, under a bound it reads once; its refusal names m as
 factor below the trial-division bound are rejected loudly (CapacityError)
 instead of silently falling back to slower machinery.
 
-Ordered factorizations, the factorization sum and a single recursion count
-in `latcount.count` walk the divisor lattice of m and read it from an index:
-index[q] is q's sorted divisors, for every divisor q of m.  Two kinds of
-index back the factorization sum, and its body is the same for both.
+Ordered factorizations and the factorization sum in `latcount.count` walk
+the divisor lattice of m and read it from an index: index[q] is q's sorted
+divisors, for every divisor q of m.  Two kinds of index back the
+factorization sum, and its body is the same for both.  A single recursion
+count reads no index: it holds m's divisors as a grid of exponent vectors.
 `ordered_factorizations` yields the leaves of one `latcount.core.walk`: a
 node is a prefix of parts and the quotient it leaves, and the last level
 adds every (divisor, cofactor) pair of the quotient.  The walk holds one
@@ -21,9 +22,10 @@ open iterator per level and does not recurse, so the stack does not grow
 with n.
 
   * For one m, a `DivisorIndex`, made per call and filled lazily from
-    `divisors(m)`, which is refused above MAX_DIVISOR_CELLS before it is
-    made, each entry filtered from a parent's list and holding the same int
-    objects, so an entry costs one pointer per divisor.  Entries
+    `divisors(m)`, which `_check_divisor_list` refuses above
+    MAX_DIVISOR_CELLS before it is made, each entry filtered from a
+    parent's list and holding the same int objects, so an entry costs one
+    pointer per divisor.  Entries
     are made in the order the tuples first need them, so for n >= 3 the
     index never holds more pointers than the tuples counted after the
     factorization sum's current fold, plus tau(m), and for n = 2 it holds
@@ -44,7 +46,7 @@ import os
 from functools import lru_cache
 from itertools import accumulate, chain, cycle
 from math import comb, isqrt, prod
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import CapacityError, UsageError, check_args, check_at_least, check_budget, walk
 from .core import int_text
@@ -208,7 +210,12 @@ def ordered_factorization_count(m: int, n: int) -> int:
     Equals the product over prime exponents r of C(r + n - 1, n - 1).
     """
     check_args(n)
-    return prod(comb(e + n - 1, n - 1) for _, e in factorize(m))
+    return _tuple_count(factorize(m), n)
+
+
+def _tuple_count(factors: Sequence[tuple[int, int]], n: int) -> int:
+    """ordered_factorization_count, from m's factorization."""
+    return prod(comb(e + n - 1, n - 1) for _, e in factors)
 
 
 # The most cells the divisor list of one m may cost, each divisor counted
@@ -217,6 +224,14 @@ def ordered_factorization_count(m: int, n: int) -> int:
 # below 10^18 (tau(m) <= 103,680 there) and 2^8190, and refuses 2^8191,
 # 10^5000 and 2^99999, whose 10^5 divisors alone would hold about 0.7 GB.
 MAX_DIVISOR_CELLS = 2**17
+
+
+def _check_divisor_list(factors: Sequence[tuple[int, int]], bits: int) -> None:
+    """Refuse the divisor list of an m of this factorization and size above MAX_DIVISOR_CELLS."""
+    tau = prod(e + 1 for _, e in factors)
+    # The message leaves m out: it may have more digits than str() allows.
+    work = f"listing the {tau} divisors of an m of {bits} bits would cost {{}} cells"
+    check_budget(tau * (1 + bits // 512), MAX_DIVISOR_CELLS, work)
 
 
 class DivisorIndex(dict):
@@ -237,11 +252,7 @@ class DivisorIndex(dict):
 
     def __init__(self, m: int):
         factors = factorize(m)
-        tau = prod(e + 1 for _, e in factors)
-        bits = m.bit_length()
-        # The message leaves m out: it may have more digits than str() allows.
-        work = f"listing the {tau} divisors of an m of {bits} bits would cost {{}} cells"
-        check_budget(tau * (1 + bits // 512), MAX_DIVISOR_CELLS, work)
+        _check_divisor_list(factors, m.bit_length())
         super().__init__({m: divisors(m)})
         self.m = m
         self._primes = [p for p, _ in factors]

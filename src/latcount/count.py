@@ -28,7 +28,9 @@ sweep.  It walks the tuples in one loop over a list of pending prefixes, at
 most (n - 3) * tau(m) of them for n >= 4, so no call depth grows with n,
 and still adds every tuple on its own; the last three parts of a tuple
 multiply to the quotient q their prefix leaves, so they are added as
-q^(n-3) times the sum over c | q of c * sigma(c).  A Gruber sweep runs the
+q^(n-3) times the sum over c | q of c * sigma(c).  A single count predicts
+its walk's cost from the factorization and refuses above
+MAX_FACTORIZATION_SUM_CELLS before the first prefix.  A Gruber sweep runs the
 single count once per prime power p^r <= max_m and level, and multiplies:
 each other m, split as p^r * rest by its least prime p, takes the product
 of two values already made.  It finds p by one trial loop per m, under the
@@ -36,24 +38,30 @@ bound read once per sweep, keeps the split for every level, and reads no
 divisor list.  Each single count predicts the cost of its products from
 the factorization and refuses above MAX_GRUBER_SQUARED_BITS before the
 first.  The recursion has two loops over the same recurrence, which
-cross-check each other.  A single count fills one level at a time over the
-divisors of m, each reading its own divisor list from a `DivisorIndex`.  A
-sweep turns each level round: every d adds d * f_(k-1)(d) into its
-multiples as one slice update, so it reads no divisor list, and neither
-`factorize` nor the divisor table; its cells above MAX_RECURSION_CELLS are
-refused before the first level.  One rule, `left_out_methods`, decides
-which methods `count_all_methods` skips, and the same rule refuses an
-over-cap enumeration.
+cross-check each other.  A single count holds m's divisors as the grid of
+their exponent vectors, one list in mixed-radix order, and makes each
+level as one prefix sum per prime axis, in slice updates, so no divisor
+has a list of its own divisors and no `DivisorIndex` is read; its values
+and levels are predicted from the factorization and refused before the
+first level.  A sweep turns each level round: every d adds d * f_(k-1)(d)
+into its multiples as one slice update, so it reads no divisor list, and
+neither `factorize` nor the divisor table; its cells above
+MAX_RECURSION_CELLS are refused before the first level.
+`count_all_methods` asks every prediction that needs only the
+factorization, through the same private check each method calls, before
+Gruber's products.  One rule, `left_out_methods`, decides which methods
+it skips, and the same rule refuses an over-cap enumeration.
 """
 
 from __future__ import annotations
 
-from itertools import islice, repeat
-from operator import attrgetter, mul
+from itertools import accumulate, islice, repeat
+from math import prod
+from operator import add, attrgetter, mul
 from typing import Iterator, Sequence
 
-from .arith import DivisorIndex, _divisor_table, _divisor_table_size, _least_prime, factorize
-from .arith import trial_division_bound
+from .arith import MAX_DIVISOR_CELLS, DivisorIndex, _check_divisor_list, _divisor_table
+from .arith import _divisor_table_size, _least_prime, _tuple_count, factorize, trial_division_bound
 from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method, check_args
 from .core import check_budget, int_text
 from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
@@ -74,9 +82,49 @@ __all__ = [
 
 
 def count_by_factorization_sum(n: int, m: int) -> CountResult:
-    """Sum d_1^0 d_2^1 ... d_n^(n-1) over all ordered factorizations of m."""
+    """Sum d_1^0 d_2^1 ... d_n^(n-1) over all ordered factorizations of m.
+
+    The tuples are read from one `DivisorIndex` of m.  `_check_factorization_sum`
+    refuses its list and the walk's cost before either is made.
+    """
     check_args(n, m)
+    _check_factorization_sum(n, factorize(m), m.bit_length())
     return _factorization_sum(n, m, DivisorIndex(m))
+
+
+# The most cells a factorization-sum single count may cost, by
+# _factorization_sum_cells.  On a 2-vCPU VM a cell takes 15-25 ns:
+# (7, 720720), 9.8 * 10**7 cells, takes 1.9-2.4 s, and (8, 720720), which
+# ran 10.9 s, is refused, as is (5, 2**40 * 3**10), which ran 2.5 s.
+MAX_FACTORIZATION_SUM_CELLS = 10**8
+
+
+def _factorization_sum_cells(n: int, factors: Sequence[tuple[int, int]], bits: int) -> int:
+    """The cost of count_by_factorization_sum(n, m), from m's factorization and bits.
+
+    Each of the T_n = ordered_factorization_count(m, n) tuples is a cell.
+    For n >= 3 the index fills at most one entry per 3-part tuple, each
+    filtered from a parent's list in Python at about 8 cells, and each
+    prefix costs about 128 cells of Python steps; the prefixes popped are
+    about T_(n-2).  The sum is counted 1 + b // 512 times, b being the bits
+    of m^(n-1), which bounds the weights.
+    """
+    cells = _tuple_count(factors, n)
+    if n >= 3:
+        cells += 8 * _tuple_count(factors, 3) + 128 * _tuple_count(factors, n - 2)
+    return cells * (1 + (n - 1) * bits // 512)
+
+
+def _check_factorization_sum(n: int, factors: Sequence[tuple[int, int]], bits: int) -> None:
+    """Refuse count_by_factorization_sum(n, m), from m's factorization and bits.
+
+    m's divisor list is refused as `DivisorIndex` refuses it, and then the
+    walk's cost above MAX_FACTORIZATION_SUM_CELLS.
+    """
+    _check_divisor_list(factors, bits)
+    tuples = _tuple_count(factors, n)
+    work = f"the {tuples} {n}-part factorizations of an m of {bits} bits would cost {{}} cells"
+    check_budget(_factorization_sum_cells(n, factors, bits), MAX_FACTORIZATION_SUM_CELLS, work)
 
 
 def _factorization_sum(n: int, m: int, index: DivisorIndex | list[list[int]]) -> CountResult:
@@ -145,22 +193,96 @@ def _factorization_sum_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
     yield from map(level, range(1, n_max + 1))
 
 
+# The most cells a recursion single count's levels may cost, by
+# _recursion_grid_cells.  On a 2-vCPU VM a cell takes 1-11 ns at most shapes
+# measured, and 26-30 ns for a grid of 2^16 values of 600 bits:
+# (385, 2 * 3 * ... * 31), the last n admitted at that m, costs 299,630,592
+# cells and takes 1.5-1.9 s, (60, 2**1000) 0.7-1.2 s and
+# (16, 2 * 3 * ... * 53) 0.9-1.1 s.  Its one list of values is held to
+# MAX_DIVISOR_CELLS as well, as DivisorIndex's list is: this budget alone
+# would admit (2, 2**16800), whose values peak at 72 MB, and
+# (2, 2 * 3 * ... * 71), 2.5 s and 167 MB.
+MAX_RECURSION_GRID_CELLS = 3 * 10**8
+
+
+def _recursion_grid_cells(n: int, factors: Sequence[tuple[int, int]], bits: int) -> int:
+    """The cost of count_by_recursion(n, m)'s levels, from m's factorization and bits.
+
+    Each of the n - 1 levels makes tau(m) products d * f(d) and at most
+    tau(m) * omega(m) adds, each counted 1 + b // 512 times, b being the bits
+    of m^(n-1), which bounds the values.  A product of a divisor of up to
+    bits bits by a value of up to b bits counts bits * b / 2^14 more, as
+    the big-int products outgrow the adds.
+    """
+    tau = prod(r + 1 for _, r in factors)
+    b = (n - 1) * bits
+    return (n - 1) * tau * ((len(factors) + 1) * (1 + b // 512) + (bits * b >> 14))
+
+
+def _check_recursion_grid(n: int, factors: Sequence[tuple[int, int]], bits: int) -> None:
+    """Refuse count_by_recursion(n, m)'s grid before it is made.
+
+    m's divisor list is refused as `DivisorIndex` refuses it.  The list of
+    tau(m) values of up to b bits, b being the bits of m^(n-1), each counted
+    1 + b // 512 times, is refused above the same MAX_DIVISOR_CELLS, and
+    the levels above MAX_RECURSION_GRID_CELLS.
+    """
+    _check_divisor_list(factors, bits)
+    tau = prod(r + 1 for _, r in factors)
+    # The messages leave m out: it may have more digits than str() allows.
+    values = tau * (1 + (n - 1) * bits // 512)
+    work = f"the recursion's {tau} values for n={n} at an m of {bits} bits would hold {{}} cells"
+    check_budget(values, MAX_DIVISOR_CELLS, work)
+    work = f"the recursion's levels for n={n} at an m of {bits} bits would cost {{}} cells"
+    check_budget(_recursion_grid_cells(n, factors, bits), MAX_RECURSION_GRID_CELLS, work)
+
+
 def count_by_recursion(n: int, m: int) -> CountResult:
-    """Apply f_n(m) = sum_{d | m} d * f_(n-1)(d) down to the base f_1 = 1.
+    """Apply f_n(m) = sum_{d | m} d * f_(n-1)(d) up from the base f_1 = 1.
 
     A rank-1 group has exactly one subgroup of each index, hence the base
-    case.  Levels are filled bottom-up over the divisors of m; each divisor
-    d reads its own divisors from one `DivisorIndex` of m, and the memo
-    table and the index live only for the duration of this call.
+    case.  The divisors of m are its grid of exponent vectors
+    0 <= e_i <= r_i, held in one list in mixed-radix order: the exponent of
+    the i-th prime steps by prod_{j<i} (r_j + 1).  Each level takes
+    g(d) = d * f_(k-1)(d) at every d and then, one prime at a time, adds
+    every entry into the next along that prime's axis, so that entry x ends
+    as the sum over d | x of g(d).  Those adds run as slice updates, in
+    contiguous runs or strided slices, whichever are fewer.  No divisor
+    has a list of its own divisors.  work_stats["divisor_visits"] is the
+    adds, (n - 1) * sum over i of tau(m) * r_i / (r_i + 1).  The grid's
+    size and its adds are checked by `_check_recursion_grid` before the
+    first level.
     """
     check_args(n, m)
-    index = DivisorIndex(m)
-    divs = index[m]
-    # Largest first, so that each entry is filtered from a parent already made.
-    sub_divisors = [index[d] for d in reversed(divs)][::-1]
-    values = _recursion_levels(n, divs, sub_divisors)
-    visits = (n - 1) * sum(map(len, sub_divisors))
-    return CountResult(values[m], Method.RECURSION, work_stats={"divisor_visits": visits})
+    factors = factorize(m)
+    _check_recursion_grid(n, factors, m.bit_length())
+    tau = prod(r + 1 for _, r in factors)
+    divs = [1]
+    # Along each axis, r adds of every run of entries into the run one step
+    # on, in order of the step: as contiguous runs or strided slices,
+    # whichever are fewer.  A strided run's stop may pass tau, where the
+    # slice ends anyway.
+    steps = []
+    for p, r in factors:
+        stride = len(divs)
+        block = stride * (r + 1)
+        if stride <= tau // block:
+            runs = [(t, t + tau, block) for t in range(stride)]
+        else:
+            runs = [(b, b + stride, 1) for b in range(0, tau, block)]
+        for shift in range(stride, block, stride):
+            back = shift - stride
+            for start, stop, step in runs:
+                run = slice(start + shift, stop + shift, step)
+                steps.append((run, slice(start + back, stop + back, step)))
+        divs = [d * q for q in accumulate(repeat(p, r), mul, initial=1) for d in divs]
+    values = [1] * tau
+    for _ in range(n - 1):
+        values = list(map(mul, divs, values))
+        for run, back in steps:
+            values[run] = map(add, values[run], values[back])
+    visits = (n - 1) * sum(tau // (r + 1) * r for _, r in factors)
+    return CountResult(values[-1], Method.RECURSION, work_stats={"divisor_visits": visits})
 
 
 # The most cells a recursion sweep's slice updates may cost, weighted by bits
@@ -248,6 +370,13 @@ def _gruber_squared_bits(n: int, factors: Sequence[tuple[int, int]]) -> int:
     return sum((p - 1).bit_length() ** 2 * (form(r, n - 1) + form(n - 1, r)) for p, r in factors)
 
 
+def _check_gruber(n: int, factors: Sequence[tuple[int, int]], bits: int) -> None:
+    """Refuse count_by_gruber(n, m) above MAX_GRUBER_SQUARED_BITS, from m's factors and bits."""
+    # The message leaves m out: it may have more digits than str() allows.
+    work = f"Gruber's products for n={n} at an m of {bits} bits would cost {{}} squared bits"
+    check_budget(_gruber_squared_bits(n, factors), MAX_GRUBER_SQUARED_BITS, work)
+
+
 def count_by_gruber(n: int, m: int) -> CountResult:
     """Evaluate both closed-form products over the prime factorization of m.
 
@@ -265,10 +394,7 @@ def count_by_gruber(n: int, m: int) -> CountResult:
     """
     check_args(n, m)
     factors = factorize(m)
-    # The message leaves m out: it may have more digits than str() allows.
-    bits = m.bit_length()
-    work = f"Gruber's products for n={n} at an m of {bits} bits would cost {{}} squared bits"
-    check_budget(_gruber_squared_bits(n, factors), MAX_GRUBER_SQUARED_BITS, work)
+    _check_gruber(n, factors, m.bit_length())
 
     def local(form: str, p: int, s: int, top: int) -> int:
         # prod_{j=1..top} (p^(s+j) - 1) / (p^j - 1), one checked division at a time
@@ -461,12 +587,22 @@ def left_out_methods(n: int, m: int, count: int) -> dict[Method, str]:
 def count_all_methods(n: int, m: int) -> list[CountResult]:
     """Run every applicable method; raise DiscrepancyError unless all values agree.
 
-    Gruber always runs, and its value decides which of the others
-    left_out_methods leaves out: enumeration above DEFAULT_ENUMERATION_CAP
-    matrices, Dirichlet above MAX_DIRICHLET_LIMIT or MAX_DIRICHLET_CELLS.
+    First m is factored once, and every budget that needs only the
+    factorization is asked, in order: Gruber's products, m's divisor list
+    and factorization-sum's walk, and the recursion's grid.  So a refusal
+    comes before any method's work.  Gruber always runs, and its value
+    decides which of the others left_out_methods leaves out: enumeration
+    above DEFAULT_ENUMERATION_CAP matrices, Dirichlet above
+    MAX_DIRICHLET_LIMIT or MAX_DIRICHLET_CELLS.
     Results come back sorted by method name so the aggregation order never
     depends on evaluation order.
     """
+    check_args(n, m)
+    factors = factorize(m)
+    bits = m.bit_length()
+    _check_gruber(n, factors, bits)
+    _check_factorization_sum(n, factors, bits)
+    _check_recursion_grid(n, factors, bits)
     gruber = count_by_gruber(n, m)
     left_out = left_out_methods(n, m, gruber.value)
     others = (method for method in Method if method is not Method.GRUBER and method not in left_out)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import repeat
 from math import isqrt
-from operator import add, eq, mul
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .arith import is_prime
@@ -183,11 +183,6 @@ def identity_sides(n: int, truncation_order: int) -> tuple[TSeries, TSeries]:
     _check_lhs_budget(n, truncation_order)
     rhs = rhs_sum(n, truncation_order)
     return lhs_product(n, truncation_order), rhs
-
-
-def verify_generating_identity(n: int, truncation_order: int) -> bool:
-    """Check the two sides coefficient by coefficient."""
-    return eq(*identity_sides(n, truncation_order))
 
 
 # The most squared bits an Euler factor may cost, and what each line adds to

@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
-Nothing in here imports latcount: every function recomputes its answer from
-first principles (exhaustive scans, schoolbook polynomial division) so the
-package and the oracle can only agree by both being right.
+Nothing in here imports latcount, but for `verify_generating_identity`:
+every other function recomputes its answer from first principles
+(exhaustive scans, schoolbook polynomial division) so the package and the
+oracle can only agree by both being right.  That one compares the package's
+own two sides of the generating identity, which only tests ask for.
 """
 
 from itertools import product
@@ -229,3 +231,11 @@ def sieve_primes(limit):
             for multiple in range(p * p, limit + 1, p):
                 flags[multiple] = False
     return [p for p, flag in enumerate(flags) if flag]
+
+
+def verify_generating_identity(n, truncation_order):
+    """The two sides of the generating identity agree, coefficient by coefficient."""
+    from latcount.series import identity_sides
+
+    lhs, rhs = identity_sides(n, truncation_order)
+    return lhs == rhs

@@ -23,9 +23,8 @@ from latcount import (
     gauss_binomial,
     gauss_binomial_at,
     validate_hnf,
-    verify_generating_identity,
 )
-from oracles import brute_sigma, qbinomial_by_quotient, sieve_primes
+from oracles import brute_sigma, qbinomial_by_quotient, sieve_primes, verify_generating_identity
 
 
 @contextlib.contextmanager

@@ -366,8 +366,9 @@ class TestExitCodes:
             ("count", "--n", "2", "--method", "factorization-sum"),
             ("count", "--n", "3", "--method", "recursion"),
             ("count", "--n", "2", "--all"),
+            ("count", "--n", "2", "--method", "recursion"),
         ],
-        ids=["enumerate", "factorization-sum", "recursion", "all"],
+        ids=["enumerate", "factorization-sum", "recursion", "all", "recursion-n2"],
     )
     def test_an_m_with_too_many_divisors_exits_3_before_output(self, argv):
         # 10^5000 factors at once, but its 5001^2 divisors would take gigabytes to list
@@ -378,6 +379,40 @@ class TestExitCodes:
             "error: listing the 25010001 divisors of an m of 16610 bits would cost 825330033 "
             "cells, above the limit 131072\n"
         )
+
+    @pytest.mark.parametrize(
+        "method, n, m, message",
+        [
+            (
+                "recursion",
+                1000,
+                "200560490130",
+                "the recursion's 2048 values for n=1000 at an m of 38 bits would hold 153600 "
+                "cells, above the limit 131072",
+            ),
+            (
+                "recursion",
+                386,
+                "200560490130",
+                "the recursion's levels for n=386 at an m of 38 bits would cost 300410880 cells, "
+                "above the limit 300000000",
+            ),
+            (
+                "factorization-sum",
+                8,
+                "720720",
+                "the 48660480 8-part factorizations of an m of 20 bits would cost 487658448 "
+                "cells, above the limit 100000000",
+            ),
+        ],
+        ids=["recursion-values", "recursion-levels", "factorization-sum"],
+    )
+    def test_a_single_count_over_its_budget_exits_3_before_output(self, method, n, m, message):
+        # Before these budgets (300, 2 * 3 * ... * 31) ran 19 s, and (8, 720720) 10.9 s.
+        proc = run_cli("count", "--n", str(n), "--m", m, "--method", method, timeout=30)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
     # TestCount::test_non_integer_bound_names_the_variable and
     # TestEulerFactor::test_non_prime_exits_2 cover the other two UsageError sites.

@@ -153,7 +153,6 @@ FORBIDDEN_NAMES = {
             "_factorization_sum_table",
             "count_by_recursion",
             "_recursion_table",
-            "_recursion_levels",
         ),
         {
             "dirichlet_coefficients",
@@ -168,6 +167,12 @@ FORBIDDEN_NAMES = {
         "count",
         ("_recursion_table",),
         {"_divisor_table", "_divisor_table_size", "DivisorIndex", "divisors", "factorize"},
+    ),
+    # The recursion's single count sums over m's exponent grid: no divisor has a list of its own.
+    "recursion-single": (
+        "count",
+        ("count_by_recursion",),
+        {"DivisorIndex", "divisors", "_divisor_table", "_divisor_table_size"},
     ),
     # The Gruber sweep multiplies prime-power values, each a single Gruber count.
     "gruber-sweep": (
@@ -184,7 +189,6 @@ FORBIDDEN_NAMES = {
             "_factorization_sum_table",
             "count_by_recursion",
             "_recursion_table",
-            "_recursion_levels",
             "dirichlet_coefficients",
             "_dirichlet_levels",
             "count_by_dirichlet",

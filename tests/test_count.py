@@ -1,5 +1,6 @@
 import math
 import pickle
+import time
 import tracemalloc
 from itertools import islice
 from operator import attrgetter
@@ -22,11 +23,12 @@ from latcount import (
     count_by_recursion,
     count_table,
     dirichlet_coefficients,
+    divisors,
     gauss_binomial_at,
     ordered_factorization_count,
     run_count,
 )
-from latcount.arith import DivisorIndex, _divisor_table
+from latcount.arith import DivisorIndex, _divisor_table, factorize
 from latcount.count import FORMULA_METHODS, _factorization_sum, check_enumeration_size
 from latcount.count import first_disagreement, left_out_methods
 from latcount.hnf import DEFAULT_ENUMERATION_CAP
@@ -116,11 +118,27 @@ class TestRecursion:
             assert count_by_recursion(2, m).value == sum(d for d in range(1, m + 1) if m % d == 0)
 
     def test_divisor_visits_are_n_minus_one_passes_over_the_index(self):
-        # one pass reads tau(d) divisors for each d | m: the 3-part factorizations of m
+        # one pass over the grid adds every entry with e_i < r_i into the next along axis i
         for n, m in [(1, 360), (2, 1), (3, 720720), (5, 2**10 * 3**4), (4, 1202570211570)]:
             visits = count_by_recursion(n, m).work_stats["divisor_visits"]
-            assert visits == (n - 1) * ordered_factorization_count(m, 3)
-        assert count_by_recursion(4, 1202570211570).work_stats["divisor_visits"] == 3 * 3**11
+            tau = len(divisors(m))
+            adds = sum(tau // (r + 1) * r for _, r in brute_factorization(m))
+            assert visits == (n - 1) * adds, (n, m)
+        assert count_by_recursion(4, 1202570211570).work_stats["divisor_visits"] == 3 * 11 * 2**10
+
+    def test_grid_matches_gruber_and_the_sweep_to_two_thousand(self):
+        for n in range(1, 7):
+            gruber = list(count_table(n, 2000, Method.GRUBER))
+            sweep = list(count_table(n, 2000, Method.RECURSION))
+            grid = [count_by_recursion(n, m).value for m in range(1, 2001)]
+            assert grid == gruber == sweep, n
+
+    def test_grid_at_uneven_shapes(self):
+        # m = 1 is an empty grid, a prime one axis of two entries, and the last
+        # mixes axes of 11, 6 and 4 entries: strided slices and contiguous runs.
+        for m in (1, 1000003, 2**10 * 3**5 * 5**3, 5**3 * 3**5 * 2**10 * 1000003):
+            for n in (1, 2, 3, 4, 7):
+                assert count_by_recursion(n, m).value == count_by_gruber(n, m).value, (n, m)
 
 
 class TestDeepDivisorChains:
@@ -543,6 +561,76 @@ class TestSweepBudgets:
             run_count(2, 2**20000, "hnf")
         with pytest.raises(CapacityError, match=message):
             check_enumeration_size(2, 2**20000)
+
+
+class TestSingleCountBudgets:
+    PRIMORIAL_31 = math.prod(sieve_primes(31))  # 11 primes, tau = 2048, 38 bits
+
+    def test_recursion_refuses_past_its_levels_before_the_grid(self, monkeypatch):
+        cap = latcount.count.MAX_RECURSION_GRID_CELLS
+        factors = factorize(self.PRIMORIAL_31)
+        assert latcount.count._recursion_grid_cells(385, factors, 38) <= cap
+        # accumulate makes each prime's powers for the grid's divisors, before the first level.
+        monkeypatch.setattr(latcount.count, "accumulate", None)
+        with pytest.raises(CapacityError) as excinfo:
+            count_by_recursion(386, self.PRIMORIAL_31)
+        assert str(excinfo.value) == (
+            "the recursion's levels for n=386 at an m of 38 bits would cost 300410880 cells, "
+            "above the limit 300000000"
+        )
+        # n = 1000 would hold its 2048 values at 75 cells each.
+        with pytest.raises(CapacityError, match="^the recursion's 2048 values for n=1000 at an m"):
+            count_by_recursion(1000, self.PRIMORIAL_31)
+
+    def test_recursion_refuses_m_s_divisor_list_as_the_index_does(self, monkeypatch):
+        # 2^8190's divisor list is admitted; at n = 3 its values are not.
+        assert count_by_recursion(2, 2**8190).value == 2**8191 - 1
+        monkeypatch.setattr(latcount.count, "accumulate", None)
+        for n in (1, 2, 3):
+            with pytest.raises(CapacityError, match="^listing the 25010001 divisors of an m of"):
+                count_by_recursion(n, 10**5000)
+        with pytest.raises(CapacityError) as excinfo:
+            count_by_recursion(3, 2**8190)
+        assert str(excinfo.value) == (
+            "the recursion's 8191 values for n=3 at an m of 8191 bits would hold 262112 cells, "
+            "above the limit 131072"
+        )
+
+    def test_factorization_sum_refuses_past_its_cells_before_the_first_prefix(self):
+        cap = latcount.count.MAX_FACTORIZATION_SUM_CELLS
+        # (7, 720720) walks 14.1 M tuples in about 2 s; it is the last n admitted at that m.
+        assert latcount.count._factorization_sum_cells(7, factorize(720720), 20) <= cap
+        with pytest.raises(CapacityError) as excinfo:
+            count_by_factorization_sum(8, 720720)
+        assert str(excinfo.value) == (
+            "the 48660480 8-part factorizations of an m of 20 bits would cost 487658448 cells, "
+            "above the limit 100000000"
+        )
+        # In n, each cell counts once more for every 512 bits of m^(n-1).
+        result = count_by_factorization_sum(14_080, 2)
+        assert (result.value, result.work_stats["tuples"]) == (2**14_080 - 1, 14_080)
+        with pytest.raises(CapacityError, match="^the 14081 14081-part .* 101708152 cells"):
+            count_by_factorization_sum(14_081, 2)
+
+    def test_factorization_sum_cells_bound_the_tuples(self):
+        for m in (1, 2, 12, 720720, 2**10 * 3**4):
+            factors = factorize(m)
+            for n in range(1, 9):
+                cells = latcount.count._factorization_sum_cells(n, factors, m.bit_length())
+                assert cells >= ordered_factorization_count(m, n), (n, m)
+
+    def test_all_methods_refuse_before_gruber_s_products(self, monkeypatch):
+        # Gruber's products at (2, 10^5000) are inside their budget and take about 1 s.
+        monkeypatch.setattr(latcount.count, "count_by_gruber", None)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="^listing the 25010001 divisors"):
+            count_all_methods(2, 10**5000)
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(CapacityError, match="^the 48660480 8-part factorizations"):
+            count_all_methods(8, 720720)
+        # f_n(1) has one tuple, but the recursion's levels count n bits for every value.
+        with pytest.raises(CapacityError, match="^the recursion's levels for n=400000 "):
+            count_all_methods(400_000, 1)
 
 
 class TestCountResultType:

@@ -21,7 +21,6 @@ from latcount import (
     geometric_factor,
     lhs_product,
     rhs_sum,
-    verify_generating_identity,
 )
 from latcount.series import (
     MAX_DIRICHLET_CELLS,
@@ -35,6 +34,7 @@ from oracles import (
     dirichlet_by_descending_divisors,
     dirichlet_by_divisor_sums,
     poly_mul,
+    verify_generating_identity,
 )
 
 
