@@ -36,8 +36,8 @@ with n.
     is q's divisors, made by a sieve with no trial division.  It holds sum
     over q <= M of tau(q) pointers, which `_divisor_table_size` predicts
     exactly in O(sqrt M) before the table is made, so that a sweep over
-    budget can make a `DivisorIndex` per m instead.  The recursion's sweep
-    reads no index: it pushes each d's term into d's multiples.
+    budget is refused before it.  The recursion's sweep reads no index: it
+    pushes each d's term into d's multiples.
 """
 
 from __future__ import annotations

@@ -20,25 +20,33 @@ single count returns a `CountResult` with its work counters; a sweep,
 Each method's sweep yields its tables level by level, f_n(1 .. M) for
 n = 1, 2, ...: `first_disagreement` reads every level of one sweep per
 method, and `count_table` reads the n-th, so each method has one loop.
-Factorization-sum and Dirichlet each have one body, which a single count,
-both sweeps and `count_all_methods` all reach.  Factorization-sum takes the
-divisor lattice as an argument: a `DivisorIndex` of m for one count or an
-over-budget sweep, one divisor table, shared by every level, for any other
-sweep.  It walks the tuples in one loop over a list of pending prefixes, at
-most (n - 3) * tau(m) of them for n >= 4, so no call depth grows with n,
-and still adds every tuple on its own; the last three parts of a tuple
-multiply to the quotient q their prefix leaves, so they are added as
-q^(n-3) times the sum over c | q of c * sigma(c).  A single count predicts
-its walk's cost from the factorization and refuses above
-MAX_FACTORIZATION_SUM_CELLS before the first prefix.  A Gruber sweep runs the
-single count once per prime power p^r <= max_m and level, and multiplies:
-each other m, split as p^r * rest by its least prime p, takes the product
-of two values already made.  It finds p by one trial loop per m, under the
-bound read once per sweep, keeps the split for every level, and reads no
-divisor list.  Each single count predicts the cost of its products from
-the factorization and refuses above MAX_GRUBER_SQUARED_BITS before the
-first.  The recursion has two loops over the same recurrence, which
-cross-check each other.  A single count holds m's divisors as the grid of
+Factorization-sum, Gruber and Dirichlet each have one body, which a
+single count, both sweeps and `count_all_methods` all reach.
+Factorization-sum takes the divisor lattice as an argument: a
+`DivisorIndex` of m for one count, one divisor table, shared by every
+level, for a sweep.  It walks the tuples in one loop over a list of
+pending prefixes, at most (n - 3) * tau(m) of them for n >= 4, so no call
+depth grows with n, and still adds every tuple on its own; the last three
+parts of a tuple multiply to the quotient q their prefix leaves, so they
+are added as q^(n-3) times the sum over c | q of c * sigma(c).  Only a
+single count counts the tuples; a sweep's body counts nothing.  A single
+count predicts its walk's cost from the factorization and refuses above
+MAX_FACTORIZATION_SUM_CELLS before the first prefix.  A sweep predicts its
+levels' cost from D_k(M), the k-tuples with product <= M, counted with no
+factorization, and refuses above MAX_FACTORIZATION_SUM_SWEEP_CELLS, and a
+divisor table above MAX_DIVISOR_TABLE_POINTERS, before the table is made;
+no sweep falls back to a `DivisorIndex` per m.  A Gruber sweep runs the
+body of a single count once per prime power p^r <= max_m and level, and
+multiplies: each other m, split as p^r * rest by its least prime p, takes
+the product of two values already made.  It finds p by one trial loop per
+m, under the bound read once per sweep, keeps the split for every level,
+and hands each prime power's body the factorization ((p, r),) from that
+split, so no prime power is factored again; it reads no divisor list.
+The body predicts the cost of its products from the factorization and
+refuses above MAX_GRUBER_SQUARED_BITS before the first, and checks both
+product forms and every division, in a sweep as in a single count.  The
+recursion has two loops over the same recurrence, which cross-check each
+other.  A single count holds m's divisors as the grid of
 their exponent vectors, one list in mixed-radix order, and makes each
 level as one prefix sum per prime axis, in slice updates, so no divisor
 has a list of its own divisors and no `DivisorIndex` is read; its values
@@ -56,8 +64,8 @@ it skips, and the same rule refuses an over-cap enumeration.
 from __future__ import annotations
 
 from itertools import accumulate, islice, repeat
-from math import prod
-from operator import add, attrgetter, mul
+from math import isqrt, prod
+from operator import add, attrgetter, floordiv, mul, sub
 from typing import Iterator, Sequence
 
 from .arith import MAX_DIVISOR_CELLS, DivisorIndex, _check_divisor_list, _divisor_table
@@ -89,7 +97,9 @@ def count_by_factorization_sum(n: int, m: int) -> CountResult:
     """
     check_args(n, m)
     _check_factorization_sum(n, factorize(m), m.bit_length())
-    return _factorization_sum(n, m, DivisorIndex(m))
+    work_stats = {}
+    value = _factorization_sum(n, m, DivisorIndex(m), work_stats)
+    return CountResult(value, Method.FACTORIZATION_SUM, work_stats=work_stats)
 
 
 # The most cells a factorization-sum single count may cost, by
@@ -127,8 +137,19 @@ def _check_factorization_sum(n: int, factors: Sequence[tuple[int, int]], bits: i
     check_budget(_factorization_sum_cells(n, factors, bits), MAX_FACTORIZATION_SUM_CELLS, work)
 
 
-def _factorization_sum(n: int, m: int, index: DivisorIndex | list[list[int]]) -> CountResult:
-    """count_by_factorization_sum, with the divisor lists read from index.
+def _exponents(n: int) -> list[Iterator[int]]:
+    """repeat(i) for i = 0 .. n - 3: each is endless, so one per exponent serves every prefix."""
+    return list(map(repeat, range(n - 2)))
+
+
+def _factorization_sum(
+    n: int,
+    m: int,
+    index: DivisorIndex | list[list[int]],
+    work_stats: dict | None = None,
+    exponents: Sequence[Iterator[int]] | None = None,
+) -> int:
+    """f_n(m) by the factorization sum, with the divisor lists read from index.
 
     One loop over a list of pending prefixes d_1 ... d_i, each held as the
     quotient q still to be factored, the exponent i of the next part and the
@@ -138,18 +159,22 @@ def _factorization_sum(n: int, m: int, index: DivisorIndex | list[list[int]]) ->
     tuple weighs w * d^(n-3) x^(n-2) y^(n-1) = w * q^(n-3) * c * y, so the
     prefix adds w * q^(n-3) * sum over c | q of c * sigma(c), and every tuple
     still adds its own last part y.  n = 2 adds sigma(m) over the pairs
-    (m / y, y).  For n >= 4 the list holds at most (n - 3) * tau(m) prefixes.
+    (m / y, y), and m = 1 has the one tuple (1, ..., 1).  For n >= 4 the
+    list holds at most (n - 3) * tau(m) prefixes.  Given a work_stats dict,
+    the tuples are counted into its "tuples"; the sweeps give none and count
+    nothing, and pass one list of `_exponents` for every m.
     """
-    if n == 1:
-        return CountResult(1, Method.FACTORIZATION_SUM, work_stats={"tuples": 1})
-    if n == 2:
-        divs = index[m]
-        return CountResult(sum(divs), Method.FACTORIZATION_SUM, work_stats={"tuples": len(divs)})
+    if n <= 2 or m == 1:
+        divs = index[m] if n == 2 else [1]
+        if work_stats is not None:
+            work_stats["tuples"] = len(divs)
+        return sum(divs)
+    counted = work_stats is not None
     total = 0
     tuples = 0
     last = n - 3
-    # Each repeat is endless, so one per exponent serves every prefix.
-    exponents = [repeat(i) for i in range(n - 2)]
+    if exponents is None:
+        exponents = _exponents(n)
     pending = [(m, 0, 1)]
     pop = pending.pop
     push = pending.extend
@@ -163,34 +188,118 @@ def _factorization_sum(n: int, m: int, index: DivisorIndex | list[list[int]]) ->
         divs = index[q]
         if i == last:
             # The tuples under this prefix are the pairs (c, y), y | c | q.
-            subs = list(map(divisors_of, divs))
+            subs = map(divisors_of, divs)
+            if counted:
+                subs = list(subs)
+                tuples += sum(map(len, subs))
             total += w * q**i * sum(map(mul, divs, map(sum, subs)))
-            tuples += sum(map(len, subs))
         else:
             # divs is sorted, so reversed(divs) is the cofactors q // d in the order of divs.
             weights = map(mul, repeat(w), map(pow, divs, exponents[i]))
             push(zip(reversed(divs), exponents[i + 1], weights))
-    return CountResult(total, Method.FACTORIZATION_SUM, work_stats={"tuples": tuples})
+    if counted:
+        work_stats["tuples"] = tuples
+    return total
 
 
-def _factorization_sum_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
-    """For n = 1 .. n_max, an iterator over f_n(1) .. f_n(max_m), by _factorization_sum.
+def _tuple_counts(max_m: int) -> Iterator[int]:
+    """D_1(max_m), D_2(max_m), ...: D_k(x) is the number of k-tuples with product <= x.
 
-    Every level reads one divisor table, made at the first level and held
-    by each level's iterator; above MAX_DIVISOR_TABLE_POINTERS pointers no
-    table is made, and each m reads its own DivisorIndex.  Values are made
-    as they are read.
+    D_1(x) = x and D_k(x) = sum over d <= x of D_(k-1)(x // d).  The d <= isqrt(x)
+    are taken one by one, and the larger d by their quotient v = x // d, which
+    x // v - x // (v + 1) of them share, so each x costs O(sqrt x) terms.  Every
+    x reached is max_m // d for some d, so a level is held on those O(sqrt max_m)
+    values alone.  The terms of every x are listed once, as (key, weight) runs
+    that end at ends[i], so each level is one weighted prefix sum over them,
+    made in C.  No number is factored and no divisor listed.
     """
-    if _divisor_table_size(max_m) <= MAX_DIVISOR_TABLE_POINTERS:
-        table = _divisor_table(max_m)
-    else:
-        table = None
+    root = isqrt(max_m)
+    xs = sorted({*map(floordiv, repeat(max_m), range(1, root + 1)), *range(1, root + 1)})
+    keys, weights, ends = [], [], []
+    for x in xs:
+        s = isqrt(x)
+        # x // 1 .. x // (s + 1); the quotients v <= x // (s + 1) belong to the d > s.
+        quotients = list(map(floordiv, repeat(x), range(1, s + 2)))
+        t = quotients[s]
+        keys += quotients[:s]
+        keys += range(1, t + 1)
+        weights += repeat(1, s)
+        weights += map(sub, quotients[:t], quotients[1 : t + 1])
+        ends.append(len(keys))
+    starts = [0, *ends[:-1]]
+    values = xs
+    while True:
+        # xs is sorted, so max_m is its last.
+        yield values[-1]
+        level = dict(zip(xs, values))
+        sums = list(accumulate(map(mul, weights, map(level.__getitem__, keys)), initial=0))
+        values = list(map(sub, map(sums.__getitem__, ends), map(sums.__getitem__, starts)))
+
+
+# A factorization-sum sweep's divisor table holds sum over m <= max_m of tau(m)
+# pointers.  Above this many (max_m of about 8.7 * 10**4, about 17 MB) the
+# sweep is refused, since the table is its memory.
+MAX_DIVISOR_TABLE_POINTERS = 10**6
+
+# The most cells a factorization-sum sweep's levels may cost, by
+# _factorization_sum_sweep_cells.  On a 2-vCPU VM a cell takes 30-90 ns, and
+# the last sweeps admitted take 1.5-3.6 s in process: every level of
+# (4, 69122) and (5, 18959), as verify makes them, and the n-th alone of
+# (4, 83644) and (1100, 4), as table does, the last a test runs.  Without
+# it, (10, 2000) ran 17.3 s.
+MAX_FACTORIZATION_SUM_SWEEP_CELLS = 45 * 10**6
+
+
+def _factorization_sum_sweep_cells(n_max: int, max_m: int, lowest: int) -> int:
+    """The cost of levels lowest .. n_max of a factorization-sum sweep up to max_m.
+
+    Level k costs a cell per tuple, D_k(max_m), and 16 per prefix popped,
+    about D_(k-2) + D_(k-3) of them (D_0 = 1), or one call per m for k <= 2,
+    each counted 1 + b // 2048 times, b being the bits of max_m^(n_max - 1),
+    which bounds the values.  A level costs no less than the one below it,
+    so the sum stops at the first level past MAX_FACTORIZATION_SUM_SWEEP_CELLS,
+    and a level below lowest past it stands for them all: either way a
+    refused sweep's cells are a lower bound.  At max_m = 1 each level is one
+    call, counted as a level of 33 cells.
+    """
+    weight = 1 + (n_max - 1) * max_m.bit_length() // 2048
+    if max_m == 1:
+        return 33 * (n_max - lowest + 1) * weight
+    counts = [1]
+    cells = 0
+    for k, count in enumerate(islice(_tuple_counts(max_m), n_max), start=1):
+        counts.append(count)
+        popped = counts[k - 2] + counts[k - 3] if k >= 3 else max_m
+        cells = (cells if k > lowest else 0) + (count + 16 * popped) * weight
+        if cells > MAX_FACTORIZATION_SUM_SWEEP_CELLS:
+            break
+    return cells
+
+
+def _factorization_sum_table(n_max: int, max_m: int, lowest: int = 1) -> Iterator[Iterator[int]]:
+    """For n = lowest .. n_max, an iterator over f_n(1) .. f_n(max_m), by _factorization_sum.
+
+    Before the first level, the divisor table's pointers are refused above
+    MAX_DIVISOR_TABLE_POINTERS, since they bound its memory, and the cells
+    of the levels made above MAX_FACTORIZATION_SUM_SWEEP_CELLS.  Every level
+    reads one divisor table, made at the first level and held by each
+    level's iterator, and counts no tuples.  Values are made as they are
+    read.
+    """
+    work = f"the factorization-sum sweep up to m={max_m} would hold {{}} divisor-table pointers"
+    check_budget(_divisor_table_size(max_m), MAX_DIVISOR_TABLE_POINTERS, work)
+    cells = _factorization_sum_sweep_cells(n_max, max_m, lowest)
+    work = f"the factorization-sum sweep up to n={n_max}, m={max_m} would cost at least {{}} cells"
+    check_budget(cells, MAX_FACTORIZATION_SUM_SWEEP_CELLS, work)
+    table = _divisor_table(max_m)
+    # m = 1 returns before its first prefix, so a sweep up to 1 makes no exponent.
+    exponents = _exponents(n_max) if max_m > 1 else None
 
     def level(n: int) -> Iterator[int]:
         for m in range(1, max_m + 1):
-            yield _factorization_sum(n, m, table or DivisorIndex(m)).value
+            yield _factorization_sum(n, m, table, exponents=exponents)
 
-    yield from map(level, range(1, n_max + 1))
+    yield from map(level, range(lowest, n_max + 1))
 
 
 # The most cells a recursion single count's levels may cost, by
@@ -327,23 +436,6 @@ def _recursion_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
         yield islice(values, 1, None)
 
 
-def _recursion_levels(
-    n: int, nodes: Sequence[int], sub_divisors: list[list[int]]
-) -> dict[int, int]:
-    """f_n(d) for each node d, whose divisors are the matching entry of sub_divisors.
-
-    The nodes are closed under divisors, and each level k holds f_k at every
-    node, d * f_(k-1)(d) summed over the node's divisors d.
-    """
-    values = dict.fromkeys(nodes, 1)
-    for _ in range(n - 1):
-        values = {
-            d: sum(map(mul, sub, map(values.__getitem__, sub)))
-            for d, sub in zip(nodes, sub_divisors)
-        }
-    return values
-
-
 # The most squared bits count_by_gruber's products may cost.  On a 2-vCPU VM
 # count_by_gruber(2, 2**10000) costs 1.33 * 10**12 and takes about 1.6 s, and
 # (2, 10**5000), which `count --all` runs before it refuses to list the
@@ -393,7 +485,11 @@ def count_by_gruber(n: int, m: int) -> CountResult:
     product.
     """
     check_args(n, m)
-    factors = factorize(m)
+    return CountResult(_gruber(n, m, factorize(m)), Method.GRUBER)
+
+
+def _gruber(n: int, m: int, factors: Sequence[tuple[int, int]]) -> int:
+    """count_by_gruber(n, m)'s value, from m's prime factorization, with every check."""
     _check_gruber(n, factors, m.bit_length())
 
     def local(form: str, p: int, s: int, top: int) -> int:
@@ -417,7 +513,7 @@ def count_by_gruber(n: int, m: int) -> CountResult:
         raise ExactnessError(
             f"product forms disagree for n={n}, m={m}: {first} versus {second}"
         )
-    return CountResult(first, Method.GRUBER)
+    return first
 
 
 def _gruber_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
@@ -425,15 +521,18 @@ def _gruber_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
 
     Each m >= 2 is split as p^r * rest, p its least prime, found by one trial
     loop under the bound read once for the whole sweep; the split is found
-    by the first level to reach m and kept for every other.  A prime power's
-    value is its single count, so both product forms are checked once per
-    prime power and level; any other m multiplies the values of p^r and
-    rest, both already made.  Values come out as they are made, so a
-    refusal at m follows every value before it.
+    by the first level to reach m and kept for every other, with r beside
+    p^r.  A prime power's value is the body of its single count, given
+    ((p, r),) and not factored again, so its budget, both product forms and
+    every checked division still run once per prime power and level; any
+    other m multiplies the values of p^r and rest, both already made.
+    Values come out as they are made, so a refusal at m follows every value
+    before it.
     """
     limit = trial_division_bound()
-    # powers[m] is the p^r of m's split, for m >= 2.
+    # powers[m] is the p^r of m's split, for m >= 2, and prime_powers[p^r] is ((p, r),).
     powers = [0, 1]
+    prime_powers = {}
 
     def level(n: int) -> Iterator[int]:
         values = [0, 1]
@@ -441,13 +540,15 @@ def _gruber_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
         for m in range(2, max_m + 1):
             if m == len(powers):
                 p = _least_prime(m, limit)
-                power = p
+                power, r = p, 1
                 while m % (power * p) == 0:
-                    power *= p
+                    power, r = power * p, r + 1
                 powers.append(power)
+                if power == m:
+                    prime_powers[m] = ((p, r),)
             power = powers[m]
             if power == m:
-                values.append(count_by_gruber(n, m).value)
+                values.append(_gruber(n, m, prime_powers[m]))
             else:
                 values.append(values[power] * values[m // power])
             yield values[m]
@@ -476,11 +577,6 @@ _DISPATCH = {
     Method.DIRICHLET: count_by_dirichlet,
     Method.HNF: count_by_enumeration,
 }
-
-# A factorization-sum sweep's divisor table holds sum over m <= max_m of tau(m)
-# pointers.  Above this many (max_m of about 8.7 * 10**4, about 17 MB),
-# count_table runs a single count, with its own DivisorIndex, per m instead.
-MAX_DIVISOR_TABLE_POINTERS = 10**6
 
 # Every method but enumeration, whose work is the count itself.
 FORMULA_METHODS = (Method.DIRICHLET, Method.FACTORIZATION_SUM, Method.GRUBER, Method.RECURSION)
@@ -518,14 +614,16 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
     Dirichlet fills the whole table from one convolution pass before this
     returns, and so does the recursion, one pass per level that pushes each
     d's term into its multiples, with no divisor list.
-    Gruber runs one pass over m, as the values are consumed: a single
-    count per prime power, and a product of two earlier values for any other
-    m (see `_gruber_table`).
-    Factorization-sum runs the body of a single count once per m, as the
-    values are consumed, with every m's divisor lists read from one divisor
-    table, made before this returns and held by the iterator.  Above
-    MAX_DIVISOR_TABLE_POINTERS pointers no table is made, and each m reads
-    its own DivisorIndex.
+    Gruber runs one pass over m, as the values are consumed: the body of a
+    single count per prime power, on the factorization its split gives, and
+    a product of two earlier values for any other m (see `_gruber_table`).
+    Factorization-sum makes its n-th level alone: the body of a single
+    count once per m, as the values are consumed, counting no tuples, with
+    every m's divisor lists read from one divisor table, made before this
+    returns and held by the iterator.  The level's cost is refused above
+    MAX_FACTORIZATION_SUM_SWEEP_CELLS, and the table above
+    MAX_DIVISOR_TABLE_POINTERS, before the table is made (see
+    `_factorization_sum_table`).
     Enumeration runs once per m, as the values are consumed, but first
     checks every m's count against the default cap, so an over-cap m is
     refused before the first matrix of any.
@@ -537,6 +635,9 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
         for m in ms:
             check_enumeration_size(n, m)
         return (count_by_enumeration(n, m).value for m in ms)
+    if method is Method.FACTORIZATION_SUM:
+        # Its levels are made apart, so the sweep makes, and is charged for, the n-th alone.
+        return next(_factorization_sum_table(n, max_m, lowest=n))
     return next(islice(_TABLES[method](n, max_m), n - 1, None))
 
 
@@ -549,8 +650,8 @@ def first_disagreement(n_max: int, m_max: int) -> tuple[int, int, list[tuple[Met
     next is made: Dirichlet convolves one more shift into one list, the
     recursion pushes one more level into the multiples, factorization-sum
     reads one divisor table for every n, and Gruber splits each m once.
-    Dirichlet's and the recursion's budgets are checked for n_max before
-    their first level.
+    Dirichlet's, factorization-sum's and the recursion's budgets are
+    checked for every level up to n_max before their first level.
     """
     check_args(n_max, m_max)
     tables = [_TABLES[method](n_max, m_max) for method in FORMULA_METHODS]

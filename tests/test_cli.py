@@ -414,6 +414,34 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("table", "--n", "4", "--max-m", "83645", "--method", "factorization-sum"),
+                "the factorization-sum sweep up to n=4, m=83645 would cost at least 45000081 "
+                "cells, above the limit 45000000",
+            ),
+            (
+                ("table", "--n", "1", "--max-m", "86764", "--method", "factorization-sum"),
+                "the factorization-sum sweep up to m=86764 would hold 1000008 divisor-table "
+                "pointers, above the limit 1000000",
+            ),
+            (
+                ("verify", "--n-max", "4", "--m-max", "69123", "--t-order", "0"),
+                "the factorization-sum sweep up to n=4, m=69123 would cost at least 45000071 "
+                "cells, above the limit 45000000",
+            ),
+        ],
+        ids=["table-cells", "table-pointers", "verify-cells"],
+    )
+    def test_a_factorization_sum_sweep_over_its_budget_exits_3_before_output(self, argv, message):
+        # Before this budget table --n 4 --max-m 87000 ran 8.6 s, one DivisorIndex per m.
+        proc = run_cli(*argv, timeout=30)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
     # TestCount::test_non_integer_bound_names_the_variable and
     # TestEulerFactor::test_non_prime_exits_2 cover the other two UsageError sites.
     def test_bound_below_two_exits_2(self):

@@ -159,7 +159,22 @@ FORBIDDEN_NAMES = {
             "_dirichlet_levels",
             "count_by_dirichlet",
             "count_by_gruber",
+            "_gruber",
             "_gruber_table",
+        },
+    ),
+    # The factorization-sum sweep's budget counts tuples with product <= max_m without
+    # factoring any number or listing any divisor.
+    "factorization-sum-sweep-budget": (
+        "count",
+        ("_tuple_counts", "_factorization_sum_sweep_cells"),
+        {
+            "factorize",
+            "divisors",
+            "DivisorIndex",
+            "_divisor_table",
+            "ordered_factorization_count",
+            "_tuple_count",
         },
     ),
     # The recursion sweep pushes into multiples, so it reads no divisor list at all.
@@ -174,11 +189,14 @@ FORBIDDEN_NAMES = {
         ("count_by_recursion",),
         {"DivisorIndex", "divisors", "_divisor_table", "_divisor_table_size"},
     ),
-    # The Gruber sweep multiplies prime-power values, each a single Gruber count.
+    # The Gruber sweep multiplies prime-power values, each from the body of a single Gruber
+    # count, given the factorization of its own split: no prime power is factored again.
     "gruber-sweep": (
         "count",
         ("_gruber_table",),
         {
+            "factorize",
+            "count_by_gruber",
             "_divisor_table",
             "_divisor_table_size",
             "DivisorIndex",

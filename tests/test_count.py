@@ -15,6 +15,7 @@ from latcount import (
     CapacityError,
     CountResult,
     DiscrepancyError,
+    ExactnessError,
     Method,
     count_all_methods,
     count_by_dirichlet,
@@ -29,7 +30,7 @@ from latcount import (
     run_count,
 )
 from latcount.arith import DivisorIndex, _divisor_table, factorize
-from latcount.count import FORMULA_METHODS, _factorization_sum, check_enumeration_size
+from latcount.count import FORMULA_METHODS, _exponents, _factorization_sum, check_enumeration_size
 from latcount.count import first_disagreement, left_out_methods
 from latcount.hnf import DEFAULT_ENUMERATION_CAP
 from latcount.series import MAX_DIRICHLET_LIMIT
@@ -68,9 +69,9 @@ class TestFactorizationSum:
                 tuples = ordered_factorization_count(m, n)
                 assert counts[n][m] == tuples, (n, m)
                 for index in indexes:
-                    result = _factorization_sum(n, m, index)
-                    assert result.value == sums[n][m], (n, m)
-                    assert result.work_stats["tuples"] == tuples, (n, m)
+                    stats = {}
+                    assert _factorization_sum(n, m, index, stats) == sums[n][m], (n, m)
+                    assert stats["tuples"] == tuples, (n, m)
 
     def test_fold_counts_every_tuple_up_to_seven_parts_over_both_indexes(self):
         table = _divisor_table(400)
@@ -80,8 +81,9 @@ class TestFactorizationSum:
                 expected = (count_by_gruber(n, m).value, ordered_factorization_count(m, n))
                 index = DivisorIndex(m)
                 for lists in (index, table):
-                    result = _factorization_sum(n, m, lists)
-                    assert (result.value, result.work_stats["tuples"]) == expected, (n, m)
+                    stats = {}
+                    value = _factorization_sum(n, m, lists, stats)
+                    assert (value, stats["tuples"]) == expected, (n, m)
                 # The index holds no more pointers than the tuples counted, plus tau(m).
                 assert sum(map(len, index.values())) <= expected[1] + tau, (n, m)
 
@@ -89,13 +91,35 @@ class TestFactorizationSum:
         # Over m = 2 the tuples put the one 2 in part i, of weight 2^i: f_n(2) = 2^n - 1.
         for n in (2, 3, 4, 990, 1000):
             for index in (DivisorIndex(2), _divisor_table(2)):
-                result = _factorization_sum(n, 2, index)
-                assert result.value == 2**n - 1, n
-                assert result.work_stats["tuples"] == n
+                stats = {}
+                assert _factorization_sum(n, 2, index, stats) == 2**n - 1, n
+                assert stats["tuples"] == n
         tuples = brute_ordered_factorizations(12, 2)
-        result = _factorization_sum(2, 12, DivisorIndex(12))
-        assert result.value == sum(d2 for _, d2 in tuples) == brute_sigma(12)
-        assert result.work_stats["tuples"] == len(tuples)
+        stats = {}
+        value = _factorization_sum(2, 12, DivisorIndex(12), stats)
+        assert value == sum(d2 for _, d2 in tuples) == brute_sigma(12)
+        assert stats["tuples"] == len(tuples)
+
+    def test_the_uncounted_body_equals_the_counted_one_over_both_indexes(self):
+        # The sweeps call the body with no counter, and with one list of exponents for every n.
+        table = _divisor_table(400)
+        shared = _exponents(7)
+        for m in range(1, 401):
+            index = DivisorIndex(m)
+            for n in range(1, 8):
+                for lists in (index, table):
+                    stats = {}
+                    counted = _factorization_sum(n, m, lists, stats)
+                    assert stats["tuples"] == ordered_factorization_count(m, n), (n, m)
+                    assert _factorization_sum(n, m, lists) == counted, (n, m)
+                    assert _factorization_sum(n, m, lists, exponents=shared) == counted, (n, m)
+
+    def test_m_one_makes_no_exponent(self, monkeypatch):
+        # f_n(1) is one tuple at any n, so no list of n - 2 exponents is made for it.
+        monkeypatch.setattr(latcount.count, "_exponents", None)
+        result = count_by_factorization_sum(10**7, 1)
+        assert (result.value, result.work_stats["tuples"]) == (1, 1)
+        assert list(count_table(10**7, 1, Method.FACTORIZATION_SUM)) == [1]
 
     def test_count_queries_inputs_agree_with_gruber(self):
         # the factorization-sum queries of the count-queries benchmark on seeds 1 and 11
@@ -354,21 +378,62 @@ class TestRequestDispatch:
     def test_gruber_table_counts_each_prime_power_once(self, monkeypatch):
         calls = []
         bounds_read = []
+        real_body = latcount.count._gruber
 
-        def counted_gruber(n, m):
-            calls.append(m)
-            return count_by_gruber(n, m)
+        def counted_body(n, m, factors):
+            calls.append((m, factors))
+            return real_body(n, m, factors)
 
         def counted_bound():
             bounds_read.append(1)
             return latcount.arith.trial_division_bound()
 
-        monkeypatch.setattr(latcount.count, "count_by_gruber", counted_gruber)
+        monkeypatch.setattr(latcount.count, "_gruber", counted_body)
         monkeypatch.setattr(latcount.count, "trial_division_bound", counted_bound)
+        # The sweep's own split gives each prime power's factorization: nothing is factored again.
+        monkeypatch.setattr(latcount.count, "factorize", None)
         values = list(count_table(4, 1000, Method.GRUBER))
-        assert calls == [m for m in range(2, 1001) if len(brute_factorization(m)) == 1]
+        prime_powers = [m for m in range(2, 1001) if len(brute_factorization(m)) == 1]
+        assert calls == [(m, tuple(brute_factorization(m))) for m in prime_powers]
         assert bounds_read == [1]
+        monkeypatch.undo()
         assert values == [count_by_gruber(4, m).value for m in range(1, 1001)]
+
+    @staticmethod
+    def _shift_second_form(monkeypatch, n_fault, m_fault):
+        """Make the Gruber body's second product form read p^(r+1) at (n_fault, m_fault)."""
+        real_body = latcount.count._gruber
+
+        class Shifting:
+            # Three passes: the budget's, the first form's and the second form's.
+            def __init__(self, factors):
+                (p, r), = factors
+                self.passes = iter((factors, factors, ((p, r + 1),)))
+
+            def __iter__(self):
+                return iter(next(self.passes))
+
+        def faulty_body(n, m, factors):
+            if (n, m) == (n_fault, m_fault):
+                factors = Shifting(factors)
+            return real_body(n, m, factors)
+
+        monkeypatch.setattr(latcount.count, "_gruber", faulty_body)
+
+    def test_gruber_table_checks_both_forms_at_every_prime_power(self, monkeypatch):
+        expected = [count_by_gruber(3, m).value for m in range(1, 61)]
+        for m in (m for m in range(2, 61) if len(brute_factorization(m)) == 1):
+            monkeypatch.undo()
+            self._shift_second_form(monkeypatch, 3, m)
+            table = count_table(3, 60, Method.GRUBER)
+            assert list(islice(table, m - 1)) == expected[: m - 1], m
+            with pytest.raises(ExactnessError, match=f"^product forms disagree for n=3, m={m}: "):
+                next(table)
+        # verify's sweep reads the same body, at every level.
+        monkeypatch.undo()
+        self._shift_second_form(monkeypatch, 4, 49)
+        with pytest.raises(ExactnessError, match="^product forms disagree for n=4, m=49: "):
+            first_disagreement(5, 60)
 
     @pytest.mark.parametrize("bound, m", [(2, 9), (3, 25), (10, 121)])
     def test_gruber_table_refuses_at_the_first_m_it_cannot_factor(self, monkeypatch, bound, m):
@@ -405,12 +470,20 @@ class TestRequestDispatch:
         for m in (*range(1, 50), 720, 65_536, 83_160, 86_763, 86_764):
             assert table[m - 1] == count_by_gruber(4, m).value, m
 
-    def test_table_over_the_divisor_budget_counts_per_m(self, monkeypatch):
-        predicted = latcount.count._divisor_table_size(300)
-        monkeypatch.setattr(latcount.count, "MAX_DIVISOR_TABLE_POINTERS", predicted - 1)
+    def test_table_over_the_divisor_budget_is_refused(self, monkeypatch):
+        # The divisor table is the sweep's memory; no sweep falls back to one index per m.
         self._forbid(monkeypatch, "_divisor_table")
-        table = list(count_table(4, 300, Method.FACTORIZATION_SUM))
-        assert table == [count_by_factorization_sum(4, m).value for m in range(1, 301)]
+        self._forbid(monkeypatch, "DivisorIndex")
+        message = (
+            "the factorization-sum sweep up to m=86764 would hold 1000008 divisor-table "
+            "pointers, above the limit 1000000"
+        )
+        for n in (1, 2, 3):
+            with pytest.raises(CapacityError) as excinfo:
+                count_table(n, 86_764, Method.FACTORIZATION_SUM)
+            assert str(excinfo.value) == message
+        with pytest.raises(CapacityError, match="^the factorization-sum sweep up to m=86764 "):
+            first_disagreement(1, 86_764)
 
     def test_divisor_budget_admits_max_m_to_86763(self):
         budget = latcount.count.MAX_DIVISOR_TABLE_POINTERS
@@ -519,17 +592,19 @@ class TestFirstDisagreement:
         counted("_dirichlet_levels", latcount.series._dirichlet_levels)
         counted("_divisor_table", _divisor_table)
         counted("_least_prime", latcount.arith._least_prime)
-        counted("count_by_gruber", count_by_gruber)
+        counted("_gruber", latcount.count._gruber)
         assert first_disagreement(5, 200) is None
         prime_powers = [m for m in range(2, 201) if len(brute_factorization(m)) == 1]
         assert calls["_dirichlet_levels"] == [(5, 200)]
         assert calls["_divisor_table"] == [(200,)]
         assert [m for m, _ in calls["_least_prime"]] == list(range(2, 201))
-        assert calls["count_by_gruber"] == [(n, m) for n in range(1, 6) for m in prime_powers]
+        assert calls["_gruber"] == [
+            (n, m, tuple(brute_factorization(m))) for n in range(1, 6) for m in prime_powers
+        ]
 
 
 class TestSweepBudgets:
-    def test_recursion_sweep_refuses_past_its_cells_before_the_first_level(self):
+    def test_recursion_sweep_refuses_past_its_cells_before_the_first_level(self, monkeypatch):
         cap = latcount.count.MAX_RECURSION_CELLS
         assert latcount.count._recursion_cells(4, 224_152) <= cap
         with pytest.raises(CapacityError) as excinfo:
@@ -538,12 +613,65 @@ class TestSweepBudgets:
             "the recursion sweep up to n=4, m=224153 would cost 8388612 cells, "
             "above the limit 8388608"
         )
+        # verify meets the factorization-sum sweep's divisor budget first; with that sweep
+        # set aside, the recursion's budget refuses verify on its own.
+        with pytest.raises(CapacityError, match="^the factorization-sum sweep up to m=224153 "):
+            first_disagreement(4, 224_153)
+        unmade_levels = lambda n_max, max_m: (iter(()) for _ in range(n_max))  # noqa: E731
+        monkeypatch.setitem(latcount.count._TABLES, Method.FACTORIZATION_SUM, unmade_levels)
         with pytest.raises(CapacityError, match="recursion sweep up to n=4, m=224153 "):
             first_disagreement(4, 224_153)
         # In n, each cell counts once more for every 512 bits of its values.
         assert list(count_table(23_046, 2, Method.RECURSION)) == [1, 2**23_046 - 1]
         with pytest.raises(CapacityError, match="up to n=23047, m=2 would cost 8388744 cells"):
             count_table(23_047, 2, Method.RECURSION)
+
+    def test_tuple_counts_match_the_ordered_factorization_counts(self):
+        # D_k(M), the k-tuples with product <= M, is the sum of T_k(m) over m <= M.
+        running = [0] * 8
+        for max_m in range(1, 2001):
+            for k in range(1, 8):
+                running[k] += ordered_factorization_count(max_m, k)
+            if max_m <= 300 or max_m % 97 == 0 or max_m == 2000:
+                counts = list(islice(latcount.count._tuple_counts(max_m), 7))
+                assert counts == running[1:], max_m
+        # Two parts are the divisor table's pointers.
+        for max_m in (86_763, 86_764, 10**6):
+            counts = latcount.count._tuple_counts(max_m)
+            assert list(islice(counts, 2))[1] == latcount.count._divisor_table_size(max_m)
+
+    def test_factorization_sum_sweep_refuses_past_its_cells_before_the_table(self, monkeypatch):
+        cap = latcount.count.MAX_FACTORIZATION_SUM_SWEEP_CELLS
+        cells = latcount.count._factorization_sum_sweep_cells
+        # verify makes levels 1 .. n, and table the n-th alone: the last max_m admitted at n,
+        # and the last n admitted at m = 2.
+        for n, max_m, lowest in [(4, 69_122, 1), (5, 18_959, 1), (4, 83_644, 4), (5, 23_173, 5)]:
+            assert cells(n, max_m, lowest) <= cap < cells(n, max_m + 1, lowest), (n, max_m)
+        assert cells(1_168, 2, 1) <= cap < cells(1_169, 2, 1)
+        assert cells(36_864, 2, 36_864) <= cap < cells(36_865, 2, 36_865)
+        # The largest sweep a test runs: table --n 1100 --max-m 4, in about 2 s.
+        assert cells(1_100, 4, 1_100) <= cap
+        TestRequestDispatch._forbid(monkeypatch, "_divisor_table")
+        with pytest.raises(CapacityError) as excinfo:
+            count_table(4, 83_645, Method.FACTORIZATION_SUM)
+        assert str(excinfo.value) == (
+            "the factorization-sum sweep up to n=4, m=83645 would cost at least 45000081 cells, "
+            "above the limit 45000000"
+        )
+        message = "^the factorization-sum sweep up to n=4, m=69123 would cost at least 45000071 "
+        with pytest.raises(CapacityError, match=message):
+            first_disagreement(4, 69_123)
+        with pytest.raises(CapacityError, match="^the factorization-sum sweep up to n=36865, m=2 "):
+            count_table(36_865, 2, Method.FACTORIZATION_SUM)
+        # Far past the edge, the sum stops at the first level past the limit, and a table
+        # refuses its n-th level from a level below it.
+        start = time.perf_counter()
+        for n in (10**6, 10**9):
+            with pytest.raises(CapacityError, match=f"^the factorization-sum sweep up to n={n}, "):
+                count_table(n, 1000, Method.FACTORIZATION_SUM)
+            with pytest.raises(CapacityError, match=f"^the factorization-sum sweep up to n={n}, "):
+                next(latcount.count._factorization_sum_table(n, 2))
+        assert time.perf_counter() - start < 1
 
     def test_gruber_refuses_past_its_squared_bits_before_the_first_product(self):
         # f_2(3^r) = (3^(r+1) - 1) / 2
