@@ -8,7 +8,9 @@ Gruber sweep in `latcount.count`, which needs only each m's
 least prime, under a bound it reads once; its refusal names m as
 `factorize`'s does.  Inputs whose unfactored part has no prime
 factor below the trial-division bound are rejected loudly (CapacityError)
-instead of silently falling back to slower machinery.
+instead of silently falling back to slower machinery, and so is a search
+whose candidates, each charged by the bits of what it divides, would cost
+more than MAX_TRIAL_CELLS.
 
 Ordered factorizations and the factorization sum in `latcount.count` walk
 the divisor lattice of m and read it from an index: index[q] is q's sorted
@@ -83,20 +85,43 @@ def _trial_divisors() -> Iterator[int]:
     return chain((2, 3, 5), accumulate(cycle(_WHEEL_GAPS), initial=7))
 
 
+# The most cells one search for a least factor may cost, each candidate
+# counted 1 + b // 512 times, b being the bits of x, as one `%` of x costs
+# about that.  It lets an x below 512 bits reach the default bound: on a
+# 2-vCPU VM the 2.7 * 10**6 candidates up to 10**7 take about 0.3 s, and no
+# search passes 11,250,000, whatever the bound.  It refuses 1000003**5000,
+# 99,658 bits, past about 60,000, where the search for 1000003 ran 6.7 s,
+# while 2**99999 still factors at its first candidate.
+MAX_TRIAL_CELLS = 3 * 10**6
+
+
 def _least_factor(x: int, candidates: Iterator[int], limit: int) -> int:
     """The least prime factor of x, or x itself once d*d > x.
 
     candidates is a `_trial_divisors()` stream, and x has no prime factor
     among the candidates already drawn from it.  Raises CapacityError if the
-    search would pass limit before reaching the square root of x.
+    search would pass limit before reaching the square root of x.  Where it
+    stops is not known before it runs, so its cost is bounded as it goes, the
+    one running bound in latcount: each candidate is charged 1 + b // 512
+    cells, b being the bits of x, and the search's top is lowered to where
+    MAX_TRIAL_CELLS runs out, at 30 / 8 times the candidates it pays for,
+    as the wheel tries 8 in every 30 integers.  A search stopped there raises
+    CapacityError.
     """
     root = isqrt(x)
-    top = min(root, limit)
+    weight = 1 + x.bit_length() // 512
+    reach = MAX_TRIAL_CELLS // weight * 30 // 8
+    top = min(root, limit, reach)
     for d in candidates:
         if d > top:
             break
         if x % d == 0:
             return d
+    if d <= min(root, limit):
+        raise CapacityError(
+            f"trial division of {int_text(x)} past {reach} would cost more than "
+            f"{MAX_TRIAL_CELLS} cells, at {weight} a candidate"
+        )
     if d <= root:
         raise CapacityError(f"no prime factor of {int_text(x)} below trial-division bound {limit}")
     return x
@@ -118,7 +143,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     no pairs.  The remaining cofactor is accepted once trial division has
     passed its square root (it is then certified prime).  If the cofactor's
     smallest prime factor lies beyond the bound, a CapacityError names the
-    bound.
+    bound, and one names MAX_TRIAL_CELLS if a search for it would cost more.
     """
     check_at_least(m, 1, "m")
     try:

@@ -19,19 +19,25 @@ single count returns a `CountResult` with its work counters; a sweep,
 
 Each method's sweep yields its tables level by level, f_n(1 .. M) for
 n = 1, 2, ...: `first_disagreement` reads every level of one sweep per
-method, and `count_table` reads the n-th, so each method has one loop.
+method, and `count_table` reads the n-th, so each method has one loop;
+factorization-sum and Gruber make the n-th level alone for it.
 Factorization-sum, Gruber and Dirichlet each have one body, which a
 single count, both sweeps and `count_all_methods` all reach.
 Factorization-sum takes the divisor lattice as an argument: a
 `DivisorIndex` of m for one count, one divisor table, shared by every
 level, for a sweep.  It walks the tuples in one loop over a list of
 pending prefixes, at most (n - 3) * tau(m) of them for n >= 4, so no call
-depth grows with n, and still adds every tuple on its own; the last three
-parts of a tuple multiply to the quotient q their prefix leaves, so they
-are added as q^(n-3) times the sum over c | q of c * sigma(c).  Only a
-single count counts the tuples; a sweep's body counts nothing.  A single
-count predicts its walk's cost from the factorization and refuses above
-MAX_FACTORIZATION_SUM_CELLS before the first prefix.  A sweep predicts its
+depth grows with n, and no two prefixes are merged; the last three parts
+of a tuple multiply to the quotient q their prefix leaves, so they are
+added as q^(n-3) times fold(q) = sum over c | q of c * sigma(c).  fold(q)
+depends on q alone, so it is made once per q and read by lookup: lazily
+from the `DivisorIndex` in a single count, for every q <= M from the
+divisor table in a sweep, whose levels 2 and 3 are sigma and fold.  Only
+the three-part fold is kept; no f_k for k > 3 is, since that would be the
+recursion's memo, and the method reads no push or grid of the recursion.
+Only a single count counts the tuples; a sweep's body counts nothing.  A
+single count predicts its walk's cost from the factorization and refuses
+above MAX_FACTORIZATION_SUM_CELLS before the first prefix.  A sweep predicts its
 levels' cost from D_k(M), the k-tuples with product <= M, counted with no
 factorization, and refuses above MAX_FACTORIZATION_SUM_SWEEP_CELLS, and a
 divisor table above MAX_DIVISOR_TABLE_POINTERS, before the table is made;
@@ -103,9 +109,12 @@ def count_by_factorization_sum(n: int, m: int) -> CountResult:
 
 
 # The most cells a factorization-sum single count may cost, by
-# _factorization_sum_cells.  On a 2-vCPU VM a cell takes 15-25 ns:
-# (7, 720720), 9.8 * 10**7 cells, takes 1.9-2.4 s, and (8, 720720), which
-# ran 10.9 s, is refused, as is (5, 2**40 * 3**10), which ran 2.5 s.
+# _factorization_sum_cells.  On a 2-vCPU VM (7, 720720), 9.8 * 10**7 cells,
+# takes 0.57 s, and (8, 720720), which ran 10.9 s, is refused, as is
+# (5, 2**40 * 3**10), which ran 2.5 s.  The cells model a walk that summed
+# each quotient's fold once per prefix, which took 1.4-1.7 s at (7, 720720),
+# so where prefixes share quotients they over-predict: a cell takes about
+# 6 ns there, against 15-25 ns at (14080, 2), a walk of single parts (0.22 s).
 MAX_FACTORIZATION_SUM_CELLS = 10**8
 
 
@@ -142,27 +151,49 @@ def _exponents(n: int) -> list[Iterator[int]]:
     return list(map(repeat, range(n - 2)))
 
 
+class _Memo(dict):
+    """A dict that makes each missing key's value once, as make(key), and keeps it."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _fold(divs: Sequence[int], sigmas) -> int:
+    """f_3(q) = sum over c | q of c * sigma(c), from q's divisor list divs and sigmas[c]."""
+    return sum(map(mul, divs, map(sigmas.__getitem__, divs)))
+
+
 def _factorization_sum(
     n: int,
     m: int,
     index: DivisorIndex | list[list[int]],
     work_stats: dict | None = None,
     exponents: Sequence[Iterator[int]] | None = None,
+    folds: Sequence[int] | None = None,
 ) -> int:
     """f_n(m) by the factorization sum, with the divisor lists read from index.
 
     One loop over a list of pending prefixes d_1 ... d_i, each held as the
     quotient q still to be factored, the exponent i of the next part and the
     prefix's weight w = d_1^0 ... d_i^(i-1).  A quotient of 1 is one tuple of
-    weight w; a prefix of n - 3 parts adds its last three parts as one sum
-    over the divisors c of q: with d * x * y = q and c = x * y, each such
-    tuple weighs w * d^(n-3) x^(n-2) y^(n-1) = w * q^(n-3) * c * y, so the
-    prefix adds w * q^(n-3) * sum over c | q of c * sigma(c), and every tuple
-    still adds its own last part y.  n = 2 adds sigma(m) over the pairs
-    (m / y, y), and m = 1 has the one tuple (1, ..., 1).  For n >= 4 the
-    list holds at most (n - 3) * tau(m) prefixes.  Given a work_stats dict,
-    the tuples are counted into its "tuples"; the sweeps give none and count
-    nothing, and pass one list of `_exponents` for every m.
+    weight w; a prefix of n - 3 parts adds its last three parts as one term:
+    with d * x * y = q and c = x * y, each such tuple weighs
+    w * d^(n-3) x^(n-2) y^(n-1) = w * q^(n-3) * c * y, so the prefix adds
+    w * q^(n-3) * fold(q), fold(q) = sum over c | q of c * sigma(c).  fold(q)
+    depends on q alone, so it is read from folds, made once per q: a sweep
+    passes the list of every q's fold, and otherwise each fold, and each
+    sigma(c) it sums, is made from index on first use.  n = 2 adds sigma(m)
+    over the pairs (m / y, y), n = 3 is fold(m) alone, and m = 1 has the one
+    tuple (1, ..., 1).  For n >= 4 the list holds at most (n - 3) * tau(m)
+    prefixes.  Given a work_stats dict, the tuples are counted into its
+    "tuples", with the sum over c | q of tau(c) triples kept beside each
+    fold; the sweeps give none and count nothing, and pass one list of
+    `_exponents` for every m.
     """
     if n <= 2 or m == 1:
         divs = index[m] if n == 2 else [1]
@@ -170,6 +201,12 @@ def _factorization_sum(
             work_stats["tuples"] = len(divs)
         return sum(divs)
     counted = work_stats is not None
+    if folds is None:
+        sigmas = _Memo(lambda c: sum(index[c]))
+        folds = _Memo(lambda q: _fold(index[q], sigmas))
+    if counted:
+        # The triples with product q, one per pair y | c | q.
+        triples = _Memo(lambda q: sum(map(len, map(index.__getitem__, index[q]))))
     total = 0
     tuples = 0
     last = n - 3
@@ -178,22 +215,17 @@ def _factorization_sum(
     pending = [(m, 0, 1)]
     pop = pending.pop
     push = pending.extend
-    divisors_of = index.__getitem__
     while pending:
         q, i, w = pop()
         if q == 1:
             total += w
             tuples += 1
-            continue
-        divs = index[q]
-        if i == last:
-            # The tuples under this prefix are the pairs (c, y), y | c | q.
-            subs = map(divisors_of, divs)
+        elif i == last:
+            total += w * q**i * folds[q]
             if counted:
-                subs = list(subs)
-                tuples += sum(map(len, subs))
-            total += w * q**i * sum(map(mul, divs, map(sum, subs)))
+                tuples += triples[q]
         else:
+            divs = index[q]
             # divs is sorted, so reversed(divs) is the cofactors q // d in the order of divs.
             weights = map(mul, repeat(w), map(pow, divs, exponents[i]))
             push(zip(reversed(divs), exponents[i + 1], weights))
@@ -242,10 +274,13 @@ def _tuple_counts(max_m: int) -> Iterator[int]:
 MAX_DIVISOR_TABLE_POINTERS = 10**6
 
 # The most cells a factorization-sum sweep's levels may cost, by
-# _factorization_sum_sweep_cells.  On a 2-vCPU VM a cell takes 30-90 ns, and
-# the last sweeps admitted take 1.5-3.6 s in process: every level of
-# (4, 69122) and (5, 18959), as verify makes them, and the n-th alone of
-# (4, 83644) and (1100, 4), as table does, the last a test runs.  Without
+# _factorization_sum_sweep_cells.  On a 2-vCPU VM the last sweeps admitted
+# take, in process: every level of (4, 69122) and (5, 18959), as verify makes
+# them, 0.5-0.6 s, and the n-th alone of (4, 83644) and (5, 23173) 0.7 s, as
+# table does.  The cells model a sweep that summed each quotient's fold once
+# per prefix, which took 2.1-3.2 s there, so at n >= 4 they over-predict
+# about 4-fold.  The n-th alone of (1100, 4), the last a test runs, and of
+# (36864, 2), which pop about one prefix per part, take 1.6-1.9 s.  Without
 # it, (10, 2000) ran 17.3 s.
 MAX_FACTORIZATION_SUM_SWEEP_CELLS = 45 * 10**6
 
@@ -282,9 +317,12 @@ def _factorization_sum_table(n_max: int, max_m: int, lowest: int = 1) -> Iterato
     Before the first level, the divisor table's pointers are refused above
     MAX_DIVISOR_TABLE_POINTERS, since they bound its memory, and the cells
     of the levels made above MAX_FACTORIZATION_SUM_SWEEP_CELLS.  Every level
-    reads one divisor table, made at the first level and held by each
-    level's iterator, and counts no tuples.  Values are made as they are
-    read.
+    reads one divisor table, made at the first level, and counts no tuples.
+    From the table, sigma(q) and fold(q) = sum over c | q of c * sigma(c) are
+    made once for every q <= max_m, when n_max reaches them: they are levels
+    2 and 3, and every higher level reads its last three parts from fold.
+    Levels 1 and 4 up hold the table in their iterators and make their
+    values as they are read.
     """
     work = f"the factorization-sum sweep up to m={max_m} would hold {{}} divisor-table pointers"
     check_budget(_divisor_table_size(max_m), MAX_DIVISOR_TABLE_POINTERS, work)
@@ -292,12 +330,16 @@ def _factorization_sum_table(n_max: int, max_m: int, lowest: int = 1) -> Iterato
     work = f"the factorization-sum sweep up to n={n_max}, m={max_m} would cost at least {{}} cells"
     check_budget(cells, MAX_FACTORIZATION_SUM_SWEEP_CELLS, work)
     table = _divisor_table(max_m)
+    sigmas = list(map(sum, table)) if n_max >= 2 else None
+    folds = list(map(_fold, table, repeat(sigmas))) if n_max >= 3 else None
     # m = 1 returns before its first prefix, so a sweep up to 1 makes no exponent.
     exponents = _exponents(n_max) if max_m > 1 else None
 
     def level(n: int) -> Iterator[int]:
-        for m in range(1, max_m + 1):
-            yield _factorization_sum(n, m, table, exponents=exponents)
+        if n in (2, 3):
+            return islice(sigmas if n == 2 else folds, 1, None)
+        ms = range(1, max_m + 1)
+        return (_factorization_sum(n, m, table, exponents=exponents, folds=folds) for m in ms)
 
     yield from map(level, range(lowest, n_max + 1))
 
@@ -516,8 +558,8 @@ def _gruber(n: int, m: int, factors: Sequence[tuple[int, int]]) -> int:
     return first
 
 
-def _gruber_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
-    """For n = 1 .. n_max, an iterator over f_n(1) .. f_n(max_m), by Gruber at each prime power.
+def _gruber_table(n_max: int, max_m: int, lowest: int = 1) -> Iterator[Iterator[int]]:
+    """For n = lowest .. n_max, an iterator over f_n(1) .. f_n(max_m), by Gruber at each prime power.
 
     Each m >= 2 is split as p^r * rest, p its least prime, found by one trial
     loop under the bound read once for the whole sweep; the split is found
@@ -553,7 +595,7 @@ def _gruber_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
                 values.append(values[power] * values[m // power])
             yield values[m]
 
-    yield from map(level, range(1, n_max + 1))
+    yield from map(level, range(lowest, n_max + 1))
 
 
 def check_enumeration_size(n: int, m: int, advice: str = "") -> None:
@@ -614,13 +656,15 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
     Dirichlet fills the whole table from one convolution pass before this
     returns, and so does the recursion, one pass per level that pushes each
     d's term into its multiples, with no divisor list.
-    Gruber runs one pass over m, as the values are consumed: the body of a
-    single count per prime power, on the factorization its split gives, and
-    a product of two earlier values for any other m (see `_gruber_table`).
-    Factorization-sum makes its n-th level alone: the body of a single
-    count once per m, as the values are consumed, counting no tuples, with
-    every m's divisor lists read from one divisor table, made before this
-    returns and held by the iterator.  The level's cost is refused above
+    Gruber makes its n-th level alone, in one pass over m, as the values are
+    consumed: the body of a single count per prime power, on the
+    factorization its split gives, and a product of two earlier values for
+    any other m (see `_gruber_table`).
+    Factorization-sum makes its n-th level alone from one divisor table,
+    made before this returns: at n = 2 and 3 the list of sigma or of the
+    fold of every m, and at any other n the body of a single count once per
+    m, as the values are consumed, counting no tuples, with the table held
+    by the iterator.  The level's cost is refused above
     MAX_FACTORIZATION_SUM_SWEEP_CELLS, and the table above
     MAX_DIVISOR_TABLE_POINTERS, before the table is made (see
     `_factorization_sum_table`).
@@ -635,9 +679,9 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
         for m in ms:
             check_enumeration_size(n, m)
         return (count_by_enumeration(n, m).value for m in ms)
-    if method is Method.FACTORIZATION_SUM:
-        # Its levels are made apart, so the sweep makes, and is charged for, the n-th alone.
-        return next(_factorization_sum_table(n, max_m, lowest=n))
+    if method in (Method.FACTORIZATION_SUM, Method.GRUBER):
+        # Their levels are made apart, so the sweep makes, and is charged for, the n-th alone.
+        return next(_TABLES[method](n, max_m, lowest=n))
     return next(islice(_TABLES[method](n, max_m), n - 1, None))
 
 

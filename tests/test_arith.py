@@ -148,6 +148,44 @@ class TestFactorize:
         assert factorize(m) == brute_factorization(m)
 
 
+class TestTrialCells:
+    def test_a_big_number_is_refused_where_its_cells_run_out(self):
+        # 1000003^5000 has 99,658 bits, so each candidate costs 195 cells; the search
+        # for 1000003 ran 6.7 s unbounded.
+        latcount.arith._factorize.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(CapacityError) as excinfo:
+            factorize(1000003**5000)
+        assert time.perf_counter() - start < 2
+        assert str(excinfo.value) == (
+            "cannot factor a number of 99658 bits: trial division of a number of 99658 bits "
+            "past 57690 would cost more than 3000000 cells, at 195 a candidate"
+        )
+        start = time.perf_counter()
+        assert factorize(2**99999) == ((2, 99999),)
+        assert time.perf_counter() - start < 1
+
+    def test_a_number_below_512_bits_reaches_the_default_bound(self):
+        cells = latcount.arith.MAX_TRIAL_CELLS
+        assert cells * 30 // 8 >= latcount.arith.DEFAULT_TRIAL_DIVISION_BOUND
+        # 9999991 is the largest prime below the default bound of 10^7.
+        assert factorize(9999991**2) == ((9999991, 2),)
+        assert is_prime(9999991)
+
+    def test_the_search_stops_where_its_cells_run_out(self, monkeypatch):
+        # With 8 cells a search reaches 30 in a number below 512 bits, and 15 in one of 512
+        # to 1023 bits; each prime found starts a search of what it leaves.
+        monkeypatch.setattr(latcount.arith, "MAX_TRIAL_CELLS", 8)
+        latcount.arith._factorize.cache_clear()
+        assert factorize(29 * 29) == ((29, 2),)
+        assert factorize(13 * 19**100) == ((13, 1), (19, 100))
+        for m, reach in [(31 * 37, 30), (13 * 19**121, 15)]:
+            with pytest.raises(CapacityError, match=f"past {reach} would cost more than 8 cells, "):
+                factorize(m)
+        with pytest.raises(CapacityError, match="past 30 would cost more than 8 cells, at 1 a "):
+            is_prime(31 * 37)
+
+
 class TestIsPrime:
     def test_small_values(self):
         assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

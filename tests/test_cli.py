@@ -202,6 +202,16 @@ class TestCount:
         assert proc.returncode == 3
         assert "bound" in proc.stderr
 
+    def test_a_trial_search_past_its_cells_exits_3(self):
+        # 1000003^500 has 9966 bits, so each candidate costs 20 cells and 1000003 is not reached.
+        proc = run_cli("count", "--n", "2", "--m", str(1000003**500))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot factor {1000003**500}: trial division of ")
+        assert proc.stderr.endswith(
+            " past 562500 would cost more than 3000000 cells, at 20 a candidate\n"
+        )
+
     def test_non_integer_bound_names_the_variable(self):
         proc = run_cli(
             "count", "--n", "2", "--m", "6",

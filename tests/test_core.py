@@ -163,6 +163,24 @@ FORBIDDEN_NAMES = {
             "_gruber_table",
         },
     ),
+    # The factorization sum keeps only its three-part fold across prefixes, made from divisor
+    # lists: it reads none of the recursion's levels, pushes, grid or budgets.
+    "factorization-sum": (
+        "count",
+        (
+            "count_by_factorization_sum",
+            "_factorization_sum",
+            "_factorization_sum_table",
+            "_fold",
+        ),
+        {
+            "count_by_recursion",
+            "_recursion_table",
+            "_recursion_cells",
+            "_recursion_grid_cells",
+            "_check_recursion_grid",
+        },
+    ),
     # The factorization-sum sweep's budget counts tuples with product <= max_m without
     # factoring any number or listing any divisor.
     "factorization-sum-sweep-budget": (

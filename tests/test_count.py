@@ -114,6 +114,56 @@ class TestFactorizationSum:
                     assert _factorization_sum(n, m, lists) == counted, (n, m)
                     assert _factorization_sum(n, m, lists, exponents=shared) == counted, (n, m)
 
+    def test_the_sweep_s_sigma_and_fold_equal_the_brute_force_tuples(self):
+        # fold[q] = sum over c | q of c * sigma(c) is f_3(q): the sweep's levels 2 and 3.
+        sums, _ = brute_tuple_sums(3, 2000)
+        levels = [list(level) for level in latcount.count._factorization_sum_table(3, 2000)]
+        assert levels[1] == sums[2][1:]
+        assert levels[2] == sums[3][1:]
+        assert levels[2] == [count_by_gruber(3, m).value for m in range(1, 2001)]
+
+    @staticmethod
+    def _count_folds(monkeypatch):
+        """The q of every fold made, in order, from the last entry of q's divisor list."""
+        made = []
+        real_fold = latcount.count._fold
+
+        def counted_fold(divs, sigmas):
+            made.append(divs[-1] if divs else 0)
+            return real_fold(divs, sigmas)
+
+        monkeypatch.setattr(latcount.count, "_fold", counted_fold)
+        return made
+
+    def test_a_single_count_makes_each_fold_once(self, monkeypatch):
+        made = self._count_folds(monkeypatch)
+        for m in (12, 720, 5040):
+            made.clear()
+            assert count_by_factorization_sum(3, m).value == count_by_gruber(3, m).value
+            assert made == [m]
+            for n in range(4, 8):
+                made.clear()
+                result = count_by_factorization_sum(n, m)
+                assert result.value == count_by_gruber(n, m).value, (n, m)
+                assert result.work_stats["tuples"] == ordered_factorization_count(m, n)
+                # Every divisor q > 1 of m is left by some prefix of n - 3 parts.
+                assert sorted(made) == divisors(m)[1:], (n, m)
+
+    def test_a_sweep_makes_each_fold_once_for_every_level(self, monkeypatch):
+        made = self._count_folds(monkeypatch)
+        assert first_disagreement(6, 300) is None
+        assert made == [0, *range(1, 301)]
+        made.clear()
+        assert list(count_table(5, 300, Method.FACTORIZATION_SUM)) == [
+            count_by_gruber(5, m).value for m in range(1, 301)
+        ]
+        assert made == [0, *range(1, 301)]
+        # Levels 1 and 2 need no fold.
+        made.clear()
+        sigmas = list(map(brute_sigma, range(1, 301)))
+        assert list(count_table(2, 300, Method.FACTORIZATION_SUM)) == sigmas
+        assert made == []
+
     def test_m_one_makes_no_exponent(self, monkeypatch):
         # f_n(1) is one tuple at any n, so no list of n - 2 exponents is made for it.
         monkeypatch.setattr(latcount.count, "_exponents", None)
@@ -375,6 +425,25 @@ class TestRequestDispatch:
                 table = list(count_table(n, max_m, Method.GRUBER))
                 assert table == expected[:max_m], (n, max_m)
 
+    def test_gruber_table_makes_the_n_th_level_alone(self, monkeypatch):
+        # No level below n is made, so n costs nothing where max_m is 1.
+        start = time.perf_counter()
+        for n in (10**6, 10**9):
+            assert list(count_table(n, 1, Method.GRUBER)) == [1]
+        assert time.perf_counter() - start < 1
+        calls = []
+        real_body = latcount.count._gruber
+
+        def counted_body(n, m, factors):
+            calls.append(n)
+            return real_body(n, m, factors)
+
+        monkeypatch.setattr(latcount.count, "_gruber", counted_body)
+        assert list(count_table(5, 50, Method.GRUBER)) == [
+            count_by_gruber(5, m).value for m in range(1, 51)
+        ]
+        assert set(calls) == {5}
+
     def test_gruber_table_counts_each_prime_power_once(self, monkeypatch):
         calls = []
         bounds_read = []
@@ -601,6 +670,56 @@ class TestFirstDisagreement:
         assert calls["_gruber"] == [
             (n, m, tuple(brute_factorization(m))) for n in range(1, 6) for m in prime_powers
         ]
+
+
+class TestFaults:
+    """One plausible bug in a primitive the factorization sum reads, and the check that catches it."""
+
+    def test_a_divisor_dropped_from_the_table_is_caught_by_the_sweeps(self, monkeypatch):
+        real_table = latcount.count._divisor_table
+
+        def faulty_table(max_m):
+            table = real_table(max_m)
+            table[12] = [d for d in table[12] if d != 4]
+            return table
+
+        monkeypatch.setattr(latcount.count, "_divisor_table", faulty_table)
+        found = first_disagreement(4, 200)
+        assert found is not None
+        n, m, values = found
+        assert (n, m) == (2, 12)
+        assert dict(values)[Method.FACTORIZATION_SUM] == brute_sigma(12) - 4
+
+    def test_a_divisor_dropped_from_m_s_own_list_is_caught_by_all_methods(self, monkeypatch):
+        real_divisors = latcount.arith.divisors
+
+        def faulty_divisors(m):
+            return [d for d in real_divisors(m) if (m, d) != (12, 4)]
+
+        monkeypatch.setattr(latcount.arith, "divisors", faulty_divisors)
+        for n in (2, 3, 4):
+            with pytest.raises(ExactnessError) as excinfo:
+                count_all_methods(n, 12)
+            values = dict(excinfo.value.results)
+            assert values["factorization-sum"] != values["gruber"], n
+
+    def test_a_divisor_dropped_from_a_filtered_entry_is_caught_by_all_methods(self, monkeypatch):
+        # The fold reads sigma(6) from the index entry of 6, made by filtering 12's, either
+        # when 6 is asked for or on the way to one of its divisors.
+        real_missing = DivisorIndex.__missing__
+
+        def faulty_missing(index, q):
+            real_missing(index, q)
+            if 2 in index.get(6, ()):
+                index[6] = [1, 3, 6]
+            return index[q]
+
+        monkeypatch.setattr(DivisorIndex, "__missing__", faulty_missing)
+        for n in (3, 4, 5):
+            with pytest.raises(ExactnessError) as excinfo:
+                count_all_methods(n, 12)
+            values = dict(excinfo.value.results)
+            assert values["factorization-sum"] != values["gruber"], n
 
 
 class TestSweepBudgets:
