@@ -19,18 +19,21 @@ from `latcount.series.identity_sides`, which orders their budgets.  Every
 size decision lives in the library; this module imports none of its private
 names.
 
-Every command is a fresh process, so the module imports only argparse and the
-package at start; json-lines records are written as strings, without json,
-by one function, `_record`.  enumerate, table and euler-factor cut every
-line from one `_record` template per command.
+Every command is a fresh process, so the module imports only the package at
+start, and no argparse: `parse_args` reads argv from one table, COMMANDS, as
+argparse read it (any order, --opt v or --opt=v, the last of a repeated
+option, unique prefixes), and the same table renders -h/--help.
+json-lines records are written as strings, without json, by one function,
+`_record`.  enumerate, table and euler-factor cut every line from one
+`_record` template per command.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import islice
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from .arith import ENV_TRIAL_DIVISION_BOUND
@@ -54,25 +57,13 @@ EXIT_CAPACITY = 3
 EXIT_MISMATCH = 4
 
 FORMATS = ("plain", "csv", "json-lines")
+DESCRIPTION = "Count and enumerate index-m sublattices of the integer lattice Z^n."
+EPILOG = (f"The environment variable {ENV_TRIAL_DIVISION_BOUND} overrides the\n"
+          "trial-division bound used when factoring m (default 10^7).")
 
 # enumerate prints this many lines per call.  Chunks stay small, so that peak
 # memory and the time to the first line stay close to one print per line.
 CHUNK_LINES = 256
-
-
-def int_at_least(low: int):
-    """An argparse type that accepts integers >= low."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    return parse
 
 
 def _record(fmt: str, plain: str, csv: str, fields: dict) -> str:
@@ -216,67 +207,190 @@ def cmd_euler_factor(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="latcount",
-        description="Count and enumerate index-m sublattices of the integer lattice Z^n.",
-        epilog=f"The environment variable {ENV_TRIAL_DIVISION_BOUND} overrides the "
-        "trial-division bound used when factoring m (default 10^7).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+SWITCH, REQUIRED = None, ...
+N, M = ("--n", 1, REQUIRED, "lattice dimension"), ("--m", 1, REQUIRED, "sublattice index")
+METHODS = tuple(method.value for method in Method)
+METHOD = ("--method", METHODS, Method.GRUBER.value, "counting method")
+FORMAT = ("--format", FORMATS, "plain", "output format")
+T_ORDER = ("--t-order", 0, REQUIRED, "largest power of t")
+HELP = ("-h/--help", SWITCH, False, "show this help message and exit")
+HELP_ROW = ("-h, --help", HELP[3])
 
-    method_names = [m.value for m in Method]
-
-    p_count = sub.add_parser("count", help="compute the sublattice count f_n(m)")
-    p_count.add_argument("--n", type=int_at_least(1), required=True, help="lattice dimension")
-    p_count.add_argument("--m", type=int_at_least(1), required=True, help="sublattice index")
-    p_count.add_argument("--method", choices=method_names, default=Method.GRUBER.value)
-    p_count.add_argument(
-        "--all", action="store_true", help="run every method and cross-check the values"
-    )
-    p_count.add_argument("--format", choices=FORMATS, default="plain")
-    p_count.set_defaults(handler=cmd_count)
-
-    p_enum = sub.add_parser("enumerate", help="stream the normal-form basis matrices")
-    p_enum.add_argument("--n", type=int_at_least(1), required=True)
-    p_enum.add_argument("--m", type=int_at_least(1), required=True)
-    p_enum.add_argument("--limit", type=int_at_least(0), help="stop after this many matrices")
-    p_enum.add_argument("--format", choices=FORMATS, default="plain")
-    p_enum.set_defaults(handler=cmd_enumerate)
-
-    p_table = sub.add_parser("table", help="tabulate f_n(m) for m = 1..max-m")
-    p_table.add_argument("--n", type=int_at_least(1), required=True)
-    p_table.add_argument("--max-m", type=int_at_least(1), required=True)
-    p_table.add_argument("--method", choices=method_names, default=Method.GRUBER.value)
-    p_table.add_argument("--format", choices=FORMATS, default="plain")
-    p_table.set_defaults(handler=cmd_table)
-
-    p_verify = sub.add_parser("verify", help="run the cross-method and identity checks")
-    p_verify.add_argument("--n-max", type=int_at_least(1), required=True)
-    p_verify.add_argument("--m-max", type=int_at_least(1), required=True)
-    p_verify.add_argument("--t-order", type=int_at_least(0), required=True)
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_series = sub.add_parser("series", help="print both sides of the generating identity")
-    p_series.add_argument("--n", type=int_at_least(1), required=True)
-    p_series.add_argument("--t-order", type=int_at_least(0), required=True)
-    p_series.set_defaults(handler=cmd_series)
-
-    p_euler = sub.add_parser("euler-factor", help="local factor of the count series at a prime")
-    p_euler.add_argument("--p", type=int_at_least(1), required=True, help="a prime")
-    p_euler.add_argument("--n", type=int_at_least(1), required=True)
-    p_euler.add_argument("--k-max", type=int_at_least(0), required=True)
-    p_euler.add_argument("--format", choices=FORMATS, default="plain")
-    p_euler.set_defaults(handler=cmd_euler_factor)
-
-    return parser
+# Each command's handler, help line and options.  An option is (flag, kind,
+# default, help): kind is the least integer it admits, the tuple of its
+# choices, or SWITCH, a flag that takes no value and defaults to False.  An
+# option whose default is REQUIRED must be given.
+COMMANDS = {
+    "count": (cmd_count, "compute the sublattice count f_n(m)", (N, M, METHOD, (
+        "--all", SWITCH, False, "run every method and cross-check the values"), FORMAT)),
+    "enumerate": (cmd_enumerate, "stream the normal-form basis matrices", (
+        N, M, ("--limit", 0, None, "stop after this many matrices"), FORMAT)),
+    "table": (cmd_table, "tabulate f_n(m) for m = 1..max-m", (
+        N, ("--max-m", 1, REQUIRED, "largest index"), METHOD, FORMAT)),
+    "verify": (cmd_verify, "run the cross-method and identity checks", (
+        ("--n-max", 1, REQUIRED, "largest dimension"), ("--m-max", 1, REQUIRED, "largest index"),
+        T_ORDER)),
+    "series": (cmd_series, "print both sides of the generating identity", (N, T_ORDER)),
+    "euler-factor": (cmd_euler_factor, "local factor of the count series at a prime", (
+        ("--p", 1, REQUIRED, "a prime"), N, ("--k-max", 0, REQUIRED, "largest power of p"),
+        FORMAT)),
+}
 
 
-def main(argv=None) -> int:
+class _ArgvError(Exception):
+    """A refused argv, with argparse's words for the reason."""
+
+
+def _spelled(option) -> str:
+    """An option as usage spells it: its flag and its value's name, bracketed unless required."""
+    flag, kind, default, _ = option
+    if isinstance(kind, tuple):
+        flag += f" {{{','.join(kind)}}}"
+    elif kind is not SWITCH:
+        flag += " " + flag[2:].upper().replace("-", "_")
+    return flag if default is REQUIRED else f"[{flag}]"
+
+
+def _rows(title: str, rows) -> str:
+    return "\n".join([f"{title}:", *(f"  {name:21} {text}" for name, text in rows)])
+
+
+def _help(command: str | None) -> str:
+    """The -h/--help text of latcount or of a command, led by its usage line.
+
+    It has one layout on every Python and terminal: a name wider than its
+    column pushes its help right, and no line is wrapped.
+    """
+    if command:
+        options = COMMANDS[command][2]
+        usage = " ".join(["latcount", command, "[-h]", *map(_spelled, options)])
+        rows = [(_spelled(option).strip("[]"), option[3]) for option in options]
+        parts = [COMMANDS[command][1], _rows("options", [HELP_ROW, *rows])]
+    else:
+        usage = f"latcount [-h] {{{','.join(COMMANDS)}}} ..."
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+        parts = [DESCRIPTION, _rows("commands", rows), _rows("options", [HELP_ROW]), EPILOG]
+    return "\n\n".join([f"usage: {usage}", *parts])
+
+
+def _read(token: str, flags) -> tuple[str | None, str | None] | None:
+    """How argparse reads one token against a parser's flags.
+
+    None is a value.  Otherwise (flag, text): flag is the flag the token
+    names, in full or by a unique prefix, or None for an unknown option,
+    and text the value given after "=", or None.  An ambiguous prefix is
+    refused.  "-" alone, a negative number and a token with a space are
+    values, and -hh... is -h given again.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, text = token.partition("=")
+    text = text if eq else None
+    if head in flags:
+        return head, text
+    if token[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(head)]
+        if len(matches) > 1:
+            raise _ArgvError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], text
+    elif token[:2] == "-h":
+        return "-h", token[2:].strip("h") or None
+    # argparse's negative numbers: "-", digits with at most one "." not last, and one "\n" after.
+    number = token[1:].removesuffix("\n")
+    if number.replace(".", "", 1).isdecimal() and number[-1] != "." or " " in token:
+        return None
+    return None, None
+
+
+def _value(flag: str, kind, text: str):
+    """text as the value of an option of this kind, or _ArgvError."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise _ArgvError(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        raise _ArgvError(f"argument {flag}: {text!r} is not an integer") from None
+    if value < kind:
+        raise _ArgvError(f"argument {flag}: must be >= {kind}, got {value}")
+    return value
+
+
+def _scan(tokens: list[str], fields: dict, extras: list) -> None:
+    """Read tokens into fields as argparse reads them: at the top, or in fields' command.
+
+    Every token is read before any is taken, so an ambiguous prefix is
+    refused first; in a command, from "--" on nothing is an option.  An
+    option takes the next token as its value, unless it reads as an
+    option.  At the top the first value, or "--", is the command, and the
+    tokens after it are read in that command.  A token no option takes goes
+    to extras.  -h prints the help, of the command or at the top of
+    latcount, and exits 0.
+    """
+    command = fields["command"]
+    options = COMMANDS[command][2] if command else ()
+    flags = {"-h": HELP, "--help": HELP, **{option[0]: option for option in options}}
+    end = tokens.index("--") if command and "--" in tokens else len(tokens)
+    readings = iter([(t, None if t == "--" else _read(t, flags)) for t in tokens[:end]])
+    values = {}
+    for token, reading in readings:
+        if reading is None and not command:
+            fields["command"] = _value("command", tuple(COMMANDS), token)
+            # Every token before this one reads as an option, so this is its first place.
+            return _scan(tokens[tokens.index(token) + 1 :], fields, extras)
+        flag, text = reading or (None, None)
+        if flag is None:
+            extras.append(token)
+            continue
+        name, kind = flags[flag][:2]
+        if kind is SWITCH and text is not None:
+            raise _ArgvError(f"argument {name}: ignored explicit argument {text!r}")
+        if name == HELP[0]:
+            print(_help(command))
+            raise SystemExit(EXIT_OK)
+        if kind is not SWITCH and text is None:
+            text, reading = next(readings, (None, ()))
+            if reading is not None:
+                raise _ArgvError(f"argument {flag}: expected one argument")
+        values[flag] = True if kind is SWITCH else _value(flag, kind, text)
+    missing = [option[0] for option in options if option[2] is REQUIRED and option[0] not in values]
+    if missing or not command:
+        missing = ", ".join(missing or ["command"])
+        raise _ArgvError(f"the following arguments are required: {missing}")
+    extras += tokens[end:]
+    fields["handler"] = COMMANDS[command][0]
+    fields.update({flag[2:].replace("-", "_"): values.get(flag, d) for flag, _, d, _ in options})
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read from COMMANDS as argparse read it: command, handler and each option's value.
+
+    An option's value is under its flag's name, "-" read as "_".  A refused
+    argv writes a usage line and "<prog>: error: <reason>" to stderr and
+    exits 2; -h/--help writes the help to stdout and exits 0.
+    """
     if hasattr(sys, "set_int_max_str_digits"):
         # Exact counts, and --m itself, may run past the 4300-digit default.
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    fields, extras = {"command": None}, []
+    try:
+        _scan(argv, fields, extras)
+        if extras:
+            fields["command"] = None  # argparse refuses these at the top
+            raise _ArgvError(f"unrecognized arguments: {' '.join(extras)}")
+    except _ArgvError as exc:
+        prog = " ".join(filter(None, ("latcount", fields["command"])))
+        usage = _help(fields["command"]).split("\n", 1)[0]
+        sys.stderr.write(f"{usage}\n{prog}: error: {exc}\n")
+        raise SystemExit(EXIT_USAGE) from None
+    return SimpleNamespace(**fields)
+
+
+def main(argv=None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -317,19 +317,22 @@ def _factorization_sum_table(n_max: int, max_m: int, lowest: int = 1) -> Iterato
     Before the first level, the divisor table's pointers are refused above
     MAX_DIVISOR_TABLE_POINTERS, since they bound its memory, and the cells
     of the levels made above MAX_FACTORIZATION_SUM_SWEEP_CELLS.  Every level
-    reads one divisor table, made at the first level, and counts no tuples.
+    reads one divisor table, made at the first level, and counts no tuples;
+    level 1 reads none, so a sweep of level 1 alone makes no table and
+    holds no pointers.
     From the table, sigma(q) and fold(q) = sum over c | q of c * sigma(c) are
     made once for every q <= max_m, when n_max reaches them: they are levels
     2 and 3, and every higher level reads its last three parts from fold.
     Levels 1 and 4 up hold the table in their iterators and make their
     values as they are read.
     """
+    pointers = _divisor_table_size(max_m) if n_max >= 2 else 0
     work = f"the factorization-sum sweep up to m={max_m} would hold {{}} divisor-table pointers"
-    check_budget(_divisor_table_size(max_m), MAX_DIVISOR_TABLE_POINTERS, work)
+    check_budget(pointers, MAX_DIVISOR_TABLE_POINTERS, work)
     cells = _factorization_sum_sweep_cells(n_max, max_m, lowest)
     work = f"the factorization-sum sweep up to n={n_max}, m={max_m} would cost at least {{}} cells"
     check_budget(cells, MAX_FACTORIZATION_SUM_SWEEP_CELLS, work)
-    table = _divisor_table(max_m)
+    table = _divisor_table(max_m) if n_max >= 2 else None
     sigmas = list(map(sum, table)) if n_max >= 2 else None
     folds = list(map(_fold, table, repeat(sigmas))) if n_max >= 3 else None
     # m = 1 returns before its first prefix, so a sweep up to 1 makes no exponent.
@@ -664,7 +667,7 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
     made before this returns: at n = 2 and 3 the list of sigma or of the
     fold of every m, and at any other n the body of a single count once per
     m, as the values are consumed, counting no tuples, with the table held
-    by the iterator.  The level's cost is refused above
+    by the iterator; at n = 1 it makes no table.  The level's cost is refused above
     MAX_FACTORIZATION_SUM_SWEEP_CELLS, and the table above
     MAX_DIVISOR_TABLE_POINTERS, before the table is made (see
     `_factorization_sum_table`).

@@ -122,6 +122,13 @@ def geometric_factor(k: int, truncation_order: int) -> TSeries:
 # order admitted at n = 2, touches 19,970,444 in about 2 s.
 MAX_LHS_CELLS = 2 * 10**7
 
+# The fixed cost of each of lhs_product's n - 1 products, in cells, whatever
+# its size.  On the same VM a product at t-order 0, with its factor, takes
+# about 4.9 us, and a cell of the (2, 491) product 50-60 ns.  Without it
+# (3 * 10**5, 0) touched 3 * 10**5 cells and ran 2.4 s, and n up to
+# 2 * 10**7 was admitted at t-order 0; now (219781, 0) is the last, 1.1 s.
+LHS_PRODUCT_CELLS = 90
+
 
 def _lhs_cells(n: int, truncation_order: int) -> int:
     """The coefficient cells of the products lhs_product(n, K) makes."""
@@ -135,19 +142,22 @@ def _lhs_cells(n: int, truncation_order: int) -> int:
 
 
 def _check_lhs_budget(n: int, K: int) -> None:
-    """Check lhs_product(n, K)'s arguments, and refuse it above MAX_LHS_CELLS."""
+    """Check lhs_product(n, K)'s arguments, and refuse it above MAX_LHS_CELLS.
+
+    Its products cost their coefficient cells and LHS_PRODUCT_CELLS each.
+    """
     check_args(n)
     check_at_least(K, 0, "truncation order")
-    work = f"lhs_product({n}, {K}) would touch {{}} coefficient cells in its products"
-    check_budget(_lhs_cells(n, K), MAX_LHS_CELLS, work)
+    work = f"lhs_product({n}, {K}) would cost {{}} cells in its products"
+    check_budget(_lhs_cells(n, K) + (n - 1) * LHS_PRODUCT_CELLS, MAX_LHS_CELLS, work)
 
 
 def lhs_product(n: int, truncation_order: int) -> TSeries:
     """The product of geometric factors for k = 0 .. n-1, truncated.
 
     Its products touch (n-1)^2 K(K+1)(K+2)/6 + (n-1)(K+1)(K+2)/2 coefficient
-    cells; above MAX_LHS_CELLS that raises CapacityError before the first
-    product.  Each factor checks its own size as `geometric_factor` makes it,
+    cells, and each is charged LHS_PRODUCT_CELLS more; above MAX_LHS_CELLS
+    that raises CapacityError before the first product.  Each factor checks its own size as `geometric_factor` makes it,
     which binds at n = 1, where there are no products.
     """
     _check_lhs_budget(n, truncation_order)

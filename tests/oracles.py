@@ -1,12 +1,16 @@
 """Independent reference implementations used as test oracles.
 
-Nothing in here imports latcount, but for `verify_generating_identity`:
-every other function recomputes its answer from first principles
-(exhaustive scans, schoolbook polynomial division) so the package and the
-oracle can only agree by both being right.  That one compares the package's
-own two sides of the generating identity, which only tests ask for.
+Nothing in here imports latcount, but for `verify_generating_identity` and
+`build_parser`: every other function recomputes its answer from first
+principles (exhaustive scans, schoolbook polynomial division) so the
+package and the oracle can only agree by both being right.  The first
+compares the package's own two sides of the generating identity, which
+only tests ask for; the second is the argparse parser the CLI ran before
+its command table, kept as the reference that `latcount.cli.parse_args`
+must read every argv as, with the CLI's handlers as its defaults.
 """
 
+import argparse
 from itertools import product
 
 
@@ -239,3 +243,80 @@ def verify_generating_identity(n, truncation_order):
 
     lhs, rhs = identity_sides(n, truncation_order)
     return lhs == rhs
+
+
+def int_at_least(low: int):
+    """An argparse type that accepts integers >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser latcount.cli ran before its command table: the reference for parse_args."""
+    from latcount.arith import ENV_TRIAL_DIVISION_BOUND
+    from latcount.cli import FORMATS, cmd_count, cmd_enumerate, cmd_euler_factor, cmd_series
+    from latcount.cli import cmd_table, cmd_verify
+    from latcount.core import Method
+
+    parser = argparse.ArgumentParser(
+        prog="latcount",
+        description="Count and enumerate index-m sublattices of the integer lattice Z^n.",
+        epilog=f"The environment variable {ENV_TRIAL_DIVISION_BOUND} overrides the "
+        "trial-division bound used when factoring m (default 10^7).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    method_names = [m.value for m in Method]
+
+    p_count = sub.add_parser("count", help="compute the sublattice count f_n(m)")
+    p_count.add_argument("--n", type=int_at_least(1), required=True, help="lattice dimension")
+    p_count.add_argument("--m", type=int_at_least(1), required=True, help="sublattice index")
+    p_count.add_argument("--method", choices=method_names, default=Method.GRUBER.value)
+    p_count.add_argument(
+        "--all", action="store_true", help="run every method and cross-check the values"
+    )
+    p_count.add_argument("--format", choices=FORMATS, default="plain")
+    p_count.set_defaults(handler=cmd_count)
+
+    p_enum = sub.add_parser("enumerate", help="stream the normal-form basis matrices")
+    p_enum.add_argument("--n", type=int_at_least(1), required=True)
+    p_enum.add_argument("--m", type=int_at_least(1), required=True)
+    p_enum.add_argument("--limit", type=int_at_least(0), help="stop after this many matrices")
+    p_enum.add_argument("--format", choices=FORMATS, default="plain")
+    p_enum.set_defaults(handler=cmd_enumerate)
+
+    p_table = sub.add_parser("table", help="tabulate f_n(m) for m = 1..max-m")
+    p_table.add_argument("--n", type=int_at_least(1), required=True)
+    p_table.add_argument("--max-m", type=int_at_least(1), required=True)
+    p_table.add_argument("--method", choices=method_names, default=Method.GRUBER.value)
+    p_table.add_argument("--format", choices=FORMATS, default="plain")
+    p_table.set_defaults(handler=cmd_table)
+
+    p_verify = sub.add_parser("verify", help="run the cross-method and identity checks")
+    p_verify.add_argument("--n-max", type=int_at_least(1), required=True)
+    p_verify.add_argument("--m-max", type=int_at_least(1), required=True)
+    p_verify.add_argument("--t-order", type=int_at_least(0), required=True)
+    p_verify.set_defaults(handler=cmd_verify)
+
+    p_series = sub.add_parser("series", help="print both sides of the generating identity")
+    p_series.add_argument("--n", type=int_at_least(1), required=True)
+    p_series.add_argument("--t-order", type=int_at_least(0), required=True)
+    p_series.set_defaults(handler=cmd_series)
+
+    p_euler = sub.add_parser("euler-factor", help="local factor of the count series at a prime")
+    p_euler.add_argument("--p", type=int_at_least(1), required=True, help="a prime")
+    p_euler.add_argument("--n", type=int_at_least(1), required=True)
+    p_euler.add_argument("--k-max", type=int_at_least(0), required=True)
+    p_euler.add_argument("--format", choices=FORMATS, default="plain")
+    p_euler.set_defaults(handler=cmd_euler_factor)
+
+    return parser

@@ -433,7 +433,7 @@ class TestExitCodes:
                 "cells, above the limit 45000000",
             ),
             (
-                ("table", "--n", "1", "--max-m", "86764", "--method", "factorization-sum"),
+                ("table", "--n", "2", "--max-m", "86764", "--method", "factorization-sum"),
                 "the factorization-sum sweep up to m=86764 would hold 1000008 divisor-table "
                 "pointers, above the limit 1000000",
             ),
@@ -463,7 +463,7 @@ class TestExitCodes:
         assert proc.stderr == "error: LATCOUNT_TRIAL_DIVISION_BOUND must be >= 2, got 1\n"
 
     def test_usage_error_from_the_library_exits_2(self, monkeypatch, capsys):
-        # argparse refuses n < 1 first, so reach check_args past it
+        # parse_args refuses n < 1 first, so reach check_args past it
         real_run_count = cli.run_count
         monkeypatch.setattr(cli, "run_count", lambda n, m, method: real_run_count(0, m, method))
         code = cli.main(["count", "--n", "2", "--m", "2"])
@@ -504,18 +504,67 @@ def test_every_bad_argument_is_a_usage_error(call):
 
 
 def test_import_loads_no_dataclasses_inspect_or_json():
-    # -S keeps site's .pth files from importing modules of their own.
+    # -S keeps site's .pth files from importing modules of their own.  A count
+    # is run as well, so that what parsing argv imports is seen too.
     src = Path(latcount.__file__).resolve().parent.parent
     script = (
         "import sys, latcount.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+        "latcount.cli.main(['count', '--n', '1', '--m', '1'])\n"
+        "names = {'dataclasses', 'inspect', 'json', 'argparse', 'gettext', 'locale'}\n"
+        "print(sorted(names & set(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "1\n[]\n"
+
+
+# The help layout is the command table's own, so it is the same on every
+# Python and terminal width, unlike argparse's.
+HELP = {
+    "--help": """\
+usage: latcount [-h] {count,enumerate,table,verify,series,euler-factor} ...
+
+Count and enumerate index-m sublattices of the integer lattice Z^n.
+
+commands:
+  count                 compute the sublattice count f_n(m)
+  enumerate             stream the normal-form basis matrices
+  table                 tabulate f_n(m) for m = 1..max-m
+  verify                run the cross-method and identity checks
+  series                print both sides of the generating identity
+  euler-factor          local factor of the count series at a prime
+
+options:
+  -h, --help            show this help message and exit
+
+The environment variable LATCOUNT_TRIAL_DIVISION_BOUND overrides the
+trial-division bound used when factoring m (default 10^7).
+""",
+    "count --help": """\
+usage: latcount count [-h] --n N --m M [--method {factorization-sum,recursion,gruber,dirichlet,hnf}] [--all] [--format {plain,csv,json-lines}]
+
+compute the sublattice count f_n(m)
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 lattice dimension
+  --m M                 sublattice index
+  --method {factorization-sum,recursion,gruber,dirichlet,hnf} counting method
+  --all                 run every method and cross-check the values
+  --format {plain,csv,json-lines} output format
+""",
+}
+
+
+@pytest.mark.parametrize("args", sorted(HELP))
+def test_help_golden(args):
+    for width in ("40", "200"):
+        proc = run_cli(*args.split(), env_extra={"COLUMNS": width})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == HELP[args]
 
 
 @pytest.mark.parametrize(
@@ -919,8 +968,8 @@ class TestSeries:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
-            "error: lhs_product(2, 1412) would touch 471190755 coefficient cells in its "
-            "products, above the limit 20000000\n"
+            "error: lhs_product(2, 1412) would cost 471190845 cells in its products, "
+            "above the limit 20000000\n"
         )
 
     @pytest.mark.parametrize("n, t_order", [(2, 1412), (200, 14)])
@@ -931,7 +980,7 @@ class TestSeries:
         assert code == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(f"error: lhs_product({n}, {t_order}) would touch ")
+        assert err.startswith(f"error: lhs_product({n}, {t_order}) would cost ")
         assert calls == []
 
     def test_dimension_one_at_a_long_t_order(self):

@@ -547,12 +547,19 @@ class TestRequestDispatch:
             "the factorization-sum sweep up to m=86764 would hold 1000008 divisor-table "
             "pointers, above the limit 1000000"
         )
-        for n in (1, 2, 3):
+        for n in (2, 3):
             with pytest.raises(CapacityError) as excinfo:
                 count_table(n, 86_764, Method.FACTORIZATION_SUM)
             assert str(excinfo.value) == message
         with pytest.raises(CapacityError, match="^the factorization-sum sweep up to m=86764 "):
-            first_disagreement(1, 86_764)
+            first_disagreement(2, 86_764)
+
+    def test_level_one_alone_makes_no_divisor_table(self, monkeypatch):
+        # f_1 = 1 reads no divisor list, so neither the table nor its budget is reached.
+        self._forbid(monkeypatch, "_divisor_table")
+        self._forbid(monkeypatch, "DivisorIndex")
+        assert list(count_table(1, 86_764, Method.FACTORIZATION_SUM)) == [1] * 86_764
+        assert first_disagreement(1, 86_764) is None
 
     def test_divisor_budget_admits_max_m_to_86763(self):
         budget = latcount.count.MAX_DIVISOR_TABLE_POINTERS
@@ -576,7 +583,7 @@ class TestRequestDispatch:
     def test_table_frees_its_divisor_table_when_exhausted(self, monkeypatch):
         # Factorization-sum reads the table as its results are read.
         holding, left = self._traced_while_read(
-            lambda: count_table(1, 20_000, Method.FACTORIZATION_SUM)
+            lambda: count_table(4, 20_000, Method.FACTORIZATION_SUM)
         )
         assert holding > 2_000_000
         assert left < 100_000

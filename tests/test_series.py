@@ -23,6 +23,7 @@ from latcount import (
     rhs_sum,
 )
 from latcount.series import (
+    LHS_PRODUCT_CELLS,
     MAX_DIRICHLET_CELLS,
     MAX_DIRICHLET_LIMIT,
     MAX_EULER_SQUARED_BITS,
@@ -209,18 +210,34 @@ class TestGeneratingIdentity:
     def test_lhs_budget_admits_the_last_order_and_refuses_the_next(self, monkeypatch, n, last):
         products = []
         monkeypatch.setattr(TSeries, "__mul__", lambda a, b: products.append(b) or a)
-        assert latcount.series._lhs_cells(n, last) <= MAX_LHS_CELLS
+        fixed = (n - 1) * LHS_PRODUCT_CELLS
+        assert latcount.series._lhs_cells(n, last) + fixed <= MAX_LHS_CELLS
         assert lhs_product(n, last).truncation_order == last
         assert len(products) == n - 1
         products.clear()
-        predicted = latcount.series._lhs_cells(n, last + 1)
+        predicted = latcount.series._lhs_cells(n, last + 1) + fixed
         with pytest.raises(CapacityError) as excinfo:
             lhs_product(n, last + 1)
         assert str(excinfo.value) == (
-            f"lhs_product({n}, {last + 1}) would touch {predicted} coefficient cells in its "
-            f"products, above the limit {MAX_LHS_CELLS}"
+            f"lhs_product({n}, {last + 1}) would cost {predicted} cells in its products, "
+            f"above the limit {MAX_LHS_CELLS}"
         )
         assert predicted > MAX_LHS_CELLS
+        assert products == []
+
+    def test_lhs_budget_charges_each_product_a_fixed_cost(self, monkeypatch):
+        # At t-order 0 each product touches one cell, so the fixed cost is what bounds n.
+        products = []
+        monkeypatch.setattr(TSeries, "__mul__", lambda a, b: products.append(b) or a)
+        assert lhs_product(219_781, 0).truncation_order == 0
+        assert len(products) == 219_780
+        products.clear()
+        with pytest.raises(CapacityError) as excinfo:
+            lhs_product(219_782, 0)
+        assert str(excinfo.value) == (
+            "lhs_product(219782, 0) would cost 20000071 cells in its products, "
+            "above the limit 20000000"
+        )
         assert products == []
 
     def test_lhs_budget_is_over_ten_times_the_largest_benchmark_lhs(self):
