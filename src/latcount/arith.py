@@ -27,11 +27,12 @@ with n.
     `divisors(m)`, which `_check_divisor_list` refuses above
     MAX_DIVISOR_CELLS before it is made, each entry filtered from a
     parent's list and holding the same int objects, so an entry costs one
-    pointer per divisor.  Entries
-    are made in the order the tuples first need them, so for n >= 3 the
-    index never holds more pointers than the tuples counted after the
-    factorization sum's current fold, plus tau(m), and for n = 2 it holds
-    only the divisors of m.
+    pointer per divisor.  `ordered_factorizations` makes entries in the
+    order its tuples first need them, so the index never holds more
+    pointers than the tuples emitted plus tau(m).  A factorization-sum
+    single count at n >= 3 fills every entry, sum over c | m of tau(c) =
+    T_3(m) <= T_n(m) pointers, before its walk, to make each sigma(c); at
+    n = 2 it reads only the divisors of m.
   * For a factorization-sum sweep over m = 1 .. M
     (`latcount.count.count_table`, and every n of
     `latcount.count.first_disagreement`), one divisor table: a list whose entry q
@@ -45,10 +46,10 @@ with n.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, chain, cycle
 from math import comb, isqrt, prod
-from typing import Iterator, Sequence
 
 from .core import CapacityError, UsageError, check_args, check_at_least, check_budget, walk
 from .core import int_text

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import islice
 from types import SimpleNamespace
-from typing import Iterable, Iterator
 
 from .arith import ENV_TRIAL_DIVISION_BOUND
 from .core import CapacityError, DiscrepancyError, ExactnessError, Method, UsageError
@@ -55,6 +55,8 @@ EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_MISMATCH = 4
+# Each library error's exit code, matched by isinstance: a DiscrepancyError exits 4.
+ERROR_EXITS = {CapacityError: EXIT_CAPACITY, ExactnessError: EXIT_MISMATCH, UsageError: EXIT_USAGE}
 
 FORMATS = ("plain", "csv", "json-lines")
 DESCRIPTION = "Count and enumerate index-m sublattices of the integer lattice Z^n."
@@ -372,9 +374,6 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     argv writes a usage line and "<prog>: error: <reason>" to stderr and
     exits 2; -h/--help writes the help to stdout and exits 0.
     """
-    if hasattr(sys, "set_int_max_str_digits"):
-        # Exact counts, and --m itself, may run past the 4300-digit default.
-        sys.set_int_max_str_digits(0)
     fields, extras = {"command": None}, []
     try:
         _scan(argv, fields, extras)
@@ -390,8 +389,19 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    """Run the command argv, or sys.argv[1:], and return its exit code.
+
+    Exact counts, and --m itself, may run past the 4300-digit int-to-str
+    default, so the limit is lifted for the command and the caller's
+    restored after it.  A library error is one line on stderr and the exit
+    code ERROR_EXITS gives its class.
+    """
+    # An interpreter without the limit reads as 0 through int(), and int() sets nothing.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    set_limit = getattr(sys, "set_int_max_str_digits", int)
+    set_limit(0)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         code = args.handler(args)
         sys.stdout.flush()
         return code
@@ -400,20 +410,16 @@ def main(argv=None) -> int:
         # interpreter's final flush is quiet, as the signal module docs advise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except CapacityError as exc:
+    except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ExactnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for error, code in ERROR_EXITS.items() if isinstance(exc, error))
     except Exception as exc:
         # Anything else is a bug in latcount, not bad input: one line, no traceback.
         detail = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
         print(f"error: internal: {detail}", file=sys.stderr)
         return EXIT_MISMATCH
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ found it.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterator, Sequence
 
 
 class CapacityError(RuntimeError):

@@ -30,14 +30,17 @@ pending prefixes, at most (n - 3) * tau(m) of them for n >= 4, so no call
 depth grows with n, and no two prefixes are merged; the last three parts
 of a tuple multiply to the quotient q their prefix leaves, so they are
 added as q^(n-3) times fold(q) = sum over c | q of c * sigma(c).  fold(q)
-depends on q alone, so it is made once per q and read by lookup: lazily
-from the `DivisorIndex` in a single count, for every q <= M from the
-divisor table in a sweep, whose levels 2 and 3 are sigma and fold.  Only
-the three-part fold is kept; no f_k for k > 3 is, since that would be the
-recursion's memo, and the method reads no push or grid of the recursion.
-Only a single count counts the tuples; a sweep's body counts nothing.  A
-single count predicts its walk's cost from the factorization and refuses
-above MAX_FACTORIZATION_SUM_CELLS before the first prefix.  A sweep predicts its
+depends on q alone, so it is made once per q, before the walk, and read
+by lookup: in a single count from the `DivisorIndex`, for the q > 1 that
+divide m (m alone at n = 3), in a sweep for every q <= M from the divisor
+table, whose levels 2 and 3 are sigma and fold.  The body takes n >= 3
+and does the arithmetic alone: a single count adds n <= 2 and m = 1
+itself, and its work_stats["tuples"] is T_n(m), counted from the
+factorization, not by the walk.  Only the three-part fold is kept; no f_k
+for k > 3 is, since that would be the recursion's memo, and the method
+reads no push or grid of the recursion.  A single count predicts its
+walk's cost from the factorization and refuses above
+MAX_FACTORIZATION_SUM_CELLS before the first prefix.  A sweep predicts its
 levels' cost from D_k(M), the k-tuples with product <= M, counted with no
 factorization, and refuses above MAX_FACTORIZATION_SUM_SWEEP_CELLS, and a
 divisor table above MAX_DIVISOR_TABLE_POINTERS, before the table is made;
@@ -69,10 +72,10 @@ it skips, and the same rule refuses an over-cap enumeration.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, islice, repeat
 from math import isqrt, prod
 from operator import add, attrgetter, floordiv, mul, sub
-from typing import Iterator, Sequence
 
 from .arith import MAX_DIVISOR_CELLS, DivisorIndex, _check_divisor_list, _divisor_table
 from .arith import _divisor_table_size, _least_prime, _tuple_count, factorize, trial_division_bound
@@ -99,12 +102,25 @@ def count_by_factorization_sum(n: int, m: int) -> CountResult:
     """Sum d_1^0 d_2^1 ... d_n^(n-1) over all ordered factorizations of m.
 
     The tuples are read from one `DivisorIndex` of m.  `_check_factorization_sum`
-    refuses its list and the walk's cost before either is made.
+    refuses its list and the walk's cost before either is made.  n = 1 and
+    m = 1 have the one tuple (m, 1, ..., 1) of weight 1, and n = 2 adds sigma(m)
+    over the pairs (m / y, y).  For n >= 3 every sigma(c), c | m, is made
+    from the index, and from them the fold of each quotient the walk can
+    reach: m alone at n = 3, every q > 1 dividing m above.
+    work_stats["tuples"] is T_n(m), counted from the factorization.
     """
     check_args(n, m)
-    _check_factorization_sum(n, factorize(m), m.bit_length())
-    work_stats = {}
-    value = _factorization_sum(n, m, DivisorIndex(m), work_stats)
+    factors = factorize(m)
+    _check_factorization_sum(n, factors, m.bit_length())
+    value = 1
+    if n >= 2 and m > 1:
+        index = DivisorIndex(m)
+        value = sum(index[m])
+        if n >= 3:
+            sigmas = {c: sum(index[c]) for c in index[m]}
+            folds = {q: _fold(index[q], sigmas) for q in (index[m][1:] if n > 3 else [m])}
+            value = _factorization_sum(n, m, index, folds, _exponents(n))
+    work_stats = {"tuples": _tuple_count(factors, n)}
     return CountResult(value, Method.FACTORIZATION_SUM, work_stats=work_stats)
 
 
@@ -151,32 +167,13 @@ def _exponents(n: int) -> list[Iterator[int]]:
     return list(map(repeat, range(n - 2)))
 
 
-class _Memo(dict):
-    """A dict that makes each missing key's value once, as make(key), and keeps it."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _fold(divs: Sequence[int], sigmas) -> int:
     """f_3(q) = sum over c | q of c * sigma(c), from q's divisor list divs and sigmas[c]."""
     return sum(map(mul, divs, map(sigmas.__getitem__, divs)))
 
 
-def _factorization_sum(
-    n: int,
-    m: int,
-    index: DivisorIndex | list[list[int]],
-    work_stats: dict | None = None,
-    exponents: Sequence[Iterator[int]] | None = None,
-    folds: Sequence[int] | None = None,
-) -> int:
-    """f_n(m) by the factorization sum, with the divisor lists read from index.
+def _factorization_sum(n: int, m: int, index, folds, exponents: list[Iterator[int]]) -> int:
+    """f_n(m) for n >= 3 by the factorization sum, with the divisor lists read from index.
 
     One loop over a list of pending prefixes d_1 ... d_i, each held as the
     quotient q still to be factored, the exponent i of the next part and the
@@ -185,33 +182,15 @@ def _factorization_sum(
     with d * x * y = q and c = x * y, each such tuple weighs
     w * d^(n-3) x^(n-2) y^(n-1) = w * q^(n-3) * c * y, so the prefix adds
     w * q^(n-3) * fold(q), fold(q) = sum over c | q of c * sigma(c).  fold(q)
-    depends on q alone, so it is read from folds, made once per q: a sweep
-    passes the list of every q's fold, and otherwise each fold, and each
-    sigma(c) it sums, is made from index on first use.  n = 2 adds sigma(m)
-    over the pairs (m / y, y), n = 3 is fold(m) alone, and m = 1 has the one
-    tuple (1, ..., 1).  For n >= 4 the list holds at most (n - 3) * tau(m)
-    prefixes.  Given a work_stats dict, the tuples are counted into its
-    "tuples", with the sum over c | q of tau(c) triples kept beside each
-    fold; the sweeps give none and count nothing, and pass one list of
-    `_exponents` for every m.
+    depends on q alone, so it is read from folds, made once per q by the
+    caller.  index[q] is q's sorted divisors and folds[q] is fold(q): in a
+    single count a `DivisorIndex` of m and a dict of the q > 1 its walk
+    reaches, in a sweep the divisor table and the list of every q <= M.
+    exponents is `_exponents(n)`, or of a larger n, shared by every m of a
+    sweep.  For n >= 4 the list holds at most (n - 3) * tau(m) prefixes.
     """
-    if n <= 2 or m == 1:
-        divs = index[m] if n == 2 else [1]
-        if work_stats is not None:
-            work_stats["tuples"] = len(divs)
-        return sum(divs)
-    counted = work_stats is not None
-    if folds is None:
-        sigmas = _Memo(lambda c: sum(index[c]))
-        folds = _Memo(lambda q: _fold(index[q], sigmas))
-    if counted:
-        # The triples with product q, one per pair y | c | q.
-        triples = _Memo(lambda q: sum(map(len, map(index.__getitem__, index[q]))))
     total = 0
-    tuples = 0
     last = n - 3
-    if exponents is None:
-        exponents = _exponents(n)
     pending = [(m, 0, 1)]
     pop = pending.pop
     push = pending.extend
@@ -219,18 +198,13 @@ def _factorization_sum(
         q, i, w = pop()
         if q == 1:
             total += w
-            tuples += 1
         elif i == last:
             total += w * q**i * folds[q]
-            if counted:
-                tuples += triples[q]
         else:
             divs = index[q]
             # divs is sorted, so reversed(divs) is the cofactors q // d in the order of divs.
             weights = map(mul, repeat(w), map(pow, divs, exponents[i]))
             push(zip(reversed(divs), exponents[i + 1], weights))
-    if counted:
-        work_stats["tuples"] = tuples
     return total
 
 
@@ -316,14 +290,13 @@ def _factorization_sum_table(n_max: int, max_m: int, lowest: int = 1) -> Iterato
 
     Before the first level, the divisor table's pointers are refused above
     MAX_DIVISOR_TABLE_POINTERS, since they bound its memory, and the cells
-    of the levels made above MAX_FACTORIZATION_SUM_SWEEP_CELLS.  Every level
-    reads one divisor table, made at the first level, and counts no tuples;
-    level 1 reads none, so a sweep of level 1 alone makes no table and
-    holds no pointers.
-    From the table, sigma(q) and fold(q) = sum over c | q of c * sigma(c) are
-    made once for every q <= max_m, when n_max reaches them: they are levels
-    2 and 3, and every higher level reads its last three parts from fold.
-    Levels 1 and 4 up hold the table in their iterators and make their
+    of the levels made above MAX_FACTORIZATION_SUM_SWEEP_CELLS.  Level 1 is
+    f_1 = 1, so a sweep of level 1 alone makes no table and holds no
+    pointers; every other level reads one divisor table, made at the first
+    level.  From the table, sigma(q) and fold(q) = sum over c | q of
+    c * sigma(c) are made once for every q <= max_m, when n_max reaches
+    them: they are levels 2 and 3, and every higher level reads its last
+    three parts from fold, holds the table in its iterator and makes its
     values as they are read.
     """
     pointers = _divisor_table_size(max_m) if n_max >= 2 else 0
@@ -335,14 +308,13 @@ def _factorization_sum_table(n_max: int, max_m: int, lowest: int = 1) -> Iterato
     table = _divisor_table(max_m) if n_max >= 2 else None
     sigmas = list(map(sum, table)) if n_max >= 2 else None
     folds = list(map(_fold, table, repeat(sigmas))) if n_max >= 3 else None
-    # m = 1 returns before its first prefix, so a sweep up to 1 makes no exponent.
+    # m = 1 pops one prefix, of quotient 1, so a sweep up to 1 makes no exponent.
     exponents = _exponents(n_max) if max_m > 1 else None
 
     def level(n: int) -> Iterator[int]:
-        if n in (2, 3):
-            return islice(sigmas if n == 2 else folds, 1, None)
-        ms = range(1, max_m + 1)
-        return (_factorization_sum(n, m, table, exponents=exponents, folds=folds) for m in ms)
+        if n <= 3:
+            return repeat(1, max_m) if n == 1 else islice(sigmas if n == 2 else folds, 1, None)
+        return (_factorization_sum(n, m, table, folds, exponents) for m in range(1, max_m + 1))
 
     yield from map(level, range(lowest, n_max + 1))
 
@@ -665,9 +637,9 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
     any other m (see `_gruber_table`).
     Factorization-sum makes its n-th level alone from one divisor table,
     made before this returns: at n = 2 and 3 the list of sigma or of the
-    fold of every m, and at any other n the body of a single count once per
-    m, as the values are consumed, counting no tuples, with the table held
-    by the iterator; at n = 1 it makes no table.  The level's cost is refused above
+    fold of every m, and at n >= 4 the body of a single count once per m,
+    as the values are consumed, with the table held by the iterator; at
+    n = 1, f_1 = 1, it makes no table.  The level's cost is refused above
     MAX_FACTORIZATION_SUM_SWEEP_CELLS, and the table above
     MAX_DIVISOR_TABLE_POINTERS, before the table is made (see
     `_factorization_sum_table`).

@@ -30,10 +30,10 @@ further line costs one concatenation.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable, Iterator
 from itertools import chain, islice, repeat
 from math import prod
 from operator import attrgetter
-from typing import Callable, Iterator
 
 from .arith import ordered_factorizations
 from .core import CapacityError, CountResult, Method, Record, UsageError, walk

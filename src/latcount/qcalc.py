@@ -27,9 +27,9 @@ cap.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from itertools import accumulate, repeat
 from math import comb
-from typing import Iterable
 
 from .core import ExactnessError, check_at_least, check_budget
 

@@ -19,11 +19,11 @@ pass makes the coefficients for n = 1, 2, ... in turn, and
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from functools import reduce
 from itertools import repeat
 from math import isqrt
 from operator import add, mul
-from typing import Iterator, Sequence
 
 from .arith import is_prime
 from .core import CountResult, Method, UsageError, check_args, check_at_least, check_budget

@@ -38,16 +38,6 @@ VALUES = [
 BAD_COMMANDS = ["", "x", "Count", "co", "-1", "countx"]
 
 
-
-@pytest.fixture(autouse=True, scope="module")
-def restore_int_max_str_digits():
-    # parse_args lifts the limit for the whole process; later test modules expect the default.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    yield
-    if limit is not None:
-        sys.set_int_max_str_digits(limit)
-
-
 def read(parse, argv):
     """How parse takes argv: ("parsed", fields) or ("exit", code, whether stdout was written)."""
     out = io.StringIO()

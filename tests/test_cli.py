@@ -333,6 +333,17 @@ class TestCount:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "1\n"
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+    def test_main_lifts_the_int_str_digit_limit_for_its_command_alone(self, capsys):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            assert cli.main(["count", "--n", "1", "--m", "1" + "0" * 4400]) == 0
+            assert capsys.readouterr().out == "1\n"
+            assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+        finally:
+            sys.set_int_max_str_digits(saved)
+
 
 class TestExitCodes:
     """Exit 2 only for a UsageError; any other escaping exception is an internal error, exit 4."""
@@ -511,6 +522,7 @@ def test_import_loads_no_dataclasses_inspect_or_json():
         "import sys, latcount.cli\n"
         "latcount.cli.main(['count', '--n', '1', '--m', '1'])\n"
         "names = {'dataclasses', 'inspect', 'json', 'argparse', 'gettext', 'locale'}\n"
+        "names |= {'typing', 're'}\n"
         "print(sorted(names & set(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))

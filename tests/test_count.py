@@ -58,61 +58,87 @@ class TestFactorizationSum:
         result = count_by_factorization_sum(2, 4)
         assert result.work_stats["tuples"] == 3
 
+    @staticmethod
+    def _body(n, m, index, exponents=None):
+        """The body at n >= 3, given sigma and the fold of every q | m made from index itself."""
+        sigmas = {c: sum(index[c]) for c in index[m]}
+        folds = {q: latcount.count._fold(index[q], sigmas) for q in index[m]}
+        return _factorization_sum(n, m, index, folds, exponents or _exponents(n))
+
     def test_fold_matches_the_brute_force_tuples_over_both_indexes(self):
         # The last three parts fold to q^(n-3) * sum over c | q of c * sigma(c): checked
-        # against every tuple listed.
+        # against every tuple listed, by the body over either index for n >= 3, and by the
+        # single count and the sweep for every n.
         sums, counts = brute_tuple_sums(6, 2000)
         table = _divisor_table(2000)
+        for n in range(1, 7):
+            assert list(count_table(n, 2000, Method.FACTORIZATION_SUM)) == sums[n][1:], n
         for m in range(1, 2001):
             indexes = (DivisorIndex(m), table)
             for n in range(1, 7):
                 tuples = ordered_factorization_count(m, n)
                 assert counts[n][m] == tuples, (n, m)
-                for index in indexes:
-                    stats = {}
-                    assert _factorization_sum(n, m, index, stats) == sums[n][m], (n, m)
-                    assert stats["tuples"] == tuples, (n, m)
+                result = count_by_factorization_sum(n, m)
+                assert (result.value, result.work_stats["tuples"]) == (sums[n][m], tuples), (n, m)
+                for index in indexes if n >= 3 else ():
+                    assert self._body(n, m, index) == sums[n][m], (n, m)
 
-    def test_fold_counts_every_tuple_up_to_seven_parts_over_both_indexes(self):
+    def test_fold_counts_every_tuple_up_to_seven_parts_over_both_indexes(self, monkeypatch):
+        made = []
+
+        class Recorded(DivisorIndex):
+            def __init__(self, m):
+                super().__init__(m)
+                made.append(self)
+
+        monkeypatch.setattr(latcount.count, "DivisorIndex", Recorded)
         table = _divisor_table(400)
+        for n in range(1, 8):
+            gruber = [count_by_gruber(n, m).value for m in range(1, 401)]
+            assert list(count_table(n, 400, Method.FACTORIZATION_SUM)) == gruber, n
         for m in range(1, 401):
             tau = len(table[m])
             for n in range(1, 8):
                 expected = (count_by_gruber(n, m).value, ordered_factorization_count(m, n))
-                index = DivisorIndex(m)
-                for lists in (index, table):
-                    stats = {}
-                    value = _factorization_sum(n, m, lists, stats)
-                    assert (value, stats["tuples"]) == expected, (n, m)
-                # The index holds no more pointers than the tuples counted, plus tau(m).
-                assert sum(map(len, index.values())) <= expected[1] + tau, (n, m)
+                made.clear()
+                result = count_by_factorization_sum(n, m)
+                assert (result.value, result.work_stats["tuples"]) == expected, (n, m)
+                # The count's index holds no more pointers than the tuples, plus tau(m).
+                pointers = sum(len(divs) for index in made for divs in index.values())
+                assert pointers <= expected[1] + tau, (n, m)
+                for index in (DivisorIndex(m), table) if n >= 3 else ():
+                    assert self._body(n, m, index) == expected[0], (n, m)
 
     def test_fold_at_the_smallest_and_a_large_n(self):
         # Over m = 2 the tuples put the one 2 in part i, of weight 2^i: f_n(2) = 2^n - 1.
         for n in (2, 3, 4, 990, 1000):
-            for index in (DivisorIndex(2), _divisor_table(2)):
-                stats = {}
-                assert _factorization_sum(n, 2, index, stats) == 2**n - 1, n
-                assert stats["tuples"] == n
+            result = count_by_factorization_sum(n, 2)
+            assert (result.value, result.work_stats["tuples"]) == (2**n - 1, n)
+            assert list(count_table(n, 2, Method.FACTORIZATION_SUM)) == [1, 2**n - 1]
+            for index in (DivisorIndex(2), _divisor_table(2)) if n >= 3 else ():
+                assert self._body(n, 2, index) == 2**n - 1, n
         tuples = brute_ordered_factorizations(12, 2)
-        stats = {}
-        value = _factorization_sum(2, 12, DivisorIndex(12), stats)
-        assert value == sum(d2 for _, d2 in tuples) == brute_sigma(12)
-        assert stats["tuples"] == len(tuples)
+        result = count_by_factorization_sum(2, 12)
+        assert result.value == sum(d2 for _, d2 in tuples) == brute_sigma(12)
+        assert result.work_stats["tuples"] == len(tuples)
+        assert list(count_table(2, 12, Method.FACTORIZATION_SUM))[-1] == result.value
 
     def test_the_uncounted_body_equals_the_counted_one_over_both_indexes(self):
-        # The sweeps call the body with no counter, and with one list of exponents for every n.
+        # The sweeps call the body with one list of exponents for every n; a single count
+        # makes its own, and its folds only for the q its walk reaches.
         table = _divisor_table(400)
         shared = _exponents(7)
         for m in range(1, 401):
             index = DivisorIndex(m)
             for n in range(1, 8):
-                for lists in (index, table):
-                    stats = {}
-                    counted = _factorization_sum(n, m, lists, stats)
-                    assert stats["tuples"] == ordered_factorization_count(m, n), (n, m)
-                    assert _factorization_sum(n, m, lists) == counted, (n, m)
-                    assert _factorization_sum(n, m, lists, exponents=shared) == counted, (n, m)
+                result = count_by_factorization_sum(n, m)
+                assert result.work_stats["tuples"] == ordered_factorization_count(m, n), (n, m)
+                for lists in (index, table) if n >= 3 else ():
+                    assert self._body(n, m, lists) == result.value, (n, m)
+                    assert self._body(n, m, lists, shared) == result.value, (n, m)
+        for n in range(1, 8):
+            counted = [count_by_factorization_sum(n, m).value for m in range(1, 401)]
+            assert list(count_table(n, 400, Method.FACTORIZATION_SUM)) == counted, n
 
     def test_the_sweep_s_sigma_and_fold_equal_the_brute_force_tuples(self):
         # fold[q] = sum over c | q of c * sigma(c) is f_3(q): the sweep's levels 2 and 3.
