@@ -2,7 +2,8 @@
 
 Every bad argument to the package raises `UsageError`, most through
 `check_at_least`, and every size predicted above its limit raises
-`CapacityError` through `check_budget`.
+`CapacityError` through `check_budget`: every time in nanoseconds against
+the one limit MAX_PREDICTED_NS, and each kind of memory in its own unit.
 
 `Record`, the base of `CountResult` and `latcount.hnf.HnfMatrix`, is
 written out by hand with `__slots__` rather than as a frozen dataclass: the
@@ -30,20 +31,23 @@ from operator import attrgetter
 class CapacityError(RuntimeError):
     """A computation exceeded one of its configured resource bounds.
 
-    Every size predicted before the work starts is refused by `check_budget`:
-    the last q-Pascal row of `gauss_binomial`, the monomials of
-    `geometric_factor` and the q-binomials of `rhs_sum` (all three against
-    MAX_QPASCAL_COEFFICIENTS), the product cells of `lhs_product`
-    (MAX_LHS_CELLS), the Dirichlet limit (MAX_DIRICHLET_LIMIT) and
-    convolution cells (MAX_DIRICHLET_CELLS), the squared bits of an Euler
-    factor (MAX_EULER_SQUARED_BITS), the q-Pascal rows of the symmetry sweep
-    `first_asymmetric_pair`, the text prefixes of `enumerate_lines`
-    (MAX_PREFIX_CHARS) and its m's digits (sys.get_int_max_str_digits()),
-    and the divisor list of a `DivisorIndex` (MAX_DIVISOR_CELLS).  Besides
-    those, it is raised when trial
-    division would have to search past its bound, and when an enumeration
-    would yield, or has yielded, more matrices than its cap.  Never raised
-    for malformed input; those get UsageError.
+    Every size predicted before the work starts is refused by `check_budget`.
+    Time is predicted in nanoseconds and held to one limit,
+    MAX_PREDICTED_NS: the walk of a factorization-sum count and the levels
+    of its sweep, the recursion's grid and its sweep, Gruber's products and
+    the Gruber sweep, the products of `lhs_product`, the Dirichlet
+    convolutions, and an Euler factor with its printing.  Memory keeps its
+    own units and limits: the last q-Pascal row of `gauss_binomial`, the
+    monomials of `geometric_factor`, the q-binomials of `rhs_sum` and the
+    q-Pascal rows of `first_asymmetric_pair` (MAX_QPASCAL_COEFFICIENTS), the
+    Dirichlet limit (MAX_DIRICHLET_LIMIT), the prefixes of both HNF streams
+    (MAX_PREFIX_CHARS), the digits of `enumerate_lines`'s m
+    (sys.get_int_max_str_digits()), the divisor list of a `DivisorIndex` and
+    the recursion's values (MAX_DIVISOR_CELLS), and a sweep's divisor table
+    (MAX_DIVISOR_TABLE_POINTERS).  Besides those, it is raised when trial
+    division would have to search past its bound or its running budget, and
+    when an enumeration would yield, or has yielded, more matrices than its
+    cap.  Never raised for malformed input; those get UsageError.
     """
 
 
@@ -103,6 +107,18 @@ def int_text(x: int) -> str:
         return str(x)
     except ValueError:
         return f"a number of {x.bit_length()} bits"
+
+
+# The longest any computation is predicted to take, in nanoseconds.  Each time
+# model states its cost per unit of work as integer literals, fitted on a
+# 2-vCPU VM by `tools/budget_edges.py --time` so that the last input admitted
+# in each of its families runs in 1-2.6 s there.
+MAX_PREDICTED_NS = 2 * 10**9
+
+
+def power_bits(bits: int, e: int) -> int:
+    """The bits of m^e, e >= 0, read from below from m's bits: 1 at m = 1, exact at powers of 2."""
+    return e * (bits - 1) + 1
 
 
 def check_budget(predicted: int, limit: int, work: str) -> None:

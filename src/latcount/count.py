@@ -38,22 +38,28 @@ and does the arithmetic alone: a single count adds n <= 2 and m = 1
 itself, and its work_stats["tuples"] is T_n(m), counted from the
 factorization, not by the walk.  Only the three-part fold is kept; no f_k
 for k > 3 is, since that would be the recursion's memo, and the method
-reads no push or grid of the recursion.  A single count predicts its
-walk's cost from the factorization and refuses above
-MAX_FACTORIZATION_SUM_CELLS before the first prefix.  A sweep predicts its
-levels' cost from D_k(M), the k-tuples with product <= M, counted with no
-factorization, and refuses above MAX_FACTORIZATION_SUM_SWEEP_CELLS, and a
-divisor table above MAX_DIVISOR_TABLE_POINTERS, before the table is made;
-no sweep falls back to a `DivisorIndex` per m.  A Gruber sweep runs the
+reads no push or grid of the recursion.
+
+Every time budget here is a model of nanoseconds, checked against the one
+limit MAX_PREDICTED_NS before the work it predicts; each model states its
+costs per unit of work as integer literals, fitted by
+`tools/budget_edges.py --time`.  A factorization-sum single count predicts
+its walk from the factorization, and refuses before the first prefix.  A
+sweep predicts its levels from D_k(M), the k-tuples with product <= M,
+counted with no factorization, and refuses, and a divisor table above
+MAX_DIVISOR_TABLE_POINTERS, before the table is made; no sweep falls back
+to a `DivisorIndex` per m.  A Gruber sweep runs the
 body of a single count once per prime power p^r <= max_m and level, and
 multiplies: each other m, split as p^r * rest by its least prime p, takes
 the product of two values already made.  It finds p by one trial loop per
 m, under the bound read once per sweep, keeps the split for every level,
 and hands each prime power's body the factorization ((p, r),) from that
 split, so no prime power is factored again; it reads no divisor list.
-The body predicts the cost of its products from the factorization and
-refuses above MAX_GRUBER_SQUARED_BITS before the first, and checks both
-product forms and every division, in a sweep as in a single count.  The
+The body predicts the time of its products from the factorization and
+refuses before the first, and checks both product forms and every
+division, in a sweep as in a single count; the sweep predicts its own time
+from (n_max, max_m) alone, its trial loops and its prime powers' products,
+and refuses before the first value.  The
 recursion has two loops over the same recurrence, which cross-check each
 other.  A single count holds m's divisors as the grid of
 their exponent vectors, one list in mixed-radix order, and makes each
@@ -62,8 +68,8 @@ has a list of its own divisors and no `DivisorIndex` is read; its values
 and levels are predicted from the factorization and refused before the
 first level.  A sweep turns each level round: every d adds d * f_(k-1)(d)
 into its multiples as one slice update, so it reads no divisor list, and
-neither `factorize` nor the divisor table; its cells above
-MAX_RECURSION_CELLS are refused before the first level.
+neither `factorize` nor the divisor table; its time is refused before its
+list is made.
 `count_all_methods` asks every prediction that needs only the
 factorization, through the same private check each method calls, before
 Gruber's products.  One rule, `left_out_methods`, decides which methods
@@ -79,11 +85,10 @@ from operator import add, attrgetter, floordiv, mul, sub
 
 from .arith import MAX_DIVISOR_CELLS, DivisorIndex, _check_divisor_list, _divisor_table
 from .arith import _divisor_table_size, _least_prime, _tuple_count, factorize, trial_division_bound
-from .core import CapacityError, CountResult, DiscrepancyError, ExactnessError, Method, check_args
-from .core import check_budget, int_text
-from .hnf import DEFAULT_ENUMERATION_CAP, count_by_enumeration
-from .series import MAX_DIRICHLET_CELLS, MAX_DIRICHLET_LIMIT, _dirichlet_cells
-from .series import _dirichlet_levels, count_by_dirichlet
+from .core import MAX_PREDICTED_NS, CapacityError, CountResult, DiscrepancyError, ExactnessError
+from .core import Method, check_args, check_budget, int_text, power_bits
+from .hnf import DEFAULT_ENUMERATION_CAP, MAX_PREFIX_CHARS, _prefix_chars, count_by_enumeration
+from .series import MAX_DIRICHLET_LIMIT, _dirichlet_levels, _dirichlet_ns, count_by_dirichlet
 
 __all__ = [
     "CountResult",
@@ -124,42 +129,34 @@ def count_by_factorization_sum(n: int, m: int) -> CountResult:
     return CountResult(value, Method.FACTORIZATION_SUM, work_stats=work_stats)
 
 
-# The most cells a factorization-sum single count may cost, by
-# _factorization_sum_cells.  On a 2-vCPU VM (7, 720720), 9.8 * 10**7 cells,
-# takes 0.57 s, and (8, 720720), which ran 10.9 s, is refused, as is
-# (5, 2**40 * 3**10), which ran 2.5 s.  The cells model a walk that summed
-# each quotient's fold once per prefix, which took 1.4-1.7 s at (7, 720720),
-# so where prefixes share quotients they over-predict: a cell takes about
-# 6 ns there, against 15-25 ns at (14080, 2), a walk of single parts (0.22 s).
-MAX_FACTORIZATION_SUM_CELLS = 10**8
+def _factorization_sum_ns(n: int, factors: Sequence[tuple[int, int]], bits: int) -> int:
+    """The nanoseconds count_by_factorization_sum(n, m) takes, from m's factorization and bits.
 
-
-def _factorization_sum_cells(n: int, factors: Sequence[tuple[int, int]], bits: int) -> int:
-    """The cost of count_by_factorization_sum(n, m), from m's factorization and bits.
-
-    Each of the T_n = ordered_factorization_count(m, n) tuples is a cell.
-    For n >= 3 the index fills at most one entry per 3-part tuple, each
-    filtered from a parent's list in Python at about 8 cells, and each
-    prefix costs about 128 cells of Python steps; the prefixes popped are
-    about T_(n-2).  The sum is counted 1 + b // 512 times, b being the bits
-    of m^(n-1), which bounds the weights.
+    The index fills an entry and sums a sigma for each 3-part tuple (each
+    divisor at n = 2), and for n >= 4 makes as many products for the folds,
+    at about 250 ns a tuple, once more for every 384 bits of m.  For n >= 4
+    the walk pops T_(n-2) + T_(n-3) prefixes, T_k =
+    ordered_factorization_count(m, k), each at about 400 ns, 150 ns more for
+    each bit of n, as each part is raised to a power below n, and 0.9 ns
+    for each bit of m^(n-1), which bounds the weights.
     """
-    cells = _tuple_count(factors, n)
-    if n >= 3:
-        cells += 8 * _tuple_count(factors, 3) + 128 * _tuple_count(factors, n - 2)
-    return cells * (1 + (n - 1) * bits // 512)
+    ns = 250 * _tuple_count(factors, min(n, 3)) * (1 + bits // 384)
+    if n >= 4:
+        popped = _tuple_count(factors, n - 2) + _tuple_count(factors, n - 3)
+        ns += popped * (400 + 150 * n.bit_length() + 9 * power_bits(bits, n - 1) // 10)
+    return ns
 
 
 def _check_factorization_sum(n: int, factors: Sequence[tuple[int, int]], bits: int) -> None:
     """Refuse count_by_factorization_sum(n, m), from m's factorization and bits.
 
     m's divisor list is refused as `DivisorIndex` refuses it, and then the
-    walk's cost above MAX_FACTORIZATION_SUM_CELLS.
+    walk's time above MAX_PREDICTED_NS.
     """
     _check_divisor_list(factors, bits)
     tuples = _tuple_count(factors, n)
-    work = f"the {tuples} {n}-part factorizations of an m of {bits} bits would cost {{}} cells"
-    check_budget(_factorization_sum_cells(n, factors, bits), MAX_FACTORIZATION_SUM_CELLS, work)
+    work = f"the {tuples} {n}-part factorizations of an m of {bits} bits would take {{}} ns"
+    check_budget(_factorization_sum_ns(n, factors, bits), MAX_PREDICTED_NS, work)
 
 
 def _exponents(n: int) -> list[Iterator[int]]:
@@ -247,50 +244,40 @@ def _tuple_counts(max_m: int) -> Iterator[int]:
 # sweep is refused, since the table is its memory.
 MAX_DIVISOR_TABLE_POINTERS = 10**6
 
-# The most cells a factorization-sum sweep's levels may cost, by
-# _factorization_sum_sweep_cells.  On a 2-vCPU VM the last sweeps admitted
-# take, in process: every level of (4, 69122) and (5, 18959), as verify makes
-# them, 0.5-0.6 s, and the n-th alone of (4, 83644) and (5, 23173) 0.7 s, as
-# table does.  The cells model a sweep that summed each quotient's fold once
-# per prefix, which took 2.1-3.2 s there, so at n >= 4 they over-predict
-# about 4-fold.  The n-th alone of (1100, 4), the last a test runs, and of
-# (36864, 2), which pop about one prefix per part, take 1.6-1.9 s.  Without
-# it, (10, 2000) ran 17.3 s.
-MAX_FACTORIZATION_SUM_SWEEP_CELLS = 45 * 10**6
+def _factorization_sum_sweep_ns(n_max: int, max_m: int, lowest: int) -> int:
+    """The nanoseconds levels lowest .. n_max of a factorization-sum sweep up to max_m take.
 
-
-def _factorization_sum_sweep_cells(n_max: int, max_m: int, lowest: int) -> int:
-    """The cost of levels lowest .. n_max of a factorization-sum sweep up to max_m.
-
-    Level k costs a cell per tuple, D_k(max_m), and 16 per prefix popped,
-    about D_(k-2) + D_(k-3) of them (D_0 = 1), or one call per m for k <= 2,
-    each counted 1 + b // 2048 times, b being the bits of max_m^(n_max - 1),
-    which bounds the values.  A level costs no less than the one below it,
-    so the sum stops at the first level past MAX_FACTORIZATION_SUM_SWEEP_CELLS,
-    and a level below lowest past it stands for them all: either way a
-    refused sweep's cells are a lower bound.  At max_m = 1 each level is one
-    call, counted as a level of 33 cells.
+    The divisor table, with sigma and the fold of every q <= max_m, takes
+    about 300 ns a pointer when a level n >= 2 is made.  Level k takes about
+    500 ns per m, and for k >= 4 about 550 ns per prefix popped, D_(k-2) +
+    D_(k-3) of them (D_0 = 1), D_k being the k-tuples with product <= max_m,
+    and b log2(b) / 26 ns more, b being the bits of max_m^(k-1), which
+    bound the weights, as their products grow faster than their bits.
+    A level costs no less than the one below it, so the sum stops at the
+    first level past MAX_PREDICTED_NS, and a level below lowest past it
+    stands for them all: either way a refused sweep's prediction is a lower
+    bound.  At max_m = 1 each level is one call, about 1000 ns.
     """
-    weight = 1 + (n_max - 1) * max_m.bit_length() // 2048
     if max_m == 1:
-        return 33 * (n_max - lowest + 1) * weight
-    counts = [1]
-    cells = 0
+        return 1000 * (n_max - lowest + 1)
+    table = 300 * _divisor_table_size(max_m) if n_max >= 2 else 0
+    counts, ns = [1], 0
     for k, count in enumerate(islice(_tuple_counts(max_m), n_max), start=1):
         counts.append(count)
-        popped = counts[k - 2] + counts[k - 3] if k >= 3 else max_m
-        cells = (cells if k > lowest else 0) + (count + 16 * popped) * weight
-        if cells > MAX_FACTORIZATION_SUM_SWEEP_CELLS:
+        popped = counts[k - 2] + counts[k - 3] if k >= 4 else 0
+        b = power_bits(max_m.bit_length(), k - 1)
+        ns = (ns if k > lowest else 0) + 500 * max_m + popped * (550 + b * b.bit_length() // 26)
+        if table + ns > MAX_PREDICTED_NS:
             break
-    return cells
+    return table + ns
 
 
 def _factorization_sum_table(n_max: int, max_m: int, lowest: int = 1) -> Iterator[Iterator[int]]:
     """For n = lowest .. n_max, an iterator over f_n(1) .. f_n(max_m), by _factorization_sum.
 
     Before the first level, the divisor table's pointers are refused above
-    MAX_DIVISOR_TABLE_POINTERS, since they bound its memory, and the cells
-    of the levels made above MAX_FACTORIZATION_SUM_SWEEP_CELLS.  Level 1 is
+    MAX_DIVISOR_TABLE_POINTERS, since they bound its memory, and the time
+    of the table and the levels made above MAX_PREDICTED_NS.  Level 1 is
     f_1 = 1, so a sweep of level 1 alone makes no table and holds no
     pointers; every other level reads one divisor table, made at the first
     level.  From the table, sigma(q) and fold(q) = sum over c | q of
@@ -302,9 +289,8 @@ def _factorization_sum_table(n_max: int, max_m: int, lowest: int = 1) -> Iterato
     pointers = _divisor_table_size(max_m) if n_max >= 2 else 0
     work = f"the factorization-sum sweep up to m={max_m} would hold {{}} divisor-table pointers"
     check_budget(pointers, MAX_DIVISOR_TABLE_POINTERS, work)
-    cells = _factorization_sum_sweep_cells(n_max, max_m, lowest)
-    work = f"the factorization-sum sweep up to n={n_max}, m={max_m} would cost at least {{}} cells"
-    check_budget(cells, MAX_FACTORIZATION_SUM_SWEEP_CELLS, work)
+    work = f"the factorization-sum sweep up to n={n_max}, m={max_m} would take at least {{}} ns"
+    check_budget(_factorization_sum_sweep_ns(n_max, max_m, lowest), MAX_PREDICTED_NS, work)
     table = _divisor_table(max_m) if n_max >= 2 else None
     sigmas = list(map(sum, table)) if n_max >= 2 else None
     folds = list(map(_fold, table, repeat(sigmas))) if n_max >= 3 else None
@@ -319,30 +305,20 @@ def _factorization_sum_table(n_max: int, max_m: int, lowest: int = 1) -> Iterato
     yield from map(level, range(lowest, n_max + 1))
 
 
-# The most cells a recursion single count's levels may cost, by
-# _recursion_grid_cells.  On a 2-vCPU VM a cell takes 1-11 ns at most shapes
-# measured, and 26-30 ns for a grid of 2^16 values of 600 bits:
-# (385, 2 * 3 * ... * 31), the last n admitted at that m, costs 299,630,592
-# cells and takes 1.5-1.9 s, (60, 2**1000) 0.7-1.2 s and
-# (16, 2 * 3 * ... * 53) 0.9-1.1 s.  Its one list of values is held to
-# MAX_DIVISOR_CELLS as well, as DivisorIndex's list is: this budget alone
-# would admit (2, 2**16800), whose values peak at 72 MB, and
-# (2, 2 * 3 * ... * 71), 2.5 s and 167 MB.
-MAX_RECURSION_GRID_CELLS = 3 * 10**8
+def _recursion_grid_ns(n: int, factors: Sequence[tuple[int, int]], bits: int) -> int:
+    """The nanoseconds count_by_recursion(n, m)'s levels take, from m's factorization and bits.
 
-
-def _recursion_grid_cells(n: int, factors: Sequence[tuple[int, int]], bits: int) -> int:
-    """The cost of count_by_recursion(n, m)'s levels, from m's factorization and bits.
-
-    Each of the n - 1 levels makes tau(m) products d * f(d) and at most
-    tau(m) * omega(m) adds, each counted 1 + b // 512 times, b being the bits
-    of m^(n-1), which bounds the values.  A product of a divisor of up to
-    bits bits by a value of up to b bits counts bits * b / 2^14 more, as
-    the big-int products outgrow the adds.
+    Each of the n - 1 levels takes about 400 ns, 1000 ns a slice update, of
+    which there are about as many as m's prime factors with multiplicity,
+    and 70 ns for each product d * f(d) and each add, tau(m) (omega(m) + 1)
+    of them, once more for every 8192 bits of m^(n-1), which bounds the
+    values.  Level k's products multiply a divisor of up to bits(m) bits by
+    a value of about (k - 2) bits(m), 5 ns per 8192 squared bits.
     """
     tau = prod(r + 1 for _, r in factors)
-    b = (n - 1) * bits
-    return (n - 1) * tau * ((len(factors) + 1) * (1 + b // 512) + (bits * b >> 14))
+    cells = tau * (len(factors) + 1) * (8192 + power_bits(bits, n - 1)) // 8192
+    level = 400 + 1000 * sum(r for _, r in factors) + 70 * cells
+    return (n - 1) * level + 5 * tau * bits * bits * (n - 1) * (n - 2) // 16384
 
 
 def _check_recursion_grid(n: int, factors: Sequence[tuple[int, int]], bits: int) -> None:
@@ -351,16 +327,16 @@ def _check_recursion_grid(n: int, factors: Sequence[tuple[int, int]], bits: int)
     m's divisor list is refused as `DivisorIndex` refuses it.  The list of
     tau(m) values of up to b bits, b being the bits of m^(n-1), each counted
     1 + b // 512 times, is refused above the same MAX_DIVISOR_CELLS, and
-    the levels above MAX_RECURSION_GRID_CELLS.
+    the levels' time above MAX_PREDICTED_NS.
     """
     _check_divisor_list(factors, bits)
     tau = prod(r + 1 for _, r in factors)
     # The messages leave m out: it may have more digits than str() allows.
-    values = tau * (1 + (n - 1) * bits // 512)
+    values = tau * (1 + power_bits(bits, n - 1) // 512)
     work = f"the recursion's {tau} values for n={n} at an m of {bits} bits would hold {{}} cells"
     check_budget(values, MAX_DIVISOR_CELLS, work)
-    work = f"the recursion's levels for n={n} at an m of {bits} bits would cost {{}} cells"
-    check_budget(_recursion_grid_cells(n, factors, bits), MAX_RECURSION_GRID_CELLS, work)
+    work = f"the recursion's levels for n={n} at an m of {bits} bits would take {{}} ns"
+    check_budget(_recursion_grid_ns(n, factors, bits), MAX_PREDICTED_NS, work)
 
 
 def count_by_recursion(n: int, m: int) -> CountResult:
@@ -411,25 +387,17 @@ def count_by_recursion(n: int, m: int) -> CountResult:
     return CountResult(values[-1], Method.RECURSION, work_stats={"divisor_visits": visits})
 
 
-# The most cells a recursion sweep's slice updates may cost, weighted by bits
-# as MAX_DIRICHLET_CELLS is.  On a 2-vCPU VM a cell takes 0.2-0.27 us: the
-# last sweep admitted at n = 4, up to m = 224,152, took 1.8-2.0 s and peaked
-# at 59 MB RSS.  (4, 86,764), the first max_m past the divisor table's
-# budget, costs 3,000,027 cells, and (4, 10**6), which ran 12-15 s and
-# peaked at 94 MiB, is refused.
-MAX_RECURSION_CELLS = 2**23
+def _recursion_sweep_ns(n: int, max_m: int) -> int:
+    """The nanoseconds a recursion sweep up to (n, max_m) takes.
 
-
-def _recursion_cells(n: int, max_m: int) -> int:
-    """The cells a recursion sweep up to (n, max_m) updates, each counted 1 + b // 512 times.
-
-    Each level after the first scales max_m + 1 entries and then adds entry d
-    into its max_m // d - 1 proper multiples, for every d: with the scaling,
-    one cell per pair d * k <= max_m, plus one.  b is the bits of
-    max_m^(n-1), which bounds the values, as in Dirichlet's cells.
+    Its list of max_m + 1 values takes about 50 ns an entry.  Each level
+    after the first takes about 2000 ns, and 190 ns for each cell it scales
+    or adds, one per pair d * k <= max_m, plus one, once more for every
+    16384 bits of max_m^(n-1), which bounds the values.
     """
-    cells = (n - 1) * (_divisor_table_size(max_m) + 1)
-    return cells * (1 + (n - 1) * max_m.bit_length() // 512)
+    weight = 16384 + power_bits(max_m.bit_length(), n - 1)
+    cells = (_divisor_table_size(max_m) + 1) * weight // 16384
+    return 50 * max_m + (n - 1) * (2000 + 190 * cells)
 
 
 def _recursion_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
@@ -439,11 +407,11 @@ def _recursion_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
     max_m / 2 down to 1, adds entry d into every proper multiple of d, so
     that entry m ends as the sum over d | m of d * f_(k-1)(d).  Entry d is
     read before any of its own divisors write to it.  No divisor list is
-    made.  Its cost above MAX_RECURSION_CELLS raises CapacityError before
-    the first level.
+    made.  Its time above MAX_PREDICTED_NS raises CapacityError before the
+    list is made.
     """
-    work = f"the recursion sweep up to n={n_max}, m={max_m} would cost {{}} cells"
-    check_budget(_recursion_cells(n_max, max_m), MAX_RECURSION_CELLS, work)
+    work = f"the recursion sweep up to n={n_max}, m={max_m} would take {{}} ns"
+    check_budget(_recursion_sweep_ns(n_max, max_m), MAX_PREDICTED_NS, work)
     values = [0] + [1] * max_m
     yield islice(values, 1, None)
     for _ in range(n_max - 1):
@@ -453,22 +421,16 @@ def _recursion_table(n_max: int, max_m: int) -> Iterator[Iterator[int]]:
         yield islice(values, 1, None)
 
 
-# The most squared bits count_by_gruber's products may cost.  On a 2-vCPU VM
-# count_by_gruber(2, 2**10000) costs 1.33 * 10**12 and takes about 1.6 s, and
-# (2, 10**5000), which `count --all` runs before it refuses to list the
-# divisors, costs 1.67 * 10**12 and takes about 1.1 s.  (2, 2**20000), which
-# ran 9.2 s, is refused.
-MAX_GRUBER_SQUARED_BITS = 2 * 10**12
-
-
-def _gruber_squared_bits(n: int, factors: Sequence[tuple[int, int]]) -> int:
-    """The cost of count_by_gruber(n, m)'s products, from m's factorization.
+def _gruber_ns(n: int, factors: Sequence[tuple[int, int]]) -> int:
+    """The nanoseconds count_by_gruber(n, m)'s products take, from m's factorization.
 
     A product form of a steps, with the other exponent b, makes at step j a
-    value of about j b L bits, L = ceil(log2 p), multiplies it by a factor
-    of (b + j) L bits and divides it by one of j L bits: (j b + b + j)(b + 2 j)
+    value of about j b L bits, L = log2 p, multiplies it by a factor of
+    (b + j) L bits and divides it by one of j L bits: (j b + b + j)(b + 2 j)
     L^2 squared bits.  The first form has a = r and b = n - 1, the second
-    the two swapped.  Summed over j, each is this closed form.
+    the two swapped.  Summed over j, each is this closed form.  L is read to
+    1/16 from the bits of p^16.  A squared bit takes about 1.5 ps, and each
+    step 400 ns more.
     """
 
     def form(a: int, b: int) -> int:
@@ -476,14 +438,17 @@ def _gruber_squared_bits(n: int, factors: Sequence[tuple[int, int]]) -> int:
         s2 = s1 * (2 * a + 1) // 3
         return 2 * (b + 1) * s2 + b * (b + 3) * s1 + b * b * a
 
-    return sum((p - 1).bit_length() ** 2 * (form(r, n - 1) + form(n - 1, r)) for p, r in factors)
+    return sum(
+        6 * (p**16 - 1).bit_length() ** 2 * (form(r, n - 1) + form(n - 1, r)) // 2**20
+        + 400 * (r + n - 1) for p, r in factors
+    )
 
 
 def _check_gruber(n: int, factors: Sequence[tuple[int, int]], bits: int) -> None:
-    """Refuse count_by_gruber(n, m) above MAX_GRUBER_SQUARED_BITS, from m's factors and bits."""
+    """Refuse count_by_gruber(n, m) above MAX_PREDICTED_NS, from m's factors and bits."""
     # The message leaves m out: it may have more digits than str() allows.
-    work = f"Gruber's products for n={n} at an m of {bits} bits would cost {{}} squared bits"
-    check_budget(_gruber_squared_bits(n, factors), MAX_GRUBER_SQUARED_BITS, work)
+    work = f"Gruber's products for n={n} at an m of {bits} bits would take {{}} ns"
+    check_budget(_gruber_ns(n, factors), MAX_PREDICTED_NS, work)
 
 
 def count_by_gruber(n: int, m: int) -> CountResult:
@@ -497,9 +462,8 @@ def count_by_gruber(n: int, m: int) -> CountResult:
     Each running per-prime product is an integer, so the divisions are
     performed stepwise and checked; an inexact division or a mismatch
     between the two forms raises ExactnessError (an implementation bug,
-    never bad input).  Their cost is predicted from the factorization, and
-    above MAX_GRUBER_SQUARED_BITS raises CapacityError before the first
-    product.
+    never bad input).  Their time is predicted from the factorization, and
+    above MAX_PREDICTED_NS raises CapacityError before the first product.
     """
     check_args(n, m)
     return CountResult(_gruber(n, m, factorize(m)), Method.GRUBER)
@@ -527,10 +491,29 @@ def _gruber(n: int, m: int, factors: Sequence[tuple[int, int]]) -> int:
         second *= local("second", p, r, n - 1)
 
     if first != second:
-        raise ExactnessError(
-            f"product forms disagree for n={n}, m={m}: {first} versus {second}"
-        )
+        raise ExactnessError(f"product forms disagree for n={n}, m={m}: {first} versus {second}")
     return first
+
+
+def _gruber_sweep_ns(n_max: int, max_m: int, lowest: int) -> int:
+    """The nanoseconds levels lowest .. n_max of a Gruber sweep up to max_m take, from those alone.
+
+    Splitting each m takes about 2800 ns, and the trial loops try about
+    8/30 sqrt(p) candidates for each prime p, at about 95 ns each: 25
+    max_m^(3/2) / bits(max_m) ns in all.  Each level takes about 420 ns per
+    m, and a single count's body at each of about 3 max_m / (2 bits(max_m))
+    primes, each charged as `_gruber_ns` charges max_m.  A level costs no
+    less than the one below it, so the sum stops at the first level past
+    MAX_PREDICTED_NS, and the prediction of a refused sweep is a lower bound.
+    """
+    bits = max_m.bit_length()
+    primes = 3 * max_m // (2 * bits) if max_m > 1 else 0
+    ns = 2800 * max_m + 25 * max_m * isqrt(max_m) // bits
+    for n in range(lowest, n_max + 1):
+        ns += 420 * max_m + primes * _gruber_ns(n, ((max_m, 1),))
+        if ns > MAX_PREDICTED_NS:
+            break
+    return ns
 
 
 def _gruber_table(n_max: int, max_m: int, lowest: int = 1) -> Iterator[Iterator[int]]:
@@ -543,9 +526,13 @@ def _gruber_table(n_max: int, max_m: int, lowest: int = 1) -> Iterator[Iterator[
     ((p, r),) and not factored again, so its budget, both product forms and
     every checked division still run once per prime power and level; any
     other m multiplies the values of p^r and rest, both already made.
-    Values come out as they are made, so a refusal at m follows every value
-    before it.
+    The sweep's time, predicted from n_max, max_m and lowest alone, is
+    refused above MAX_PREDICTED_NS before the first value.  Values come out
+    as they are made, so a refusal at m, where trial division cannot split
+    it, follows every value before it.
     """
+    work = f"the Gruber sweep up to n={n_max}, m={max_m} would take at least {{}} ns"
+    check_budget(_gruber_sweep_ns(n_max, max_m, lowest), MAX_PREDICTED_NS, work)
     limit = trial_division_bound()
     # powers[m] is the p^r of m's split, for m >= 2, and prime_powers[p^r] is ((p, r),).
     powers = [0, 1]
@@ -577,14 +564,18 @@ def check_enumeration_size(n: int, m: int, advice: str = "") -> None:
     """Refuse with CapacityError an enumeration that left_out_methods leaves out.
 
     advice ends the error's message.  f_1(m) = 1, so n = 1 is never refused,
-    and m is not factored for it.
+    and m is not factored for it.  f_n(m) >= m^(n-1), so an m of bits(m) bits
+    with (n-1)(bits(m) - 1) at least the cap's bits is refused before m is
+    factored.
     """
-    if n > 1:
-        reason = left_out_methods(n, m, count_by_gruber(n, m).value).get(Method.HNF)
-        if reason:
-            raise CapacityError(
-                f"enumeration of (n={n}, m={int_text(m)}) {reason.removeprefix('it ')}{advice}"
-            )
+    cap = DEFAULT_ENUMERATION_CAP
+    if n > 1 and (n - 1) * (m.bit_length() - 1) >= cap.bit_length():
+        reason = f"it would emit at least m^{n - 1} matrices, above the default cap {cap}"
+    else:
+        reason = n > 1 and left_out_methods(n, m, count_by_gruber(n, m).value).get(Method.HNF)
+    if reason:
+        reason = reason.removeprefix("it ")
+        raise CapacityError(f"enumeration of (n={n}, m={int_text(m)}) {reason}{advice}")
 
 
 _DISPATCH = {
@@ -634,15 +625,14 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
     Gruber makes its n-th level alone, in one pass over m, as the values are
     consumed: the body of a single count per prime power, on the
     factorization its split gives, and a product of two earlier values for
-    any other m (see `_gruber_table`).
+    any other m (see `_gruber_table`), after its time is predicted.
     Factorization-sum makes its n-th level alone from one divisor table,
     made before this returns: at n = 2 and 3 the list of sigma or of the
     fold of every m, and at n >= 4 the body of a single count once per m,
     as the values are consumed, with the table held by the iterator; at
-    n = 1, f_1 = 1, it makes no table.  The level's cost is refused above
-    MAX_FACTORIZATION_SUM_SWEEP_CELLS, and the table above
-    MAX_DIVISOR_TABLE_POINTERS, before the table is made (see
-    `_factorization_sum_table`).
+    n = 1, f_1 = 1, it makes no table.  The level's time is refused above
+    MAX_PREDICTED_NS, and the table above MAX_DIVISOR_TABLE_POINTERS, before
+    the table is made (see `_factorization_sum_table`).
     Enumeration runs once per m, as the values are consumed, but first
     checks every m's count against the default cap, so an over-cap m is
     refused before the first matrix of any.
@@ -669,8 +659,8 @@ def first_disagreement(n_max: int, m_max: int) -> tuple[int, int, list[tuple[Met
     next is made: Dirichlet convolves one more shift into one list, the
     recursion pushes one more level into the multiples, factorization-sum
     reads one divisor table for every n, and Gruber splits each m once.
-    Dirichlet's, factorization-sum's and the recursion's budgets are
-    checked for every level up to n_max before their first level.
+    Every method's budgets are checked for every level up to n_max before
+    its first level.
     """
     check_args(n_max, m_max)
     tables = [_TABLES[method](n_max, m_max) for method in FORMULA_METHODS]
@@ -686,21 +676,23 @@ def left_out_methods(n: int, m: int, count: int) -> dict[Method, str]:
 
     count is f_n(m), as the product formula gives it.  Dirichlet is left out
     by the two budgets of dirichlet_coefficients(n, m), so it never refuses.
+    Enumeration is left out above the default cap, and otherwise when the
+    prefixes of its streams would pass MAX_PREFIX_CHARS, which bounds their
+    memory whatever the count.
     """
     left_out = {}
-    cells = _dirichlet_cells(n, m)
+    ns, chars = _dirichlet_ns(n, m), _prefix_chars(n, m)
     if m > MAX_DIRICHLET_LIMIT:
         left_out[Method.DIRICHLET] = f"m={int_text(m)} is above its limit {MAX_DIRICHLET_LIMIT}"
-    elif cells > MAX_DIRICHLET_CELLS:
-        left_out[Method.DIRICHLET] = (
-            f"it would cost {cells} cells in its convolutions, "
-            f"above the limit {MAX_DIRICHLET_CELLS}"
-        )
+    elif ns > MAX_PREDICTED_NS:
+        dirichlet = f"it would take {ns} ns in its convolutions"
+        left_out[Method.DIRICHLET] = f"{dirichlet}, above the limit {MAX_PREDICTED_NS}"
     if count > DEFAULT_ENUMERATION_CAP:
-        left_out[Method.HNF] = (
-            f"it would emit {int_text(count)} matrices, "
-            f"above the default cap {DEFAULT_ENUMERATION_CAP}"
-        )
+        hnf = f"it would emit {int_text(count)} matrices"
+        left_out[Method.HNF] = f"{hnf}, above the default cap {DEFAULT_ENUMERATION_CAP}"
+    elif chars > MAX_PREFIX_CHARS:
+        hnf = f"it would hold up to {chars} characters in its prefixes"
+        left_out[Method.HNF] = f"{hnf}, above the limit {MAX_PREFIX_CHARS}"
     return left_out
 
 
@@ -712,8 +704,8 @@ def count_all_methods(n: int, m: int) -> list[CountResult]:
     and factorization-sum's walk, and the recursion's grid.  So a refusal
     comes before any method's work.  Gruber always runs, and its value
     decides which of the others left_out_methods leaves out: enumeration
-    above DEFAULT_ENUMERATION_CAP matrices, Dirichlet above
-    MAX_DIRICHLET_LIMIT or MAX_DIRICHLET_CELLS.
+    above DEFAULT_ENUMERATION_CAP matrices or MAX_PREFIX_CHARS characters,
+    Dirichlet above MAX_DIRICHLET_LIMIT or MAX_PREDICTED_NS.
     Results come back sorted by method name so the aggregation order never
     depends on evaluation order.
     """

@@ -21,10 +21,10 @@ each, plus each level's pieces: the values 0 .. d-1 of an entry
 bounded by d, listed once per diagonal when d <= LISTED_BOUND and made again
 on every pass otherwise.  Memory therefore grows neither with the d^(n-1)
 matrices of a diagonal nor with m, but the text prefixes, up to a whole line
-each, hold O(n^4) characters, so `enumerate_lines` predicts them and refuses
-above MAX_PREFIX_CHARS.  Outputs share the prefix of earlier
-levels: the text of a row is made once per prefix of earlier rows, and each
-further line costs one concatenation.
+each, hold O(n^4) characters, and a row prefix as many entries, so both
+streams predict them and refuse above MAX_PREFIX_CHARS.  Outputs share the
+prefix of earlier levels: the text of a row is made once per prefix of
+earlier rows, and each further line costs one concatenation.
 """
 
 from __future__ import annotations
@@ -164,12 +164,17 @@ def _text_levels(diagonal: tuple[int, ...]) -> list[Level]:
     return levels
 
 
-def _stream(n: int, m: int, root, levels: Callable[[tuple[int, ...]], list[Level]]) -> Iterator:
-    """The leaves of every diagonal's walk from root, diagonals in lexicographic order."""
-    # ordered_factorizations checks n and m here, when the generator expression is made.
-    return chain.from_iterable(
-        walk(root, levels(diagonal)) for diagonal in ordered_factorizations(m, n)
-    )
+def _stream(name: str, n: int, m: int, root, levels: Callable[..., list[Level]]) -> Iterator:
+    """The leaves of every diagonal's walk from root, diagonals in lexicographic order.
+
+    n and m are checked, and then the prefixes, predicted at (n(n-1)/2 + 1)
+    n^2 (digits of m + 1) characters, are refused above MAX_PREFIX_CHARS,
+    for both streams; name is the stream's function, for the message.
+    """
+    check_args(n, m)
+    work = f"{name}({n}, {int_text(m)}) would hold up to {{}} characters in its prefixes"
+    check_budget(_prefix_chars(n, m), MAX_PREFIX_CHARS, work)
+    return chain.from_iterable(walk(root, levels(d)) for d in ordered_factorizations(m, n))
 
 
 def enumerate_hnf(n: int, m: int) -> Iterator[HnfMatrix]:
@@ -177,9 +182,11 @@ def enumerate_hnf(n: int, m: int) -> Iterator[HnfMatrix]:
 
     Order is lexicographic in (diagonal tuple, then row-major sub-diagonal
     entries).  The stream is lazy: f_n(m) matrices come out in total, so the
-    caller is responsible for bounding consumption.
+    caller is responsible for bounding consumption.  Its prefixes are
+    refused above MAX_PREFIX_CHARS when this is called, as
+    `enumerate_lines`'s are: a row prefix holds as many entries.
     """
-    return map(HnfMatrix._trusted, repeat(n), _stream(n, m, (), _row_levels))
+    return map(HnfMatrix._trusted, repeat(n), _stream("enumerate_hnf", n, m, (), _row_levels))
 
 
 def _digits(m: int) -> int:
@@ -214,9 +221,7 @@ def enumerate_lines(n: int, m: int) -> Iterator[str]:
         bits = m.bit_length()
         work = f"enumerate_lines({n}, m) would write an m of {bits} bits in up to {{}} digits"
         check_budget(_digits(m), max_digits, work)
-    work = f"enumerate_lines({n}, {m}) would hold up to {{}} characters in its prefixes"
-    check_budget(_prefix_chars(n, m), MAX_PREFIX_CHARS, work)
-    return _stream(n, m, "", _text_levels)
+    return _stream("enumerate_lines", n, m, "", _text_levels)
 
 
 def count_by_enumeration(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> CountResult:

@@ -26,14 +26,10 @@ from math import isqrt
 from operator import add, mul
 
 from .arith import is_prime
-from .core import CountResult, Method, UsageError, check_args, check_at_least, check_budget
-from .qcalc import (
-    MAX_QPASCAL_COEFFICIENTS,
-    QPolynomial,
-    _last_row_size,
-    gauss_binomial,
-    gauss_binomial_at,
-)
+from .core import MAX_PREDICTED_NS, CountResult, Method, UsageError, check_args, check_at_least
+from .core import check_budget, power_bits
+from .qcalc import MAX_QPASCAL_COEFFICIENTS, QPolynomial, _last_row_size, gauss_binomial
+from .qcalc import gauss_binomial_at
 
 
 class TSeries:
@@ -116,20 +112,6 @@ def geometric_factor(k: int, truncation_order: int) -> TSeries:
     return TSeries([QPolynomial.monomial(k * j) for j in range(truncation_order + 1)])
 
 
-# The most coefficient cells lhs_product's products may touch, about 76x the
-# largest the qseries benchmark makes ((15, 19): 263,620).  On a 2-vCPU VM,
-# (2, 400) touches 10,827,401 cells in 0.8-1.2 s, and (2, 491), the largest
-# order admitted at n = 2, touches 19,970,444 in about 2 s.
-MAX_LHS_CELLS = 2 * 10**7
-
-# The fixed cost of each of lhs_product's n - 1 products, in cells, whatever
-# its size.  On the same VM a product at t-order 0, with its factor, takes
-# about 4.9 us, and a cell of the (2, 491) product 50-60 ns.  Without it
-# (3 * 10**5, 0) touched 3 * 10**5 cells and ran 2.4 s, and n up to
-# 2 * 10**7 was admitted at t-order 0; now (219781, 0) is the last, 1.1 s.
-LHS_PRODUCT_CELLS = 90
-
-
 def _lhs_cells(n: int, truncation_order: int) -> int:
     """The coefficient cells of the products lhs_product(n, K) makes."""
     # Factor k (1 <= k < n) times the running product multiplies its t^i
@@ -141,30 +123,34 @@ def _lhs_cells(n: int, truncation_order: int) -> int:
     return (n - 1) ** 2 * (K * pairs // 3) + (n - 1) * pairs
 
 
-def _check_lhs_budget(n: int, K: int) -> None:
-    """Check lhs_product(n, K)'s arguments, and refuse it above MAX_LHS_CELLS.
+def _lhs_ns(n: int, truncation_order: int) -> int:
+    """The nanoseconds lhs_product(n, K)'s products take.
 
-    Its products cost their coefficient cells and LHS_PRODUCT_CELLS each.
+    About 100 ns for each coefficient cell, and 11000 ns for each of the n - 1
+    products whatever its size, which alone bounds n at t-order 0.
     """
+    return 100 * _lhs_cells(n, truncation_order) + 11000 * (n - 1)
+
+
+def _check_lhs_budget(n: int, K: int) -> None:
+    """Check lhs_product(n, K)'s arguments, and refuse its time above MAX_PREDICTED_NS."""
     check_args(n)
     check_at_least(K, 0, "truncation order")
-    work = f"lhs_product({n}, {K}) would cost {{}} cells in its products"
-    check_budget(_lhs_cells(n, K) + (n - 1) * LHS_PRODUCT_CELLS, MAX_LHS_CELLS, work)
+    work = f"lhs_product({n}, {K}) would take {{}} ns in its products"
+    check_budget(_lhs_ns(n, K), MAX_PREDICTED_NS, work)
 
 
 def lhs_product(n: int, truncation_order: int) -> TSeries:
     """The product of geometric factors for k = 0 .. n-1, truncated.
 
     Its products touch (n-1)^2 K(K+1)(K+2)/6 + (n-1)(K+1)(K+2)/2 coefficient
-    cells, and each is charged LHS_PRODUCT_CELLS more; above MAX_LHS_CELLS
-    that raises CapacityError before the first product.  Each factor checks its own size as `geometric_factor` makes it,
-    which binds at n = 1, where there are no products.
+    cells; their time, by `_lhs_ns`, above MAX_PREDICTED_NS raises
+    CapacityError before the first product.  Each factor checks its own
+    size as `geometric_factor` makes it, which binds at n = 1, where there
+    are no products.
     """
     _check_lhs_budget(n, truncation_order)
-    return reduce(
-        TSeries.__mul__,
-        (geometric_factor(k, truncation_order) for k in range(n)),
-    )
+    return reduce(TSeries.__mul__, (geometric_factor(k, truncation_order) for k in range(n)))
 
 
 def rhs_sum(n: int, truncation_order: int) -> TSeries:
@@ -195,25 +181,20 @@ def identity_sides(n: int, truncation_order: int) -> tuple[TSeries, TSeries]:
     return lhs_product(n, truncation_order), rhs
 
 
-# The most squared bits an Euler factor may cost, and what each line adds to
-# its coefficients' cost.  Printing is most of the time: int -> str is
-# quadratic in the digits, and a line of a small coefficient takes about as
-# long as 800 bits.  On a 2-vCPU VM the last orders admitted at (p, n) =
-# (2, 2), (1000003, 2) and (2, 1) take about 2 s to print, as long as
-# `series --n 2 --t-order 491`.
-MAX_EULER_SQUARED_BITS = 4 * 10**11
-EULER_LINE_BITS = 800
+def _euler_ns(p: int, n: int, K: int) -> int:
+    """The nanoseconds euler_factor(p, n, K) takes, with the printing of its lines.
 
-
-def _euler_squared_bits(p: int, n: int, truncation_order: int) -> int:
-    """The cost of euler_factor(p, n, K): its coefficients' squared bits, plus each line's."""
-    # [n+k-1 choose k]_p < 4 p^(k(n-1)) <= 2^(a k + 2), a = (n-1) ceil(log2 p),
-    # so coefficient k has at most a k + 2 bits.  Summed over k = 0 .. K,
-    # (a k + 2)^2 + EULER_LINE_BITS^2 gives this closed form.
-    K = truncation_order
-    a = (n - 1) * (p - 1).bit_length()
-    squares = a * a * K * (K + 1) * (2 * K + 1) // 6 + 2 * a * K * (K + 1) + 4 * (K + 1)
-    return squares + (K + 1) * EULER_LINE_BITS**2
+    [n+k-1 choose k]_p < 4 p^(k(n-1)) <= 2^(a k + 2), a = (n-1) log2 p, read
+    to 1/16 from the bits of p^16, so coefficient k has at most a k + 2 bits.
+    Printing it takes about 2.5 ps a squared bit, as int -> str is
+    quadratic, and each of its min(k, n-1) multiply-and-divide steps about
+    20 fs a squared bit more, min(K, n-1) standing for every k.  Each line
+    takes about 2000 ns more.  The squares, in sixteenths of bits, summed
+    over k = 0 .. K, give this closed form.
+    """
+    a = (n - 1) * (p**16 - 1).bit_length()
+    squares = a * a * K * (K + 1) * (2 * K + 1) // 6 + 32 * a * K * (K + 1) + 1024 * (K + 1)
+    return squares * (2500 + 20 * min(K, n - 1)) // (256 * 10**6) + 2000 * (K + 1)
 
 
 def euler_factor(p: int, n: int, truncation_order: int) -> list[int]:
@@ -221,17 +202,16 @@ def euler_factor(p: int, n: int, truncation_order: int) -> list[int]:
 
     Entry k is the q-binomial [n+k-1 choose k] evaluated at p, i.e. the
     sublattice count at the prime power p^k.  Composite p would silently
-    break the Euler-product interpretation, so it is rejected.  Entry k has
-    at most (n-1) k ceil(log2 p) + 2 bits; those bits squared, plus
-    EULER_LINE_BITS squared for each entry, above MAX_EULER_SQUARED_BITS
-    raise CapacityError before the first entry is computed.
+    break the Euler-product interpretation, so it is rejected.  The time to
+    compute and print the entries, by `_euler_ns`, above MAX_PREDICTED_NS
+    raises CapacityError before the first entry is computed.
     """
     check_args(n)
     check_at_least(truncation_order, 0, "truncation order")
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
-    work = f"euler_factor({p}, {n}, {truncation_order}) would cost {{}} squared bits to print"
-    check_budget(_euler_squared_bits(p, n, truncation_order), MAX_EULER_SQUARED_BITS, work)
+    work = f"euler_factor({p}, {n}, {truncation_order}) would take {{}} ns to compute and print"
+    check_budget(_euler_ns(p, n, truncation_order), MAX_PREDICTED_NS, work)
     return [gauss_binomial_at(n + k - 1, k, p) for k in range(truncation_order + 1)]
 
 
@@ -240,20 +220,17 @@ def euler_factor(p: int, n: int, truncation_order: int) -> list[int]:
 # n = 5 peaks at 8.7 MB for a limit of 10^5 and at 95 MB for this one.
 MAX_DIRICHLET_LIMIT = 2**20
 
-# The most cells the convolutions may cost: time, where the limit above is
-# memory.  Each of the n - 1 shifts touches limit cells, and a cell's
-# operands grow with n: on a 2-vCPU VM a cell took 1.4-2.6 us up to n = 30,
-# 3 us at n = 100, and at n = 1000 14 us at limit 74 and 65 us at limit 1049,
-# so (1000, 1049) ran for 68 s.  So a cell of b bits costs 1 + b // 512, b
-# being the bits of limit^(n-1).  The last limit admitted at 16 values of n
-# from 2 to 3000 took 1.1-3.2 s, (30, 36157) the longest.
-MAX_DIRICHLET_CELLS = 2**20
 
+def _dirichlet_ns(n: int, limit: int) -> int:
+    """The nanoseconds dirichlet_coefficients(n, limit)'s convolutions take.
 
-def _dirichlet_cells(n: int, limit: int) -> int:
-    """dirichlet_coefficients(n, limit)'s cost: limit cells a shift, each 1 + b // 512."""
-    cells = (n - 1) * limit
-    return cells * (1 + (n - 1) * limit.bit_length() // 512)
+    Each of the n - 1 shifts adds about limit ln(limit) products a(d) q^i,
+    charged as limit bits(limit) cells.  A cell takes about 130 ns, and
+    b^(3/2) / 170 ns more as its operands grow, b being the bits of
+    limit^(n-1), which bounds them.
+    """
+    b = power_bits(limit.bit_length(), n - 1)
+    return (n - 1) * limit * limit.bit_length() * (130 + b * isqrt(b) // 170)
 
 
 # Each slice update covers at most this many entries, so that its
@@ -283,8 +260,8 @@ def _dirichlet_levels(n: int, limit: int) -> Iterator[list[int]]:
     check_args(n, limit)
     work = f"Dirichlet coefficients up to {limit} would need lists of {limit + 1} entries"
     check_budget(limit, MAX_DIRICHLET_LIMIT, work)
-    work = f"dirichlet_coefficients({n}, {limit}) would cost {{}} cells in its convolutions"
-    check_budget(_dirichlet_cells(n, limit), MAX_DIRICHLET_CELLS, work)
+    work = f"dirichlet_coefficients({n}, {limit}) would take {{}} ns in its convolutions"
+    check_budget(_dirichlet_ns(n, limit), MAX_PREDICTED_NS, work)
     values = [1] * (limit + 1)
     values[0] = 0
     yield values
@@ -332,8 +309,8 @@ def dirichlet_coefficients(n: int, limit: int) -> list[int]:
 
     Entry m of the returned list is the sublattice count f_n(m); entry 0
     is 0.  Each shift is O(M log M), and besides the result holds the powers
-    q^i up to limit/2.  A limit above MAX_DIRICHLET_LIMIT, or a cost above
-    MAX_DIRICHLET_CELLS, raises CapacityError before anything is allocated.
+    q^i up to limit/2.  A limit above MAX_DIRICHLET_LIMIT, or a time above
+    MAX_PREDICTED_NS, raises CapacityError before anything is allocated.
     The list is the last item of `_dirichlet_levels(n, limit)`, whose
     earlier items are the coefficients for each smaller n.
     """

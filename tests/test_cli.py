@@ -408,22 +408,22 @@ class TestExitCodes:
                 "recursion",
                 1000,
                 "200560490130",
-                "the recursion's 2048 values for n=1000 at an m of 38 bits would hold 153600 "
+                "the recursion's 2048 values for n=1000 at an m of 38 bits would hold 149504 "
                 "cells, above the limit 131072",
             ),
             (
                 "recursion",
-                386,
+                392,
                 "200560490130",
-                "the recursion's levels for n=386 at an m of 38 bits would cost 300410880 cells, "
-                "above the limit 300000000",
+                "the recursion's levels for n=392 at an m of 38 bits would take 2002692225 ns, "
+                "above the limit 2000000000",
             ),
             (
                 "factorization-sum",
                 8,
                 "720720",
-                "the 48660480 8-part factorizations of an m of 20 bits would cost 487658448 "
-                "cells, above the limit 100000000",
+                "the 48660480 8-part factorizations of an m of 20 bits would take 4577544420 "
+                "ns, above the limit 2000000000",
             ),
         ],
         ids=["recursion-values", "recursion-levels", "factorization-sum"],
@@ -439,9 +439,9 @@ class TestExitCodes:
         "argv, message",
         [
             (
-                ("table", "--n", "4", "--max-m", "83645", "--method", "factorization-sum"),
-                "the factorization-sum sweep up to n=4, m=83645 would cost at least 45000081 "
-                "cells, above the limit 45000000",
+                ("table", "--n", "5", "--max-m", "42904", "--method", "factorization-sum"),
+                "the factorization-sum sweep up to n=5, m=42904 would take at least 2000057300 "
+                "ns, above the limit 2000000000",
             ),
             (
                 ("table", "--n", "2", "--max-m", "86764", "--method", "factorization-sum"),
@@ -449,9 +449,9 @@ class TestExitCodes:
                 "pointers, above the limit 1000000",
             ),
             (
-                ("verify", "--n-max", "4", "--m-max", "69123", "--t-order", "0"),
-                "the factorization-sum sweep up to n=4, m=69123 would cost at least 45000071 "
-                "cells, above the limit 45000000",
+                ("verify", "--n-max", "5", "--m-max", "36984", "--t-order", "0"),
+                "the factorization-sum sweep up to n=5, m=36984 would take at least 2000075036 "
+                "ns, above the limit 2000000000",
             ),
         ],
         ids=["table-cells", "table-pointers", "verify-cells"],
@@ -851,8 +851,8 @@ class TestVerify:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
-            "error: dirichlet_coefficients(5, 262145) would cost 1048580 cells in its "
-            "convolutions, above the limit 1048576\n"
+            "error: dirichlet_coefficients(5, 262145) would take 2649761660 ns in its "
+            "convolutions, above the limit 2000000000\n"
         )
 
     def test_injected_fault_exits_4(self, monkeypatch, capsys):
@@ -980,8 +980,8 @@ class TestSeries:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
-            "error: lhs_product(2, 1412) would cost 471190845 cells in its products, "
-            "above the limit 20000000\n"
+            "error: lhs_product(2, 1412) would take 47119086500 ns in its products, "
+            "above the limit 2000000000\n"
         )
 
     @pytest.mark.parametrize("n, t_order", [(2, 1412), (200, 14)])
@@ -992,7 +992,7 @@ class TestSeries:
         assert code == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(f"error: lhs_product({n}, {t_order}) would cost ")
+        assert err.startswith(f"error: lhs_product({n}, {t_order}) would take ")
         assert calls == []
 
     def test_dimension_one_at_a_long_t_order(self):
@@ -1034,8 +1034,8 @@ class TestEulerFactor:
         assert code == 3
         assert capsys.readouterr() == (
             "",
-            "error: euler_factor(2, 2, 20000) would cost 2680467430004 squared bits to print, "
-            "above the limit 400000000000\n",
+            "error: euler_factor(2, 2, 20000) would take 6762522310 ns to compute and print, "
+            "above the limit 2000000000\n",
         )
         assert calls == []
 

@@ -69,13 +69,13 @@ class TestIntText:
             f"no prime factor of a number of {bits} bits below trial-division bound 100"
         )
         monkeypatch.delenv("LATCOUNT_TRIAL_DIVISION_BOUND")
-        # Squarefree, so that the product formula is quick: 4724 digits, and 4725 for f_2(m).
+        # 4724 digits: f_2(m) >= m is over the cap by m's bits, before m is factored.
         m = math.prod(sieve_primes(11_000))
         with pytest.raises(CapacityError) as excinfo:
             run_count(2, m, "hnf")
         assert str(excinfo.value) == (
-            "enumeration of (n=2, m=a number of 15693 bits) would emit a number of 15697 bits "
-            "matrices, above the default cap 1000000"
+            "enumeration of (n=2, m=a number of 15693 bits) would emit at least m^1 matrices, "
+            "above the default cap 1000000"
         )
 
 
@@ -176,8 +176,8 @@ FORBIDDEN_NAMES = {
         {
             "count_by_recursion",
             "_recursion_table",
-            "_recursion_cells",
-            "_recursion_grid_cells",
+            "_recursion_sweep_ns",
+            "_recursion_grid_ns",
             "_check_recursion_grid",
         },
     ),
@@ -185,7 +185,7 @@ FORBIDDEN_NAMES = {
     # factoring any number or listing any divisor.
     "factorization-sum-sweep-budget": (
         "count",
-        ("_tuple_counts", "_factorization_sum_sweep_cells"),
+        ("_tuple_counts", "_factorization_sum_sweep_ns"),
         {
             "factorize",
             "divisors",

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 import time
 import tracemalloc
 from itertools import islice
@@ -25,6 +26,8 @@ from latcount import (
     count_table,
     dirichlet_coefficients,
     divisors,
+    enumerate_hnf,
+    enumerate_lines,
     gauss_binomial_at,
     ordered_factorization_count,
     run_count,
@@ -363,13 +366,15 @@ class TestHarness:
             Method.DIRICHLET: "m=10000000019 is above its limit 1048576",
             Method.HNF: "it would emit 10000000020 matrices, above the default cap 1000000",
         }
-        assert left_out_methods(2, MAX_DIRICHLET_LIMIT, DEFAULT_ENUMERATION_CAP) == {}
+        # The last limit Dirichlet's time admits at n = 2.
+        assert left_out_methods(2, 769_230, DEFAULT_ENUMERATION_CAP) == {}
 
     def test_left_out_methods_leave_dirichlet_out_by_its_cell_budget(self):
-        assert left_out_methods(5, 2**18, 1) == {}
-        assert left_out_methods(5, 2**18 + 1, 1) == {
-            Method.DIRICHLET: "it would cost 1048580 cells in its convolutions, "
-            "above the limit 1048576"
+        # The convolutions' time: the last limit admitted at n = 5 is 208,855.
+        assert left_out_methods(5, 208_855, 1) == {}
+        assert left_out_methods(5, 208_856, 1) == {
+            Method.DIRICHLET: "it would take 2000005056 ns in its convolutions, "
+            "above the limit 2000000000"
         }
         assert left_out_methods(2, MAX_DIRICHLET_LIMIT + 1, 1) == {
             Method.DIRICHLET: "m=1048577 is above its limit 1048576"
@@ -757,26 +762,28 @@ class TestFaults:
 
 class TestSweepBudgets:
     def test_recursion_sweep_refuses_past_its_cells_before_the_first_level(self, monkeypatch):
-        cap = latcount.count.MAX_RECURSION_CELLS
-        assert latcount.count._recursion_cells(4, 224_152) <= cap
+        limit = latcount.core.MAX_PREDICTED_NS
+        assert latcount.count._recursion_sweep_ns(4, 274_001) <= limit
         with pytest.raises(CapacityError) as excinfo:
-            count_table(4, 224_153, Method.RECURSION)
+            count_table(4, 274_002, Method.RECURSION)
         assert str(excinfo.value) == (
-            "the recursion sweep up to n=4, m=224153 would cost 8388612 cells, "
-            "above the limit 8388608"
+            "the recursion sweep up to n=4, m=274002 would take 2000001060 ns, "
+            "above the limit 2000000000"
         )
-        # verify meets the factorization-sum sweep's divisor budget first; with that sweep
-        # set aside, the recursion's budget refuses verify on its own.
-        with pytest.raises(CapacityError, match="^the factorization-sum sweep up to m=224153 "):
-            first_disagreement(4, 224_153)
+        # verify meets the Dirichlet batch's time first; with the other sweeps set aside,
+        # the recursion's budget refuses verify on its own.
+        message = r"^dirichlet_coefficients\(4, 274002\) would take "
+        with pytest.raises(CapacityError, match=message):
+            first_disagreement(4, 274_002)
         unmade_levels = lambda n_max, max_m: (iter(()) for _ in range(n_max))  # noqa: E731
-        monkeypatch.setitem(latcount.count._TABLES, Method.FACTORIZATION_SUM, unmade_levels)
-        with pytest.raises(CapacityError, match="recursion sweep up to n=4, m=224153 "):
-            first_disagreement(4, 224_153)
-        # In n, each cell counts once more for every 512 bits of its values.
-        assert list(count_table(23_046, 2, Method.RECURSION)) == [1, 2**23_046 - 1]
-        with pytest.raises(CapacityError, match="up to n=23047, m=2 would cost 8388744 cells"):
-            count_table(23_047, 2, Method.RECURSION)
+        for method in (Method.DIRICHLET, Method.FACTORIZATION_SUM, Method.GRUBER):
+            monkeypatch.setitem(latcount.count._TABLES, method, unmade_levels)
+        with pytest.raises(CapacityError, match="recursion sweep up to n=4, m=274002 "):
+            first_disagreement(4, 274_002)
+        # In n, each level costs more for every bit of its values.
+        assert list(count_table(180_223, 2, Method.RECURSION)) == [1, 2**180_223 - 1]
+        with pytest.raises(CapacityError, match="up to n=180224, m=2 would take 2004079860 ns"):
+            count_table(180_224, 2, Method.RECURSION)
 
     def test_tuple_counts_match_the_ordered_factorization_counts(self):
         # D_k(M), the k-tuples with product <= M, is the sum of T_k(m) over m <= M.
@@ -793,28 +800,30 @@ class TestSweepBudgets:
             assert list(islice(counts, 2))[1] == latcount.count._divisor_table_size(max_m)
 
     def test_factorization_sum_sweep_refuses_past_its_cells_before_the_table(self, monkeypatch):
-        cap = latcount.count.MAX_FACTORIZATION_SUM_SWEEP_CELLS
-        cells = latcount.count._factorization_sum_sweep_cells
+        limit = latcount.core.MAX_PREDICTED_NS
+        ns = latcount.count._factorization_sum_sweep_ns
         # verify makes levels 1 .. n, and table the n-th alone: the last max_m admitted at n,
-        # and the last n admitted at m = 2.
-        for n, max_m, lowest in [(4, 69_122, 1), (5, 18_959, 1), (4, 83_644, 4), (5, 23_173, 5)]:
-            assert cells(n, max_m, lowest) <= cap < cells(n, max_m + 1, lowest), (n, max_m)
-        assert cells(1_168, 2, 1) <= cap < cells(1_169, 2, 1)
-        assert cells(36_864, 2, 36_864) <= cap < cells(36_865, 2, 36_865)
+        # and the last n admitted at m = 2 and 4.  At n = 4 the divisor table's pointers
+        # bind first, at max_m = 86,763.
+        for n, max_m, lowest in [(5, 36_983, 1), (5, 42_903, 5)]:
+            assert ns(n, max_m, lowest) <= limit < ns(n, max_m + 1, lowest), (n, max_m)
+        assert ns(4, 86_763, 4) <= ns(4, 86_763, 1) <= limit
+        assert ns(1_454, 2, 1) <= limit < ns(1_455, 2, 1)
+        assert ns(39_867, 2, 39_867) <= limit < ns(39_868, 2, 39_868)
         # The largest sweep a test runs: table --n 1100 --max-m 4, in about 2 s.
-        assert cells(1_100, 4, 1_100) <= cap
+        assert ns(1_100, 4, 1_100) <= ns(1_122, 4, 1_122) <= limit < ns(1_123, 4, 1_123)
         TestRequestDispatch._forbid(monkeypatch, "_divisor_table")
         with pytest.raises(CapacityError) as excinfo:
-            count_table(4, 83_645, Method.FACTORIZATION_SUM)
+            count_table(5, 42_904, Method.FACTORIZATION_SUM)
         assert str(excinfo.value) == (
-            "the factorization-sum sweep up to n=4, m=83645 would cost at least 45000081 cells, "
-            "above the limit 45000000"
+            "the factorization-sum sweep up to n=5, m=42904 would take at least 2000057300 ns, "
+            "above the limit 2000000000"
         )
-        message = "^the factorization-sum sweep up to n=4, m=69123 would cost at least 45000071 "
+        message = "^the factorization-sum sweep up to n=5, m=36984 would take at least 2000075036 "
         with pytest.raises(CapacityError, match=message):
-            first_disagreement(4, 69_123)
-        with pytest.raises(CapacityError, match="^the factorization-sum sweep up to n=36865, m=2 "):
-            count_table(36_865, 2, Method.FACTORIZATION_SUM)
+            first_disagreement(5, 36_984)
+        with pytest.raises(CapacityError, match="^the factorization-sum sweep up to n=39868, m=2 "):
+            count_table(39_868, 2, Method.FACTORIZATION_SUM)
         # Far past the edge, the sum stops at the first level past the limit, and a table
         # refuses its n-th level from a level below it.
         start = time.perf_counter()
@@ -827,38 +836,101 @@ class TestSweepBudgets:
 
     def test_gruber_refuses_past_its_squared_bits_before_the_first_product(self):
         # f_2(3^r) = (3^(r+1) - 1) / 2
-        assert count_by_gruber(2, 3**7209).value == (3**7210 - 1) // 2
+        assert count_by_gruber(2, 3**7287).value == (3**7288 - 1) // 2
         with pytest.raises(CapacityError) as excinfo:
-            count_by_gruber(2, 3**7210)
+            count_by_gruber(2, 3**7288)
         assert str(excinfo.value) == (
-            "Gruber's products for n=2 at an m of 11428 bits would cost 2000209793688 "
-            "squared bits, above the limit 2000000000000"
+            "Gruber's products for n=2 at an m of 11552 bits would take 2000614306 ns, "
+            "above the limit 2000000000"
         )
 
-    def test_an_enumeration_past_gruber_budget_is_refused_by_it(self):
-        message = "Gruber's products for n=2 at an m of 20001 bits would cost "
-        with pytest.raises(CapacityError, match=message):
-            run_count(2, 2**20000, "hnf")
-        with pytest.raises(CapacityError, match=message):
-            check_enumeration_size(2, 2**20000)
+    def test_an_enumeration_past_gruber_budget_is_refused_before_factoring(self, monkeypatch):
+        # f_n(m) >= m^(n-1), so 2^20000 is over the cap by its bits alone: neither factorize
+        # nor Gruber's products, which refuse it on their own, are reached.
+        with pytest.raises(CapacityError, match="^Gruber's products for n=2 at an m of 20001 "):
+            count_by_gruber(2, 2**20000)
+        monkeypatch.setattr(latcount.count, "count_by_gruber", None)
+        monkeypatch.setattr(latcount.arith, "_factorize", None)
+        message = r"would emit at least m\^1 matrices, above the default cap 1000000"
+        calls = (lambda: run_count(2, 2**20000, "hnf"), lambda: check_enumeration_size(2, 2**20000))
+        for call in calls:
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match=message):
+                call()
+            assert time.perf_counter() - start < 0.1
+
+
+class TestRefusalsBeforeWork:
+    """Inputs that ran for seconds, or out of memory, before a prediction refused them."""
+
+    def test_each_is_refused_in_a_tenth_of_a_second(self):
+        cases = [
+            # The matrix stream at n = 1000 held 1.43 GB; f_n(1) = 1 is under the cap.
+            (lambda: run_count(2000, 1, "hnf"), "enumeration of (n=2000, m=1) would hold up to "
+             "15992008000000 characters in its prefixes, above the limit 100000000"),
+            # 3.19 s, with nothing refusing it.
+            (lambda: count_table(4, 10**6, Method.GRUBER), "the Gruber sweep up to n=4, "
+             "m=1000000 would take at least 4595100000 ns, above the limit 2000000000"),
+            # 0.76 s and 1.22 s of factoring and products before the cap refused them.
+            (lambda: run_count(2, 10**5000, "hnf"), "enumeration of (n=2, m=1" + "0" * 5000
+             + ") would emit at least m^1 matrices, above the default cap 1000000"),
+            (lambda: run_count(2, 2**10000, "hnf"), f"enumeration of (n=2, m={2**10000}) would "
+             "emit at least m^1 matrices, above the default cap 1000000"),
+            # Level 1 of the recursion sweep was charged nothing, so its list of 10^9 + 1
+            # values was admitted.
+            (lambda: count_table(1, 10**9, Method.RECURSION), "the recursion sweep up to n=1, "
+             "m=1000000000 would take 50000000000 ns, above the limit 2000000000"),
+        ]
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            for call, message in cases:
+                start = time.perf_counter()
+                with pytest.raises(CapacityError) as excinfo:
+                    call()
+                assert time.perf_counter() - start < 0.1, message
+                assert str(excinfo.value) == message
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    def test_the_prefix_rule_leaves_enumeration_out_and_refuses_both_streams(self):
+        # The cap's note stands where both apply.
+        assert left_out_methods(1100, 2, 2**1100 - 1) == {
+            Method.HNF: f"it would emit {2**1100 - 1} matrices, above the default cap 1000000"
+        }
+        assert left_out_methods(101, 1, 1) == {
+            Method.HNF: "it would hold up to 103050502 characters in its prefixes, "
+            "above the limit 100000000"
+        }
+        assert left_out_methods(100, 1, 1) == {}
+        for stream in (enumerate_hnf, enumerate_lines):
+            with pytest.raises(CapacityError, match="would hold up to 103050502 characters"):
+                stream(101, 1)
+        with pytest.raises(CapacityError, match=r"^enumeration of \(n=101, m=1\) would hold "):
+            check_enumeration_size(101, 1)
+        assert [str(r.method) for r in count_all_methods(101, 1)] == [
+            "dirichlet", "factorization-sum", "gruber", "recursion"
+        ]
 
 
 class TestSingleCountBudgets:
     PRIMORIAL_31 = math.prod(sieve_primes(31))  # 11 primes, tau = 2048, 38 bits
 
     def test_recursion_refuses_past_its_levels_before_the_grid(self, monkeypatch):
-        cap = latcount.count.MAX_RECURSION_GRID_CELLS
+        limit = latcount.core.MAX_PREDICTED_NS
         factors = factorize(self.PRIMORIAL_31)
-        assert latcount.count._recursion_grid_cells(385, factors, 38) <= cap
+        assert latcount.count._recursion_grid_ns(391, factors, 38) <= limit
         # accumulate makes each prime's powers for the grid's divisors, before the first level.
         monkeypatch.setattr(latcount.count, "accumulate", None)
         with pytest.raises(CapacityError) as excinfo:
-            count_by_recursion(386, self.PRIMORIAL_31)
+            count_by_recursion(392, self.PRIMORIAL_31)
         assert str(excinfo.value) == (
-            "the recursion's levels for n=386 at an m of 38 bits would cost 300410880 cells, "
-            "above the limit 300000000"
+            "the recursion's levels for n=392 at an m of 38 bits would take 2002692225 ns, "
+            "above the limit 2000000000"
         )
-        # n = 1000 would hold its 2048 values at 75 cells each.
+        # n = 1000 would hold its 2048 values at 73 cells each.
         with pytest.raises(CapacityError, match="^the recursion's 2048 values for n=1000 at an m"):
             count_by_recursion(1000, self.PRIMORIAL_31)
 
@@ -877,27 +949,31 @@ class TestSingleCountBudgets:
         )
 
     def test_factorization_sum_refuses_past_its_cells_before_the_first_prefix(self):
-        cap = latcount.count.MAX_FACTORIZATION_SUM_CELLS
-        # (7, 720720) walks 14.1 M tuples in about 2 s; it is the last n admitted at that m.
-        assert latcount.count._factorization_sum_cells(7, factorize(720720), 20) <= cap
+        limit = latcount.core.MAX_PREDICTED_NS
+        # (7, 720720) pops 0.75 M prefixes in about 0.5 s; it is the last n admitted at that m.
+        assert latcount.count._factorization_sum_ns(7, factorize(720720), 20) <= limit
         with pytest.raises(CapacityError) as excinfo:
             count_by_factorization_sum(8, 720720)
         assert str(excinfo.value) == (
-            "the 48660480 8-part factorizations of an m of 20 bits would cost 487658448 cells, "
-            "above the limit 100000000"
+            "the 48660480 8-part factorizations of an m of 20 bits would take 4577544420 ns, "
+            "above the limit 2000000000"
         )
-        # In n, each cell counts once more for every 512 bits of m^(n-1).
-        result = count_by_factorization_sum(14_080, 2)
-        assert (result.value, result.work_stats["tuples"]) == (2**14_080 - 1, 14_080)
-        with pytest.raises(CapacityError, match="^the 14081 14081-part .* 101708152 cells"):
-            count_by_factorization_sum(14_081, 2)
+        # In n, each prefix costs more for every bit of m^(n-1).
+        result = count_by_factorization_sum(31_895, 2)
+        assert (result.value, result.work_stats["tuples"]) == (2**31_895 - 1, 31_895)
+        with pytest.raises(CapacityError, match="^the 31896 31896-part .* 2000105922 ns"):
+            count_by_factorization_sum(31_896, 2)
 
     def test_factorization_sum_cells_bound_the_tuples(self):
+        # The walk pops T_(n-2) + T_(n-3) prefixes and the index fills T_3 entries, each
+        # charged at least 250 ns.
         for m in (1, 2, 12, 720720, 2**10 * 3**4):
             factors = factorize(m)
             for n in range(1, 9):
-                cells = latcount.count._factorization_sum_cells(n, factors, m.bit_length())
-                assert cells >= ordered_factorization_count(m, n), (n, m)
+                ns = latcount.count._factorization_sum_ns(n, factors, m.bit_length())
+                popped = ordered_factorization_count(m, n - 2) if n >= 4 else 0
+                filled = ordered_factorization_count(m, min(n, 3))
+                assert ns >= 250 * (popped + filled), (n, m)
 
     def test_all_methods_refuse_before_gruber_s_products(self, monkeypatch):
         # Gruber's products at (2, 10^5000) are inside their budget and take about 1 s.
@@ -908,9 +984,14 @@ class TestSingleCountBudgets:
         assert time.perf_counter() - start < 0.1
         with pytest.raises(CapacityError, match="^the 48660480 8-part factorizations"):
             count_all_methods(8, 720720)
-        # f_n(1) has one tuple, but the recursion's levels count n bits for every value.
-        with pytest.raises(CapacityError, match="^the recursion's levels for n=400000 "):
-            count_all_methods(400_000, 1)
+        # f_n(1) is 1, and every bits-weighted budget reads the bits of 1^(n-1), 1: every
+        # formula method answers, and the matrix stream is left out by its prefixes.
+        monkeypatch.undo()
+        results = count_all_methods(400_000, 1)
+        assert [(str(r.method), r.value) for r in results] == [
+            ("dirichlet", 1), ("factorization-sum", 1), ("gruber", 1), ("recursion", 1)
+        ]
+        assert count_by_recursion(400_000, 1).value == 1
 
 
 class TestCountResultType:

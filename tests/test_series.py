@@ -22,14 +22,8 @@ from latcount import (
     lhs_product,
     rhs_sum,
 )
-from latcount.series import (
-    LHS_PRODUCT_CELLS,
-    MAX_DIRICHLET_CELLS,
-    MAX_DIRICHLET_LIMIT,
-    MAX_EULER_SQUARED_BITS,
-    MAX_LHS_CELLS,
-    identity_sides,
-)
+from latcount.core import MAX_PREDICTED_NS
+from latcount.series import MAX_DIRICHLET_LIMIT, identity_sides
 from oracles import (
     brute_sigma,
     dirichlet_by_descending_divisors,
@@ -210,33 +204,32 @@ class TestGeneratingIdentity:
     def test_lhs_budget_admits_the_last_order_and_refuses_the_next(self, monkeypatch, n, last):
         products = []
         monkeypatch.setattr(TSeries, "__mul__", lambda a, b: products.append(b) or a)
-        fixed = (n - 1) * LHS_PRODUCT_CELLS
-        assert latcount.series._lhs_cells(n, last) + fixed <= MAX_LHS_CELLS
+        assert latcount.series._lhs_ns(n, last) <= MAX_PREDICTED_NS
         assert lhs_product(n, last).truncation_order == last
         assert len(products) == n - 1
         products.clear()
-        predicted = latcount.series._lhs_cells(n, last + 1) + fixed
+        predicted = latcount.series._lhs_ns(n, last + 1)
         with pytest.raises(CapacityError) as excinfo:
             lhs_product(n, last + 1)
         assert str(excinfo.value) == (
-            f"lhs_product({n}, {last + 1}) would cost {predicted} cells in its products, "
-            f"above the limit {MAX_LHS_CELLS}"
+            f"lhs_product({n}, {last + 1}) would take {predicted} ns in its products, "
+            f"above the limit {MAX_PREDICTED_NS}"
         )
-        assert predicted > MAX_LHS_CELLS
+        assert predicted > MAX_PREDICTED_NS
         assert products == []
 
     def test_lhs_budget_charges_each_product_a_fixed_cost(self, monkeypatch):
         # At t-order 0 each product touches one cell, so the fixed cost is what bounds n.
         products = []
         monkeypatch.setattr(TSeries, "__mul__", lambda a, b: products.append(b) or a)
-        assert lhs_product(219_781, 0).truncation_order == 0
-        assert len(products) == 219_780
+        assert lhs_product(180_181, 0).truncation_order == 0
+        assert len(products) == 180_180
         products.clear()
         with pytest.raises(CapacityError) as excinfo:
-            lhs_product(219_782, 0)
+            lhs_product(180_182, 0)
         assert str(excinfo.value) == (
-            "lhs_product(219782, 0) would cost 20000071 cells in its products, "
-            "above the limit 20000000"
+            "lhs_product(180182, 0) would take 2000009100 ns in its products, "
+            "above the limit 2000000000"
         )
         assert products == []
 
@@ -249,7 +242,9 @@ class TestGeneratingIdentity:
         pairs = {pair for triple in workloads.series_triples() for pair in triple}
         largest = max(latcount.series._lhs_cells(n, order) for n, order in pairs)
         assert largest == latcount.series._lhs_cells(15, 19) == 263_620
-        assert 10 * largest <= MAX_LHS_CELLS
+        slowest = max(latcount.series._lhs_ns(n, order) for n, order in pairs)
+        assert slowest == latcount.series._lhs_ns(15, 19)
+        assert 10 * slowest <= MAX_PREDICTED_NS
 
     def test_geometric_factor_admits_998991_and_refuses_1000405_coefficients(self):
         held = sum(len(c.coefficients) for c in geometric_factor(1, 1412).coefficients)
@@ -338,30 +333,36 @@ class TestEulerFactor:
                     assert local[k] == count_by_gruber(n, p**k).value
 
     def test_predicted_squared_bits_bound_every_coefficient_and_line(self):
-        line = latcount.series.EULER_LINE_BITS**2
+        # The model charges 2.5 ps for each squared bit of a coefficient, by a bound on its
+        # bits, and 2000 ns for each line.
         for p in (2, 3, 5, 7, 1000003):
             for n in range(1, 8):
                 for order in (0, 1, 2, 5, 17, 40):
-                    printed = sum(c.bit_length() ** 2 + line for c in euler_factor(p, n, order))
-                    assert printed <= latcount.series._euler_squared_bits(p, n, order)
+                    coefficients = euler_factor(p, n, order)
+                    squares = sum(c.bit_length() ** 2 for c in coefficients)
+                    printed = squares * 2500 // 10**6 + 2000 * len(coefficients)
+                    assert printed <= latcount.series._euler_ns(p, n, order)
 
-    @pytest.mark.parametrize("p, n, last", [(2, 2, 10563), (1000003, 2, 1440), (2, 1, 624995)])
+    @pytest.mark.parametrize(
+        "p, n, last", [(2, 2, 13291), (1000003, 2, 1814), (2, 1, 999994), (2, 100, 514)]
+    )
     def test_budget_admits_the_last_order_and_refuses_the_next(self, monkeypatch, p, n, last):
-        # Each last order takes about 2 s to print as a process; here no value is computed.
+        # Each last order takes about 1.3-1.6 s to compute and print as the CLI does; here
+        # no value is computed.
         calls = []
         monkeypatch.setattr(latcount.series, "gauss_binomial_at", lambda m, k, q0: calls.append(k))
         assert len(euler_factor(p, n, last)) == last + 1
         assert len(calls) == last + 1
         calls.clear()
-        predicted = latcount.series._euler_squared_bits(p, n, last + 1)
+        predicted = latcount.series._euler_ns(p, n, last + 1)
         with pytest.raises(CapacityError) as excinfo:
             euler_factor(p, n, last + 1)
         assert str(excinfo.value) == (
-            f"euler_factor({p}, {n}, {last + 1}) would cost {predicted} squared bits to print, "
-            f"above the limit {MAX_EULER_SQUARED_BITS}"
+            f"euler_factor({p}, {n}, {last + 1}) would take {predicted} ns to compute and print, "
+            f"above the limit {MAX_PREDICTED_NS}"
         )
-        assert latcount.series._euler_squared_bits(p, n, last) <= MAX_EULER_SQUARED_BITS
-        assert predicted > MAX_EULER_SQUARED_BITS
+        assert latcount.series._euler_ns(p, n, last) <= MAX_PREDICTED_NS
+        assert predicted > MAX_PREDICTED_NS
         assert calls == []
 
 
@@ -445,33 +446,41 @@ class TestDirichletCoefficients:
         assert peak < 1 << 16
 
     def test_cell_budget_edges_at_n_2(self):
-        # At n = 2 the cells are the limit, so both budgets admit 2^20 and refuse 2^20 + 1.
-        assert latcount.series._dirichlet_cells(2, MAX_DIRICHLET_LIMIT) == MAX_DIRICHLET_CELLS
+        # At n = 2 the convolution's time refuses first, past 769,230; at n = 1 there is none,
+        # so the lists refuse 2^20 + 1.
+        assert latcount.series._dirichlet_ns(2, 769_230) <= MAX_PREDICTED_NS
         with pytest.raises(CapacityError) as excinfo:
-            dirichlet_coefficients(2, MAX_DIRICHLET_LIMIT + 1)
+            dirichlet_coefficients(2, 769_231)
+        assert str(excinfo.value) == (
+            "dirichlet_coefficients(2, 769231) would take 2000000600 ns in its convolutions, "
+            "above the limit 2000000000"
+        )
+        with pytest.raises(CapacityError) as excinfo:
+            dirichlet_coefficients(1, MAX_DIRICHLET_LIMIT + 1)
         assert str(excinfo.value) == (
             "Dirichlet coefficients up to 1048577 would need lists of 1048578 entries, "
             "above the limit 1048576"
         )
 
     def test_cell_budget_edges_at_n_5(self):
-        # the last limit admitted at n = 5: 4 shifts of 2^18 cells, about 3 s
-        table = dirichlet_coefficients(5, 2**18)
-        assert table[2**18] == count_by_gruber(5, 2**18).value
+        # the last limit admitted at n = 5: 4 shifts of 208,855 entries, about 1.5 s
+        table = dirichlet_coefficients(5, 208_855)
+        assert table[208_855] == count_by_gruber(5, 208_855).value
         with pytest.raises(CapacityError) as excinfo:
-            dirichlet_coefficients(5, 2**18 + 1)
+            dirichlet_coefficients(5, 208_856)
         assert str(excinfo.value) == (
-            "dirichlet_coefficients(5, 262145) would cost 1048580 cells in its convolutions, "
-            "above the limit 1048576"
+            "dirichlet_coefficients(5, 208856) would take 2000005056 ns in its convolutions, "
+            "above the limit 2000000000"
         )
 
     def test_wide_cells_cost_more(self):
-        # (1000, 1049) is 2^20 cells of up to 10,989 bits; unweighted it ran for 42 s
-        assert latcount.series._dirichlet_cells(1000, 1049) == 1_047_951 * 22
-        with pytest.raises(CapacityError, match="would cost 23054922 cells"):
+        # (1000, 1049) is 2^20 cells of up to 9,991 bits; unweighted it ran for 42 s
+        cells = 999 * 1049 * 11
+        assert latcount.series._dirichlet_ns(1000, 1049) == cells * (130 + 9991 * 99 // 170)
+        with pytest.raises(CapacityError, match="would take 68565338028 ns"):
             dirichlet_coefficients(1000, 1049)
-        assert latcount.series._dirichlet_cells(1000, 74) <= MAX_DIRICHLET_CELLS
-        assert latcount.series._dirichlet_cells(1000, 75) > MAX_DIRICHLET_CELLS
+        assert latcount.series._dirichlet_ns(1000, 100) <= MAX_PREDICTED_NS
+        assert latcount.series._dirichlet_ns(1000, 101) > MAX_PREDICTED_NS
 
     def test_count_by_dirichlet(self):
         assert count_by_dirichlet(2, 6).value == 12
