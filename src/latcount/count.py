@@ -560,6 +560,19 @@ def _gruber_table(n_max: int, max_m: int, lowest: int = 1) -> Iterator[Iterator[
     yield from map(level, range(lowest, n_max + 1))
 
 
+def _enumeration_sweep_ns(n: int, max_m: int) -> int:
+    """The nanoseconds an enumeration sweep up to (n, max_m) takes, from those alone.
+
+    Each m takes about 30000 ns to factor, check and enumerate, and each
+    matrix about 2200 ns more.  f_n(m) >= m^(n-1), and the sum of m^(n-1)
+    over m <= M is at least M^n / n + M^(n-1) / 2, as m^(n-1) is convex; for
+    n > 64 the exponent 64 gives a smaller bound, and keeps the number
+    small.  So the prediction of a refused sweep is a lower bound.
+    """
+    k = min(n, 64)
+    return 30000 * max_m + 2200 * (max_m**k // k + max_m ** (k - 1) // 2)
+
+
 def check_enumeration_size(n: int, m: int, advice: str = "") -> None:
     """Refuse with CapacityError an enumeration that left_out_methods leaves out.
 
@@ -633,13 +646,16 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
     n = 1, f_1 = 1, it makes no table.  The level's time is refused above
     MAX_PREDICTED_NS, and the table above MAX_DIVISOR_TABLE_POINTERS, before
     the table is made (see `_factorization_sum_table`).
-    Enumeration runs once per m, as the values are consumed, but first
-    checks every m's count against the default cap, so an over-cap m is
-    refused before the first matrix of any.
+    Enumeration runs once per m, as the values are consumed, but first its
+    time, predicted from (n, max_m) alone, is refused above
+    MAX_PREDICTED_NS, and then every m's count is checked against the
+    default cap, so an over-cap m is refused before the first matrix of any.
     """
     check_args(n, max_m)
     method = Method(method)
     if method is Method.HNF:
+        work = f"the enumeration sweep up to n={n}, m={max_m} would take at least {{}} ns"
+        check_budget(_enumeration_sweep_ns(n, max_m), MAX_PREDICTED_NS, work)
         ms = range(1, max_m + 1)
         for m in ms:
             check_enumeration_size(n, m)

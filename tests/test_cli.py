@@ -298,22 +298,27 @@ class TestCount:
         assert len(err) == 1
         assert err[0].startswith("error: product forms disagree")
 
-    # f_3(720) = 2,623,530 is over the default cap of 10^6, and so is f_4(72) =
-    # 1,687,950; checked per m only, table would enumerate the 13,487,463 matrices of
-    # m < 72 before refusing.
+    # f_3(720) = 2,623,530 is over the default cap of 10^6, and so is f_11(4) >= 4^10;
+    # checked per m only, table would enumerate every m below the first over the cap.
+    # table's time is asked before any m's cap: (4, 72), whose f_4(72) = 1,687,950 the cap
+    # refused, now passes the sweep's time first.
     @pytest.mark.parametrize(
-        "args",
+        "args, expected",
         [
-            ("count", "--n", "3", "--m", "720", "--method", "hnf"),
-            ("table", "--n", "4", "--max-m", "72", "--method", "hnf"),
+            (("count", "--n", "3", "--m", "720", "--method", "hnf"), "2623530 matrices, above "
+             "the default cap 1000000"),
+            (("table", "--n", "11", "--max-m", "4", "--method", "hnf"), "(n=11, m=4) would emit "
+             "at least m^10 matrices, above the default cap 1000000"),
+            (("table", "--n", "4", "--max-m", "72", "--method", "hnf"), "the enumeration sweep "
+             "up to n=4, m=72 would take at least 15193353600 ns, above the limit 2000000000"),
         ],
+        ids=["args0", "args1", "args2"],
     )
-    def test_hnf_over_cap_is_refused_before_the_first_matrix(self, args):
+    def test_hnf_over_cap_is_refused_before_the_first_matrix(self, args, expected):
         proc = run_cli(*args, timeout=10)
         assert proc.returncode == 3
         assert proc.stdout == ""
-        predicted = "2623530" if args[0] == "count" else "1687950"
-        assert predicted in proc.stderr and "1000000" in proc.stderr
+        assert expected in proc.stderr
 
     def test_value_past_the_int_str_digit_limit(self):
         # f_20(2^1000) = [1019 choose 1000]_2 has about 5,700 digits

@@ -975,6 +975,36 @@ class TestSingleCountBudgets:
                 filled = ordered_factorization_count(m, min(n, 3))
                 assert ns >= 250 * (popped + filled), (n, m)
 
+    def test_enumeration_sweep_refuses_past_its_time_before_the_first_cap_check(self, monkeypatch):
+        # (1, 10^5) ran 2.2 s and (2, 2000) 2.7 s, with every m under the cap.
+        monkeypatch.setattr(latcount.count, "check_enumeration_size", None)
+        began = time.perf_counter()
+        with pytest.raises(CapacityError) as excinfo:
+            count_table(1, 10**7, Method.HNF)
+        assert time.perf_counter() - began < 0.1
+        assert str(excinfo.value) == (
+            "the enumeration sweep up to n=1, m=10000000 would take at least 322000000000 ns, "
+            "above the limit 2000000000"
+        )
+        with pytest.raises(CapacityError, match="^the enumeration sweep up to n=1, m=62112 "):
+            count_table(1, 62_112, Method.HNF)
+        with pytest.raises(CapacityError, match="^the enumeration sweep up to n=3, m=140 "):
+            count_table(3, 140, Method.HNF)
+        # Past n = 64 the bound keeps the exponent 64, and stays small.
+        with pytest.raises(CapacityError, match="^the enumeration sweep up to n=10000, m=2 "):
+            count_table(10_000, 2, Method.HNF)
+
+    def test_enumeration_sweep_admits_its_last_edges(self):
+        limit = latcount.core.MAX_PREDICTED_NS
+        assert latcount.count._enumeration_sweep_ns(1, 62_111) <= limit
+        assert latcount.count._enumeration_sweep_ns(3, 139) <= limit
+        # f_n(m) >= m^(n-1), so the matrices charged never pass the ones emitted.
+        for n in (1, 2, 3, 4):
+            for max_m in (1, 2, 7, 30):
+                emitted = sum(count_table(n, max_m, Method.RECURSION))
+                charged = latcount.count._enumeration_sweep_ns(n, max_m) - 30000 * max_m
+                assert charged <= 2200 * emitted, (n, max_m)
+
     def test_all_methods_refuse_before_gruber_s_products(self, monkeypatch):
         # Gruber's products at (2, 10^5000) are inside their budget and take about 1 s.
         monkeypatch.setattr(latcount.count, "count_by_gruber", None)

@@ -119,6 +119,7 @@ REC_SINGLE = "ns: per level 400, 1000 per slice update, 70 per product or add; p
 REC_SWEEP = "ns: 50 per m, and per level 2000 and 190 per pair d * k <= max_m"
 GRUBER = "ns: 1.5 ps per squared bit of its products, 400 per step"
 GRUBER_SWEEP = "ns: 2800 per m, 95 per trial candidate, per level 420 per m and each prime's body"
+HNF_SWEEP = "ns: 30000 per m, 2200 per matrix, at least M^n / n + M^(n-1) / 2 of them"
 LHS = "ns: 100 per coefficient cell, 11000 per product"
 DIRICHLET = "ns: (n-1) limit bits(limit) cells, 130 each and more as the values grow"
 EULER = "ns: 2.5 ps per squared bit printed, 20 fs per squared bit per step, 2000 per line"
@@ -182,6 +183,12 @@ FAMILIES = [
     _family('`count_table(4, max_m, "gruber")`', GRUBER_SWEEP,
             lambda x: count_table(4, x, "gruber"), lambda x: f"(4, {x})", "Gruber sweep",
             run=lambda x: list(count_table(4, x, "gruber"))),
+    *(
+        _family(f'`count_table({n}, max_m, "hnf")`', HNF_SWEEP,
+                lambda x, n=n: count_table(n, x, "hnf"), lambda x, n=n: f"({n}, {x})",
+                "enumeration sweep", run=lambda x, n=n: list(count_table(n, x, "hnf")))
+        for n in (1, 3)
+    ),
     _family("`lhs_product(2, K)`", LHS, lambda x: lhs_product(2, x), lambda x: f"(2, {x})",
             "lhs_product", run=lambda x: lhs_product(2, x), start=0),
     _family("`lhs_product(n, 0)`", LHS, lambda x: lhs_product(x, 0), lambda x: f"({x}, 0)",
