@@ -24,8 +24,8 @@ open iterator per level and does not recurse, so the stack does not grow
 with n.
 
   * For one m, a `DivisorIndex`, made per call and filled lazily from
-    `divisors(m)`, which `_check_divisor_list` refuses above
-    MAX_DIVISOR_CELLS before it is made, each entry filtered from a
+    `divisors(m)`, whose bytes `_check_divisor_list` refuses above
+    MAX_PREDICTED_BYTES before it is made, each entry filtered from a
     parent's list and holding the same int objects, so an entry costs one
     pointer per divisor.  `ordered_factorizations` makes entries in the
     order its tuples first need them, so the index never holds more
@@ -38,9 +38,9 @@ with n.
     `latcount.count.first_disagreement`), one divisor table: a list whose entry q
     is q's divisors, made by a sieve with no trial division.  It holds sum
     over q <= M of tau(q) pointers, which `_divisor_table_size` predicts
-    exactly in O(sqrt M) before the table is made, so that a sweep over
-    budget is refused before it.  The recursion's sweep reads no index: it
-    pushes each d's term into d's multiples.
+    exactly in O(sqrt M) before the table is made, so that a sweep whose
+    table's bytes are over budget is refused before it.  The recursion's
+    sweep reads no index: it pushes each d's term into d's multiples.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from functools import lru_cache
 from itertools import accumulate, chain, cycle
 from math import comb, isqrt, prod
 
-from .core import CapacityError, UsageError, check_args, check_at_least, check_budget, walk
-from .core import int_text
+from .core import MAX_PREDICTED_BYTES, CapacityError, UsageError, check_args, check_at_least
+from .core import check_budget, int_text, walk
 
 DEFAULT_TRIAL_DIVISION_BOUND = 10**7
 
@@ -244,29 +244,32 @@ def _tuple_count(factors: Sequence[tuple[int, int]], n: int) -> int:
     return prod(comb(e + n - 1, n - 1) for _, e in factors)
 
 
-# The most cells the divisor list of one m may cost, each divisor counted
-# 1 + b // 512 times, b being the bits of m: about 40 bytes a cell, and the
-# last admitted lists peak at 5-7 MB under tracemalloc.  It admits every m
-# below 10^18 (tau(m) <= 103,680 there) and 2^8190, and refuses 2^8191,
-# 10^5000 and 2^99999, whose 10^5 divisors alone would hold about 0.7 GB.
-MAX_DIVISOR_CELLS = 2**17
+def _divisor_list_bytes(factors: Sequence[tuple[int, int]], bits: int) -> int:
+    """The bytes the divisor list of an m of this factorization and size holds.
+
+    Each of the tau(m) divisors is 18 bytes of slots, in the list and in the
+    one `divisors` extends it from, and an int.  A divisor d and its
+    cofactor m/d have at most bits(m) + 1 bits between them, so the ints
+    average at most 41 bytes and 1 per 15 bits of m, charged per 12 bits.
+    """
+    return prod(e + 1 for _, e in factors) * (59 + bits // 12)
 
 
 def _check_divisor_list(factors: Sequence[tuple[int, int]], bits: int) -> None:
-    """Refuse the divisor list of an m of this factorization and size above MAX_DIVISOR_CELLS."""
+    """Refuse the divisor list of an m of this factorization and size above MAX_PREDICTED_BYTES."""
     tau = prod(e + 1 for _, e in factors)
     # The message leaves m out: it may have more digits than str() allows.
-    work = f"listing the {tau} divisors of an m of {bits} bits would cost {{}} cells"
-    check_budget(tau * (1 + bits // 512), MAX_DIVISOR_CELLS, work)
+    work = f"listing the {tau} divisors of an m of {bits} bits would hold {{}} bytes"
+    check_budget(_divisor_list_bytes(factors, bits), MAX_PREDICTED_BYTES, work)
 
 
 class DivisorIndex(dict):
     """Each divisor q of m mapped to q's own divisors, in increasing order.
 
     Only m's list is made up front, by `divisors(m)`, after its cost is
-    predicted from the factorization: tau(m) = prod (r + 1) divisors, each
-    counted 1 + b // 512 times, b being the bits of m.  Above
-    MAX_DIVISOR_CELLS that raises CapacityError before the list is made.
+    predicted from the factorization: tau(m) = prod (r + 1) divisors, in
+    bytes by `_divisor_list_bytes`.  Above MAX_PREDICTED_BYTES that raises
+    CapacityError before the list is made.
     Any other entry is made on first use, by filtering the list of a parent
     q*p, where p is a prime of m and q*p divides m; a missing parent is
     filled the same way first, by a loop, so no chain of parents deepens the

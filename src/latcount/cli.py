@@ -11,10 +11,12 @@ verify runs all three of its checks before the first line: cross-method
 agreement, q-binomial symmetry once per unordered pair (k < m-k), and the
 generating identity once per n at the full t-order.  The cross-method check
 is `latcount.count.first_disagreement`, which makes each method's tables
-for every n in one sweep.  The symmetry sweep,
-`latcount.qcalc.first_asymmetric_pair`, runs first, because it sums its
-last q-Pascal rows before any pair and refuses above MAX_QPASCAL_COEFFICIENTS
-(exit 3, nothing on stdout).  series and the identity check take both sides
+for every n in one sweep and holds the value they agree on at each prime
+power to `gauss_binomial_at`, the paper's bridge.  The symmetry sweep,
+`latcount.qcalc.first_asymmetric_pair`, runs first, because it predicts
+its largest pair's bytes and all of its grids' time before any pair and
+refuses above MAX_PREDICTED_BYTES or MAX_PREDICTED_NS (exit 3, nothing on
+stdout).  series and the identity check take both sides
 from `latcount.series.identity_sides`, which orders their budgets.  Every
 size decision lives in the library; this module imports none of its private
 names.

@@ -3,7 +3,8 @@
 Every bad argument to the package raises `UsageError`, most through
 `check_at_least`, and every size predicted above its limit raises
 `CapacityError` through `check_budget`: every time in nanoseconds against
-the one limit MAX_PREDICTED_NS, and each kind of memory in its own unit.
+the one limit MAX_PREDICTED_NS, and every memory in bytes against the one
+limit MAX_PREDICTED_BYTES.
 
 `Record`, the base of `CountResult` and `latcount.hnf.HnfMatrix`, is
 written out by hand with `__slots__` rather than as a frozen dataclass: the
@@ -35,19 +36,20 @@ class CapacityError(RuntimeError):
     Time is predicted in nanoseconds and held to one limit,
     MAX_PREDICTED_NS: the walk of a factorization-sum count and the levels
     of its sweep, the recursion's grid and its sweep, Gruber's products and
-    the Gruber sweep, the products of `lhs_product`, the Dirichlet
-    convolutions, and an Euler factor with its printing.  Memory keeps its
-    own units and limits: the last q-Pascal row of `gauss_binomial`, the
-    monomials of `geometric_factor`, the q-binomials of `rhs_sum` and the
-    q-Pascal rows of `first_asymmetric_pair` (MAX_QPASCAL_COEFFICIENTS), the
-    Dirichlet limit (MAX_DIRICHLET_LIMIT), the prefixes of both HNF streams
-    (MAX_PREFIX_CHARS), the digits of `enumerate_lines`'s m
-    (sys.get_int_max_str_digits()), the divisor list of a `DivisorIndex` and
-    the recursion's values (MAX_DIVISOR_CELLS), and a sweep's divisor table
-    (MAX_DIVISOR_TABLE_POINTERS).  Besides those, it is raised when trial
-    division would have to search past its bound or its running budget, and
-    when an enumeration would yield, or has yielded, more matrices than its
-    cap.  Never raised for malformed input; those get UsageError.
+    the Gruber sweep, the q-Pascal grid of `gauss_binomial` and the grids
+    `rhs_sum` and the symmetry sweep make, the products of `lhs_product`,
+    the Dirichlet convolutions, and an Euler factor with its printing.
+    Memory is predicted in bytes and held to one limit,
+    MAX_PREDICTED_BYTES: the last q-Pascal row of `gauss_binomial`, the
+    monomials of `geometric_factor`, the series of `rhs_sum`, the largest
+    pair of the symmetry sweep, the Dirichlet lists, the prefixes of both
+    HNF streams, the divisor list of a `DivisorIndex`, the recursion's
+    values and a sweep's divisor table.  One more limit is Python's: the
+    digits of `enumerate_lines`'s m (sys.get_int_max_str_digits()).
+    Besides those, it is raised when trial division would have to search
+    past its bound or its running budget, and when an enumeration would
+    yield, or has yielded, more matrices than its cap.  Never raised for
+    malformed input; those get UsageError.
     """
 
 
@@ -111,9 +113,23 @@ def int_text(x: int) -> str:
 
 # The longest any computation is predicted to take, in nanoseconds.  Each time
 # model states its cost per unit of work as integer literals, fitted on a
-# 2-vCPU VM by `tools/budget_edges.py --time` so that the last input admitted
+# 2-vCPU VM by `tools/budget_edges.py --measure` so that the last input admitted
 # in each of its families runs in 1-2.6 s there.
 MAX_PREDICTED_NS = 2 * 10**9
+
+# The most memory any computation is predicted to hold, in bytes.  Each byte
+# model states its cost per object as integer literals, checked under
+# tracemalloc by `tools/budget_edges.py --measure` so that the last input
+# admitted in each of its families peaks at half to all of its prediction.
+MAX_PREDICTED_BYTES = 10**8
+
+
+def int_bytes(bits: int) -> int:
+    """The most bytes an int of at most bits bits holds: none below 2^8, which Python caches.
+
+    Above, 24 bytes and 4 per 30-bit digit, rounded up to 16 by the allocator.
+    """
+    return 0 if bits <= 8 else 40 + 4 * (bits // 30)
 
 
 def power_bits(bits: int, e: int) -> int:

@@ -46,9 +46,9 @@ costs per unit of work as integer literals, fitted by
 `tools/budget_edges.py --time`.  A factorization-sum single count predicts
 its walk from the factorization, and refuses before the first prefix.  A
 sweep predicts its levels from D_k(M), the k-tuples with product <= M,
-counted with no factorization, and refuses, and a divisor table above
-MAX_DIVISOR_TABLE_POINTERS, before the table is made; no sweep falls back
-to a `DivisorIndex` per m.  A Gruber sweep runs the
+counted with no factorization, and refuses, and a divisor table whose
+bytes are above MAX_PREDICTED_BYTES, before the table is made; no sweep
+falls back to a `DivisorIndex` per m.  A Gruber sweep runs the
 body of a single count once per prime power p^r <= max_m and level, and
 multiplies: each other m, split as p^r * rest by its least prime p, takes
 the product of two values already made.  It finds p by one trial loop per
@@ -83,12 +83,13 @@ from itertools import accumulate, islice, repeat
 from math import isqrt, prod
 from operator import add, attrgetter, floordiv, mul, sub
 
-from .arith import MAX_DIVISOR_CELLS, DivisorIndex, _check_divisor_list, _divisor_table
+from .arith import DivisorIndex, _check_divisor_list, _divisor_list_bytes, _divisor_table
 from .arith import _divisor_table_size, _least_prime, _tuple_count, factorize, trial_division_bound
-from .core import MAX_PREDICTED_NS, CapacityError, CountResult, DiscrepancyError, ExactnessError
-from .core import Method, check_args, check_budget, int_text, power_bits
-from .hnf import DEFAULT_ENUMERATION_CAP, MAX_PREFIX_CHARS, _prefix_chars, count_by_enumeration
-from .series import MAX_DIRICHLET_LIMIT, _dirichlet_levels, _dirichlet_ns, count_by_dirichlet
+from .core import MAX_PREDICTED_BYTES, MAX_PREDICTED_NS, CapacityError, CountResult, Method
+from .core import DiscrepancyError, ExactnessError, check_args, check_budget, int_text, power_bits
+from .hnf import DEFAULT_ENUMERATION_CAP, _prefix_bytes, count_by_enumeration
+from .qcalc import gauss_binomial_at
+from .series import _dirichlet_bytes, _dirichlet_levels, _dirichlet_ns, count_by_dirichlet
 
 __all__ = [
     "CountResult",
@@ -239,10 +240,16 @@ def _tuple_counts(max_m: int) -> Iterator[int]:
         values = list(map(sub, map(sums.__getitem__, ends), map(sums.__getitem__, starts)))
 
 
-# A factorization-sum sweep's divisor table holds sum over m <= max_m of tau(m)
-# pointers.  Above this many (max_m of about 8.7 * 10**4, about 17 MB) the
-# sweep is refused, since the table is its memory.
-MAX_DIVISOR_TABLE_POINTERS = 10**6
+def _factorization_sum_sweep_bytes(n_max: int, max_m: int) -> int:
+    """The bytes a factorization-sum sweep's divisor table holds, with sigma and the fold.
+
+    Each of its sum over q <= max_m of tau(q) pointers is a list slot, 12
+    bytes with the room a list keeps to grow; each q is a list of 88 bytes,
+    its int and two of ints, sigma and the fold, 180 bytes in all.  Level 1
+    alone makes no table.
+    """
+    return 12 * _divisor_table_size(max_m) + 180 * (max_m + 1) if n_max >= 2 else 0
+
 
 def _factorization_sum_sweep_ns(n_max: int, max_m: int, lowest: int) -> int:
     """The nanoseconds levels lowest .. n_max of a factorization-sum sweep up to max_m take.
@@ -275,9 +282,9 @@ def _factorization_sum_sweep_ns(n_max: int, max_m: int, lowest: int) -> int:
 def _factorization_sum_table(n_max: int, max_m: int, lowest: int = 1) -> Iterator[Iterator[int]]:
     """For n = lowest .. n_max, an iterator over f_n(1) .. f_n(max_m), by _factorization_sum.
 
-    Before the first level, the divisor table's pointers are refused above
-    MAX_DIVISOR_TABLE_POINTERS, since they bound its memory, and the time
-    of the table and the levels made above MAX_PREDICTED_NS.  Level 1 is
+    Before the first level, the divisor table's bytes are refused above
+    MAX_PREDICTED_BYTES, and the time of the table and the levels made
+    above MAX_PREDICTED_NS.  Level 1 is
     f_1 = 1, so a sweep of level 1 alone makes no table and holds no
     pointers; every other level reads one divisor table, made at the first
     level.  From the table, sigma(q) and fold(q) = sum over c | q of
@@ -286,9 +293,8 @@ def _factorization_sum_table(n_max: int, max_m: int, lowest: int = 1) -> Iterato
     three parts from fold, holds the table in its iterator and makes its
     values as they are read.
     """
-    pointers = _divisor_table_size(max_m) if n_max >= 2 else 0
-    work = f"the factorization-sum sweep up to m={max_m} would hold {{}} divisor-table pointers"
-    check_budget(pointers, MAX_DIVISOR_TABLE_POINTERS, work)
+    work = f"the factorization-sum sweep's divisor table up to m={max_m} would hold {{}} bytes"
+    check_budget(_factorization_sum_sweep_bytes(n_max, max_m), MAX_PREDICTED_BYTES, work)
     work = f"the factorization-sum sweep up to n={n_max}, m={max_m} would take at least {{}} ns"
     check_budget(_factorization_sum_sweep_ns(n_max, max_m, lowest), MAX_PREDICTED_NS, work)
     table = _divisor_table(max_m) if n_max >= 2 else None
@@ -324,17 +330,21 @@ def _recursion_grid_ns(n: int, factors: Sequence[tuple[int, int]], bits: int) ->
 def _check_recursion_grid(n: int, factors: Sequence[tuple[int, int]], bits: int) -> None:
     """Refuse count_by_recursion(n, m)'s grid before it is made.
 
-    m's divisor list is refused as `DivisorIndex` refuses it.  The list of
-    tau(m) values of up to b bits, b being the bits of m^(n-1), each counted
-    1 + b // 512 times, is refused above the same MAX_DIVISOR_CELLS, and
-    the levels' time above MAX_PREDICTED_NS.
+    m's divisor list is refused as `DivisorIndex` refuses it.  Then the
+    grid's bytes: its divisors, by `_divisor_list_bytes`; two lists of
+    tau(m) values while a level is made from the last, 96 bytes a value for
+    the slots and two ints, f_(n-1)(d) and d f_(n-1)(d), and 1 byte per 12
+    of their bits, about 2n - 2 times d's, since f_k(d) is about d^(k-1) (a
+    divisor d and m/d share bits(m) + 1 bits); and 200 bytes a slice
+    update.  Above MAX_PREDICTED_BYTES they are refused, and then the
+    levels' time above MAX_PREDICTED_NS.
     """
     _check_divisor_list(factors, bits)
     tau = prod(r + 1 for _, r in factors)
+    values = tau * (96 + (2 * n - 2) * bits // 12) + 200 * sum(r for _, r in factors)
     # The messages leave m out: it may have more digits than str() allows.
-    values = tau * (1 + power_bits(bits, n - 1) // 512)
-    work = f"the recursion's {tau} values for n={n} at an m of {bits} bits would hold {{}} cells"
-    check_budget(values, MAX_DIVISOR_CELLS, work)
+    work = f"the recursion's {tau} values for n={n} at an m of {bits} bits would hold {{}} bytes"
+    check_budget(_divisor_list_bytes(factors, bits) + values, MAX_PREDICTED_BYTES, work)
     work = f"the recursion's levels for n={n} at an m of {bits} bits would take {{}} ns"
     check_budget(_recursion_grid_ns(n, factors, bits), MAX_PREDICTED_NS, work)
 
@@ -643,8 +653,8 @@ def count_table(n: int, max_m: int, method: Method | str) -> Iterator[int]:
     made before this returns: at n = 2 and 3 the list of sigma or of the
     fold of every m, and at n >= 4 the body of a single count once per m,
     as the values are consumed, with the table held by the iterator; at
-    n = 1, f_1 = 1, it makes no table.  The level's time is refused above
-    MAX_PREDICTED_NS, and the table above MAX_DIVISOR_TABLE_POINTERS, before
+    n = 1, f_1 = 1, it makes no table.  The table's bytes are refused above
+    MAX_PREDICTED_BYTES, and the level's time above MAX_PREDICTED_NS, before
     the table is made (see `_factorization_sum_table`).
     Enumeration runs once per m, as the values are consumed, but first its
     time, predicted from (n, max_m) alone, is refused above
@@ -677,13 +687,33 @@ def first_disagreement(n_max: int, m_max: int) -> tuple[int, int, list[tuple[Met
     reads one divisor table for every n, and Gruber splits each m once.
     Every method's budgets are checked for every level up to n_max before
     its first level.
+
+    Once a level agrees, the value at each prime power p^k <= m_max, in
+    order, is held to the paper's bridge, f_n(p^k) = [n+k-1 choose k]_p, by
+    `gauss_binomial_at`; a mismatch comes back as (n, p^k, [(method,
+    value), ..., ("gauss_binomial_at", its value)]).  The primes are the
+    m >= 2 whose agreed f_2(m) = sigma(m) reads m + 1, so nothing is
+    factored; the bridge starts at level 2, since at level 1 it is
+    [k choose k]_p = 1, which takes no step.
     """
     check_args(n_max, m_max)
     tables = [_TABLES[method](n_max, m_max) for method in FORMULA_METHODS]
+    prime_powers = []
     for n, levels in enumerate(zip(*tables), start=1):
-        for m, values in enumerate(zip(*levels), start=1):
-            if len(set(values)) > 1:
-                return n, m, list(zip(FORMULA_METHODS, values))
+        # Whole levels are compared first, in C; only a level that differs is walked by m.
+        first, *rest = levels = [list(level) for level in levels]
+        if rest.count(first) < len(rest):
+            m, values = next(mv for mv in enumerate(zip(*levels), 1) if len(set(mv[1])) > 1)
+            return n, m, list(zip(FORMULA_METHODS, values))
+        if n == 2:
+            # Each prime power p^k <= m_max, as (p^k, p, k), in order: f_2(p) = p + 1.
+            primes = [p for p, value in enumerate(first, start=1) if value == p + 1]
+            powers = ((p**k, p, k) for p in primes for k in range(1, m_max.bit_length()))
+            prime_powers = sorted(power for power in powers if power[0] <= m_max)
+        for power, p, k in prime_powers:
+            if (bridge := gauss_binomial_at(n + k - 1, k, p)) != first[power - 1]:
+                agreed = zip(FORMULA_METHODS, repeat(first[power - 1]))
+                return n, power, [*agreed, ("gauss_binomial_at", bridge)]
     return None
 
 
@@ -693,22 +723,22 @@ def left_out_methods(n: int, m: int, count: int) -> dict[Method, str]:
     count is f_n(m), as the product formula gives it.  Dirichlet is left out
     by the two budgets of dirichlet_coefficients(n, m), so it never refuses.
     Enumeration is left out above the default cap, and otherwise when the
-    prefixes of its streams would pass MAX_PREFIX_CHARS, which bounds their
-    memory whatever the count.
+    prefixes of its streams would hold more than MAX_PREDICTED_BYTES, which
+    bounds their memory whatever the count.
     """
     left_out = {}
-    ns, chars = _dirichlet_ns(n, m), _prefix_chars(n, m)
-    if m > MAX_DIRICHLET_LIMIT:
-        left_out[Method.DIRICHLET] = f"m={int_text(m)} is above its limit {MAX_DIRICHLET_LIMIT}"
+    nbytes, ns, prefixes = _dirichlet_bytes(n, m), _dirichlet_ns(n, m), _prefix_bytes(n, m)
+    over = f", above the limit {MAX_PREDICTED_BYTES}"
+    if nbytes > MAX_PREDICTED_BYTES:
+        left_out[Method.DIRICHLET] = f"it would hold {nbytes} bytes in its lists{over}"
     elif ns > MAX_PREDICTED_NS:
         dirichlet = f"it would take {ns} ns in its convolutions"
         left_out[Method.DIRICHLET] = f"{dirichlet}, above the limit {MAX_PREDICTED_NS}"
     if count > DEFAULT_ENUMERATION_CAP:
         hnf = f"it would emit {int_text(count)} matrices"
         left_out[Method.HNF] = f"{hnf}, above the default cap {DEFAULT_ENUMERATION_CAP}"
-    elif chars > MAX_PREFIX_CHARS:
-        hnf = f"it would hold up to {chars} characters in its prefixes"
-        left_out[Method.HNF] = f"{hnf}, above the limit {MAX_PREFIX_CHARS}"
+    elif prefixes > MAX_PREDICTED_BYTES:
+        left_out[Method.HNF] = f"it would hold up to {prefixes} bytes in its prefixes{over}"
     return left_out
 
 
@@ -720,8 +750,8 @@ def count_all_methods(n: int, m: int) -> list[CountResult]:
     and factorization-sum's walk, and the recursion's grid.  So a refusal
     comes before any method's work.  Gruber always runs, and its value
     decides which of the others left_out_methods leaves out: enumeration
-    above DEFAULT_ENUMERATION_CAP matrices or MAX_PREFIX_CHARS characters,
-    Dirichlet above MAX_DIRICHLET_LIMIT or MAX_PREDICTED_NS.
+    above DEFAULT_ENUMERATION_CAP matrices or MAX_PREDICTED_BYTES in its
+    prefixes, Dirichlet above MAX_PREDICTED_BYTES or MAX_PREDICTED_NS.
     Results come back sorted by method name so the aggregation order never
     depends on evaluation order.
     """

@@ -22,9 +22,9 @@ bounded by d, listed once per diagonal when d <= LISTED_BOUND and made again
 on every pass otherwise.  Memory therefore grows neither with the d^(n-1)
 matrices of a diagonal nor with m, but the text prefixes, up to a whole line
 each, hold O(n^4) characters, and a row prefix as many entries, so both
-streams predict them and refuse above MAX_PREFIX_CHARS.  Outputs share the
-prefix of earlier levels: the text of a row is made once per prefix of
-earlier rows, and each further line costs one concatenation.
+streams predict their bytes and refuse above MAX_PREDICTED_BYTES.  Outputs
+share the prefix of earlier levels: the text of a row is made once per
+prefix of earlier rows, and each further line costs one concatenation.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from math import prod
 from operator import attrgetter
 
 from .arith import ordered_factorizations
-from .core import CapacityError, CountResult, Method, Record, UsageError, walk
-from .core import check_args, check_at_least, check_budget, int_text
+from .core import MAX_PREDICTED_BYTES, CapacityError, CountResult, Method, Record, UsageError
+from .core import check_args, check_at_least, check_budget, int_text, walk
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -48,12 +48,6 @@ DEFAULT_ENUMERATION_CAP = 10**6
 # list of 4096 pieces holds about 0.25 MB, one of 65536 would hold 4 MB, a
 # quarter of the peak RSS of an enumerate run.
 LISTED_BOUND = 4096
-
-# The most characters enumerate_lines's prefixes may hold, as predicted.
-# Their memory is quartic in n: `enumerate --n 100 --m 2 --limit 1`, the last
-# admitted at m = 2 (99,020,000 predicted), peaks at 81 MB max RSS, --n 110
-# at 111 MB, and --n 400 was killed by the kernel.
-MAX_PREFIX_CHARS = 10**8
 
 
 class HnfMatrix(Record):
@@ -167,13 +161,13 @@ def _text_levels(diagonal: tuple[int, ...]) -> list[Level]:
 def _stream(name: str, n: int, m: int, root, levels: Callable[..., list[Level]]) -> Iterator:
     """The leaves of every diagonal's walk from root, diagonals in lexicographic order.
 
-    n and m are checked, and then the prefixes, predicted at (n(n-1)/2 + 1)
-    n^2 (digits of m + 1) characters, are refused above MAX_PREFIX_CHARS,
-    for both streams; name is the stream's function, for the message.
+    n and m are checked, and then the prefixes' bytes, by `_prefix_bytes`,
+    are refused above MAX_PREDICTED_BYTES, for both streams; name is the
+    stream's function, for the message.
     """
     check_args(n, m)
-    work = f"{name}({n}, {int_text(m)}) would hold up to {{}} characters in its prefixes"
-    check_budget(_prefix_chars(n, m), MAX_PREFIX_CHARS, work)
+    work = f"{name}({n}, {int_text(m)}) would hold up to {{}} bytes in its prefixes"
+    check_budget(_prefix_bytes(n, m), MAX_PREDICTED_BYTES, work)
     return chain.from_iterable(walk(root, levels(d)) for d in ordered_factorizations(m, n))
 
 
@@ -183,8 +177,9 @@ def enumerate_hnf(n: int, m: int) -> Iterator[HnfMatrix]:
     Order is lexicographic in (diagonal tuple, then row-major sub-diagonal
     entries).  The stream is lazy: f_n(m) matrices come out in total, so the
     caller is responsible for bounding consumption.  Its prefixes are
-    refused above MAX_PREFIX_CHARS when this is called, as
-    `enumerate_lines`'s are: a row prefix holds as many entries.
+    refused above MAX_PREDICTED_BYTES when this is called, by the model of
+    `enumerate_lines`'s: a row prefix holds as many entries, but each shares
+    its int, so this stream holds far less than its prediction.
     """
     return map(HnfMatrix._trusted, repeat(n), _stream("enumerate_hnf", n, m, (), _row_levels))
 
@@ -194,11 +189,16 @@ def _digits(m: int) -> int:
     return m.bit_length() * 30103 // 100000 + 1
 
 
-def _prefix_chars(n: int, m: int) -> int:
-    """A bound on the characters enumerate_lines(n, m)'s prefixes hold at once."""
-    # One prefix per level, n(n-1)/2 + 1 of them, each at most a whole line:
-    # n^2 entries, none above m, each with its separator.
-    return (n * (n - 1) // 2 + 1) * n * n * (_digits(m) + 1)
+def _prefix_bytes(n: int, m: int) -> int:
+    """A bound on the bytes enumerate_lines(n, m)'s prefixes and pieces hold at once."""
+    # One prefix per level, n(n-1)/2 + 1 of them, each a str of 64 bytes and at
+    # most a whole line: n^2 entries, none above m, each with its separator.
+    # Each of the up to n-1 entries of a row lists a piece of up to 72 + 8n
+    # bytes per value below the row's bound d, when d <= LISTED_BOUND, and a
+    # diagonal's bounds above 1 add up to at most m and to LISTED_BOUND times
+    # min(n, bits(m)).  The levels' iterators and closures take 300 kB.
+    pieces = (n - 1) * min(m, LISTED_BOUND * min(n, m.bit_length())) * (72 + 8 * n)
+    return (n * (n - 1) // 2 + 1) * (n * n * (_digits(m) + 1) + 64) + pieces + 300_000
 
 
 def enumerate_lines(n: int, m: int) -> Iterator[str]:
@@ -209,8 +209,8 @@ def enumerate_lines(n: int, m: int) -> Iterator[str]:
     is called it raises CapacityError if m may have more digits than
     ``sys.get_int_max_str_digits()`` lets an int be written in (unless that
     limit is 0, as the CLI sets it), and if its prefixes, predicted at
-    (n(n-1)/2 + 1) n^2 (digits of m + 1) characters, are above
-    MAX_PREFIX_CHARS.  Every entry is at most m, so no line then passes the
+    (n(n-1)/2 + 1) (n^2 (digits of m + 1) + 64) bytes, are above
+    MAX_PREDICTED_BYTES.  Every entry is at most m, so no line then passes the
     digit limit.
     """
     check_args(n, m)

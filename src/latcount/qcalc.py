@@ -9,8 +9,10 @@ for G[i][j] = [i+j choose i]_q (Andrews, The Theory of Partitions, ch. 3).
 ints over i = 1 .. k, each step adding q^i * row[j-1] into row[j] in place,
 and only the last entry becomes a QPolynomial; nothing outlives the call.
 Entry j has degree i*j after pass i, so the last row holds
-(m-k+1)*(k*(m-k)/2 + 1) coefficients; that is predicted before the row is
-made and capped at MAX_QPASCAL_COEFFICIENTS.  A product a*b by a monomial
+(m-k+1)*(k*(m-k)/2 + 1) coefficients.  Before the row is made, its bytes
+are refused above MAX_PREDICTED_BYTES, and the time of its grid, whose
+cells are weighted by the bits of the coefficients, above
+MAX_PREDICTED_NS.  A product a*b by a monomial
 c*q^j is the other factor shifted and scaled, len(other) coefficient
 products; any other product makes nnz(a)*nnz(b), nnz counting the nonzero
 coefficients.  The recurrence is division-free and
@@ -20,23 +22,19 @@ q-binomials (`gauss_binomial_at`) take an independent route through exact
 integer division, over the shorter of the two products for [m choose k] and
 [m choose m-k], so the two can cross-check each other.  The symmetry sweep
 (`first_asymmetric_pair`) compares [m choose k] with [m choose m-k] for
-every m up to a bound, after summing all of its last rows against the same
-cap.
+every m up to a bound, after its largest pair's bytes and the time of all
+of its grids are checked against the same limits.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import comb
 
-from .core import ExactnessError, check_at_least, check_budget
-
-# The most coefficients the last q-Pascal row may hold, about 9x the largest
-# a test or benchmark makes ((120, 60): 109,861).  Under tracemalloc (1000, 2),
-# 998,001 coefficients, peaks at 12 MB; (2000, 3) would hold 5,987,007.
-MAX_QPASCAL_COEFFICIENTS = 10**6
+from .core import MAX_PREDICTED_BYTES, MAX_PREDICTED_NS, ExactnessError, check_at_least
+from .core import check_budget, int_bytes
 
 
 class QPolynomial:
@@ -167,13 +165,48 @@ def _last_row_size(m: int, k: int) -> int:
     return (m - k + 1) * (k * (m - k) + 2) // 2
 
 
+def _coefficient_bits(m: int, k: int) -> int:
+    """A bound on the bits of the coefficients of [m choose k], and of every q-binomial in its box.
+
+    Each is at most C(m-1, s-1), s = min(k, m-k): fix the other s-1 parts of
+    a partition in the s by m-s box and the first is determined.  That is
+    below both 2^(m-1) and m^(s-1).
+    """
+    return min(m - 1, (min(k, m - k) - 1) * m.bit_length()) if 0 < k < m else 0
+
+
+def _row_bytes(m: int, k: int) -> int:
+    """The bytes gauss_binomial(m, k)'s last q-Pascal row holds, for 0 <= k <= m.
+
+    Each coefficient is a list slot, 10 bytes with the room a list keeps to
+    grow, and an int of `_coefficient_bits(m, k)` bits; the last step holds
+    two more copies of the last entry, k(m-k) + 1 coefficients.  Each of the
+    m-k+1 entries costs 120 bytes more, as a list or as a QPolynomial.  At
+    k = m no row is made.
+    """
+    slots = _last_row_size(m, k) + 2 * (k * (m - k) + 1)
+    return slots * (10 + int_bytes(_coefficient_bits(m, k))) + 120 * (m - k + 1) if k < m else 0
+
+
+def _grid_ns(m: int, k: int) -> int:
+    """The nanoseconds gauss_binomial(m, k)'s q-Pascal grid takes, for 0 <= k <= m.
+
+    Step (i, j) adds the i(j-1) + 1 coefficients of row[j-1] into row[j], so
+    the k passes of m-k steps add k(k+1)/2 (m-k)(m-k-1)/2 + k(m-k) cells,
+    each about 50 ns and 1 ns more per 12 bits of `_coefficient_bits`.  Each
+    step takes about 1000 ns more, and each call 2000.
+    """
+    cells = k * (k + 1) // 2 * ((m - k) * (m - k - 1) // 2) + k * (m - k)
+    return cells * (50 + _coefficient_bits(m, k) // 12) + 1000 * k * (m - k) + 2000
+
+
 def gauss_binomial(m: int, k: int) -> QPolynomial:
     """The Gaussian binomial coefficient [m choose k]_q as a polynomial.
 
     Has degree k*(m-k) and nonnegative coefficients; k > m yields the zero
     polynomial (the vanishing convention), so series code can sum freely.
-    A last row of more than MAX_QPASCAL_COEFFICIENTS coefficients raises
-    CapacityError before the row is made.
+    The last row's bytes above MAX_PREDICTED_BYTES, or the grid's time above
+    MAX_PREDICTED_NS, raise CapacityError before the row is made.
     """
     check_at_least(m, 0, "m")
     check_at_least(k, 0, "k")
@@ -182,8 +215,9 @@ def gauss_binomial(m: int, k: int) -> QPolynomial:
     if k == m:
         # A row of one entry, which each of the k passes would leave at 1.
         return QPolynomial.one()
-    work = f"gauss_binomial({m}, {k}) would hold {{}} coefficients in its last q-Pascal row"
-    check_budget(_last_row_size(m, k), MAX_QPASCAL_COEFFICIENTS, work)
+    call = f"gauss_binomial({m}, {k}) would"
+    check_budget(_row_bytes(m, k), MAX_PREDICTED_BYTES, call + " hold {} bytes in its q-Pascal row")
+    check_budget(_grid_ns(m, k), MAX_PREDICTED_NS, call + " take {} ns in its q-Pascal grid")
     # After pass i, row[j] = [i+j choose i]_q, held as a list of ints.  The grid
     # is always k passes of m-k steps, never the mirror [m choose m-k], so that
     # the symmetry checks compare two different computations.  Each step grows
@@ -203,28 +237,28 @@ def _symmetry_pairs(bound: int):
     return ((m, k) for m in range(bound + 1) for k in range((m + 1) // 2))
 
 
-def _check_symmetry_budget(bound: int) -> None:
-    """Refuse a symmetry sweep whose last q-Pascal rows add up to more than the cap."""
-    work = (
-        f"qbinomial-symmetry up to m={bound} (n-max + t-order) would hold at least {{}} "
-        "coefficients in its last q-Pascal rows"
-    )
-    sizes = (_last_row_size(m, k) + _last_row_size(m, m - k) for m, k in _symmetry_pairs(bound))
-    for total in accumulate(sizes):
-        check_budget(total, MAX_QPASCAL_COEFFICIENTS, work)
-
-
 def first_asymmetric_pair(bound: int) -> tuple[int, int] | None:
     """The first (m, k) with m <= bound and [m choose k] != [m choose m-k], or None.
 
     Each unordered pair is compared once, k < m-k, in order of m and then k;
     (m, k) fails exactly when (m, m-k) does, so this is the first failing k
-    of its row.  bound is `verify`'s n-max + t-order.  The last q-Pascal rows
-    of every pair are summed first, and as soon as the sum is above
-    MAX_QPASCAL_COEFFICIENTS, CapacityError is raised before the first
-    q-binomial is made.
+    of its row.  bound is `verify`'s n-max + t-order.  Before the first
+    q-binomial is made, the largest pair's bytes above MAX_PREDICTED_BYTES,
+    or the time of every pair's grids above MAX_PREDICTED_NS, raise
+    CapacityError.  The pairs are summed in order of m until either passes
+    its limit, so a refused sweep's predictions are lower bounds.
     """
-    _check_symmetry_budget(bound)
+    largest = ns = 0
+    for m, k in _symmetry_pairs(bound):
+        # [m choose k]'s k(m-k) + 1 coefficients are held while [m choose m-k] is made.
+        held = (k * (m - k) + 1) * (10 + int_bytes(_coefficient_bits(m, k)))
+        largest = max(largest, _row_bytes(m, k), held + _row_bytes(m, m - k))
+        ns += _grid_ns(m, k) + _grid_ns(m, m - k)
+        if largest > MAX_PREDICTED_BYTES or ns > MAX_PREDICTED_NS:
+            break
+    sweep = f"qbinomial-symmetry up to m={bound} (n-max + t-order) would"
+    check_budget(largest, MAX_PREDICTED_BYTES, f"{sweep} hold {{}} bytes in its largest pair")
+    check_budget(ns, MAX_PREDICTED_NS, f"{sweep} take at least {{}} ns in its q-Pascal grids")
     pairs = _symmetry_pairs(bound)
     failing = ((m, k) for m, k in pairs if gauss_binomial(m, k) != gauss_binomial(m, m - k))
     return next(failing, None)

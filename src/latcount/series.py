@@ -26,9 +26,9 @@ from math import isqrt
 from operator import add, mul
 
 from .arith import is_prime
-from .core import MAX_PREDICTED_NS, CountResult, Method, UsageError, check_args, check_at_least
-from .core import check_budget, power_bits
-from .qcalc import MAX_QPASCAL_COEFFICIENTS, QPolynomial, _last_row_size, gauss_binomial
+from .core import MAX_PREDICTED_BYTES, MAX_PREDICTED_NS, CountResult, Method, UsageError
+from .core import check_args, check_at_least, check_budget, int_bytes, power_bits
+from .qcalc import QPolynomial, _grid_ns, _last_row_size, _row_bytes, gauss_binomial
 from .qcalc import gauss_binomial_at
 
 
@@ -99,16 +99,16 @@ def geometric_factor(k: int, truncation_order: int) -> TSeries:
     """The series 1 / (1 - q^k t) truncated: sum_{j=0..K} q^(k j) t^j.
 
     Its monomials hold k K(K+1)/2 + K + 1 coefficients, as many as
-    gauss_binomial(k + K, k)'s last q-Pascal row; above
-    MAX_QPASCAL_COEFFICIENTS that raises CapacityError before the first
-    monomial is made.
+    gauss_binomial(k + K, k)'s last q-Pascal row, each a pointer to 0 or 1
+    of 8 bytes; making the last takes three copies of it, and each monomial
+    costs 120 bytes more.  Above MAX_PREDICTED_BYTES that raises
+    CapacityError before the first monomial is made.
     """
     check_at_least(k, 0, "exponent k")
     check_at_least(truncation_order, 0, "truncation order")
-    work = (
-        f"geometric_factor({k}, {truncation_order}) would hold {{}} coefficients in its monomials"
-    )
-    check_budget(_last_row_size(k + truncation_order, k), MAX_QPASCAL_COEFFICIENTS, work)
+    monomials = _last_row_size(k + truncation_order, k) + 3 * k * truncation_order
+    work = f"geometric_factor({k}, {truncation_order}) would hold {{}} bytes in its monomials"
+    check_budget(10 * monomials + 120 * (truncation_order + 1), MAX_PREDICTED_BYTES, work)
     return TSeries([QPolynomial.monomial(k * j) for j in range(truncation_order + 1)])
 
 
@@ -156,16 +156,23 @@ def lhs_product(n: int, truncation_order: int) -> TSeries:
 def rhs_sum(n: int, truncation_order: int) -> TSeries:
     """The q-binomial series: sum_{k=0..K} [n+k-1 choose k]_q t^k.
 
-    Its t^k coefficient has degree k*(n-1), so the series holds
-    (K+1)*((n-1)*K + 2)/2 coefficients, the size of gauss_binomial(n-1+K, n-1)'s
-    last q-Pascal row.  Above MAX_QPASCAL_COEFFICIENTS that raises
-    CapacityError before the first coefficient is made.
+    Its t^k coefficient has degree k*(n-1), so the series holds as many
+    coefficients as gauss_binomial(n-1+K, n-1)'s last q-Pascal row, and as
+    many bytes by `_row_bytes`; while it grows, the last q-binomial's
+    row, gauss_binomial(n-1+K, K)'s, is held as well.  Their bytes above
+    MAX_PREDICTED_BYTES, or the time of every q-binomial's grid above
+    MAX_PREDICTED_NS, raise CapacityError before the first coefficient is
+    made.
     """
     check_args(n)
     check_at_least(truncation_order, 0, "truncation order")
-    work = f"rhs_sum({n}, {truncation_order}) would hold {{}} coefficients in its q-binomials"
-    check_budget(_last_row_size(n - 1 + truncation_order, n - 1), MAX_QPASCAL_COEFFICIENTS, work)
-    return TSeries([gauss_binomial(n + k - 1, k) for k in range(truncation_order + 1)])
+    K = truncation_order
+    nbytes = _row_bytes(n - 1 + K, n - 1) + _row_bytes(n - 1 + K, K)
+    call = f"rhs_sum({n}, {K}) would"
+    check_budget(nbytes, MAX_PREDICTED_BYTES, f"{call} hold {{}} bytes in its q-binomials")
+    ns = sum(map(_grid_ns, range(n - 1, n + K), range(K + 1)))
+    check_budget(ns, MAX_PREDICTED_NS, f"{call} take {{}} ns in its q-Pascal grids")
+    return TSeries([gauss_binomial(n + k - 1, k) for k in range(K + 1)])
 
 
 def identity_sides(n: int, truncation_order: int) -> tuple[TSeries, TSeries]:
@@ -215,10 +222,17 @@ def euler_factor(p: int, n: int, truncation_order: int) -> list[int]:
     return [gauss_binomial_at(n + k - 1, k, p) for k in range(truncation_order + 1)]
 
 
-# The largest Dirichlet limit accepted, just over 10x the largest the count
-# benchmark draws.  Memory grows linearly with the limit: under tracemalloc,
-# n = 5 peaks at 8.7 MB for a limit of 10^5 and at 95 MB for this one.
-MAX_DIRICHLET_LIMIT = 2**20
+def _dirichlet_bytes(n: int, limit: int) -> int:
+    """The bytes dirichlet_coefficients(n, limit)'s lists hold.
+
+    The values are a list of limit + 1 slots, 10 bytes each at n = 1.  Above,
+    each entry also holds an int of f_n(m) < m^n, and each shift makes its
+    powers q^i, q <= limit/2, while the last shift's are held: two lists of
+    half as many slots, each with an int of at most (n-1) bits(limit) bits.
+    A slice update holds up to _RUN entries more, and the calls 20 kB.
+    """
+    ints = int_bytes(n * limit.bit_length()) + int_bytes((n - 1) * limit.bit_length())
+    return 10 * (limit + 1) if n == 1 else (limit + 1 + min(limit, _RUN)) * (16 + ints) + 20_000
 
 
 def _dirichlet_ns(n: int, limit: int) -> int:
@@ -258,8 +272,8 @@ def _dirichlet_levels(n: int, limit: int) -> Iterator[list[int]]:
     anything is allocated.  See dirichlet_coefficients.
     """
     check_args(n, limit)
-    work = f"Dirichlet coefficients up to {limit} would need lists of {limit + 1} entries"
-    check_budget(limit, MAX_DIRICHLET_LIMIT, work)
+    work = f"dirichlet_coefficients({n}, {limit}) would hold {{}} bytes in its lists"
+    check_budget(_dirichlet_bytes(n, limit), MAX_PREDICTED_BYTES, work)
     work = f"dirichlet_coefficients({n}, {limit}) would take {{}} ns in its convolutions"
     check_budget(_dirichlet_ns(n, limit), MAX_PREDICTED_NS, work)
     values = [1] * (limit + 1)
@@ -309,8 +323,9 @@ def dirichlet_coefficients(n: int, limit: int) -> list[int]:
 
     Entry m of the returned list is the sublattice count f_n(m); entry 0
     is 0.  Each shift is O(M log M), and besides the result holds the powers
-    q^i up to limit/2.  A limit above MAX_DIRICHLET_LIMIT, or a time above
-    MAX_PREDICTED_NS, raises CapacityError before anything is allocated.
+    q^i up to limit/2.  Its bytes above MAX_PREDICTED_BYTES, or its time
+    above MAX_PREDICTED_NS, raise CapacityError before anything is
+    allocated.
     The list is the last item of `_dirichlet_levels(n, limit)`, whose
     earlier items are the coefficients for each smaller n.
     """

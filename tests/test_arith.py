@@ -20,6 +20,7 @@ from latcount import (
     ordered_factorizations,
 )
 from latcount.arith import DivisorIndex, _divisor_table, _divisor_table_size
+from latcount.core import MAX_PREDICTED_BYTES
 from oracles import (
     brute_divisor_lists,
     brute_divisors,
@@ -330,12 +331,14 @@ class TestDivisorIndex:
 
 
 class TestDivisorBudget:
-    # m's divisors cost tau(m) cells each 1 + b // 512, b the bits of m; below 2^512, tau(m).
-    PRIMORIAL_59 = math.prod(sieve_primes(59))  # 17 primes, so tau = 2^17, the limit
+    # m's divisors cost tau(m) (59 + b // 12) bytes, b the bits of m.
+    PRIMORIAL_71 = math.prod(sieve_primes(71))  # 20 primes, so tau = 2^20, and 89 bits
 
-    def test_the_last_admitted_lists_stay_under_8_mb(self):
-        # 897612484786617600 has 103,680 divisors, the most of any m below 10^18
-        for m, tau in ((self.PRIMORIAL_59, 2**17), (2**8190, 8191), (897612484786617600, 103_680)):
+    def test_the_last_admitted_lists_stay_under_the_limit(self):
+        # 897612484786617600 has 103,680 divisors, the most of any m below 10^18; 2^34292 is
+        # the last admitted power of 2 and 71# the last admitted primorial.
+        shapes = ((self.PRIMORIAL_71, 2**20), (2**34292, 34293), (897612484786617600, 103_680))
+        for m, tau in shapes:
             tracemalloc.start()
             try:
                 index = DivisorIndex(m)
@@ -343,16 +346,19 @@ class TestDivisorBudget:
             finally:
                 tracemalloc.stop()
             assert len(index[m]) == tau
-            assert peak < 8 * 2**20, (m, peak)
+            del index
+            assert peak < MAX_PREDICTED_BYTES, (m, peak)
 
     @pytest.mark.parametrize(
         "m, message",
         [
-            (PRIMORIAL_59 * 61, "listing the 262144 divisors of an m of 77 bits would cost 262144"),
-            (2**8191, "listing the 8192 divisors of an m of 8192 bits would cost 139264"),
-            (10**5000, "listing the 25010001 divisors of an m of 16610 bits would cost 825330033"),
+            (PRIMORIAL_71 * 73, "listing the 2097152 divisors of an m of 96 bits would hold "
+             "140509184"),
+            (2**34293, "listing the 34294 divisors of an m of 34294 bits would hold 100001304"),
+            (10**5000, "listing the 25010001 divisors of an m of 16610 bits would hold "
+             "36089431443"),
         ],
-        ids=["primorial-61", "2^8191", "10^5000"],
+        ids=["primorial-73", "2^34293", "10^5000"],
     )
     def test_the_first_refused_make_no_list(self, m, message):
         tracemalloc.start()
@@ -362,7 +368,7 @@ class TestDivisorBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert str(excinfo.value) == f"{message} cells, above the limit 131072"
+        assert str(excinfo.value) == f"{message} bytes, above the limit 100000000"
         assert peak < 2**20
 
     def test_a_stream_is_refused_at_its_first_item(self):

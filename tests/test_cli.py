@@ -29,7 +29,9 @@ from latcount import (
     UsageError,
     gauss_binomial_at,
 )
-from latcount.series import MAX_DIRICHLET_LIMIT
+from latcount.core import MAX_PREDICTED_BYTES
+from latcount.hnf import _prefix_bytes
+from latcount.series import _dirichlet_bytes
 
 
 def run_cli(*args, env_extra=None, timeout=None):
@@ -232,7 +234,8 @@ class TestCount:
         assert peak < 1 << 20
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and str(MAX_DIRICHLET_LIMIT) in err
+        assert err.startswith("error: dirichlet_coefficients(5, 10000000000) would hold ")
+        assert err.endswith(f"bytes in its lists, above the limit {MAX_PREDICTED_BYTES}\n")
 
     def test_all_leaves_dirichlet_out_past_its_limit(self):
         proc = run_cli("count", "--n", "2", "--m", "10000000019", "--all")
@@ -241,7 +244,8 @@ class TestCount:
             "factorization-sum: 10000000020\ngruber: 10000000020\nrecursion: 10000000020\n"
         )
         assert proc.stderr == (
-            f"note: dirichlet left out: m=10000000019 is above its limit {MAX_DIRICHLET_LIMIT}\n"
+            f"note: dirichlet left out: it would hold {_dirichlet_bytes(2, 10000000019)} "
+            f"bytes in its lists, above the limit {MAX_PREDICTED_BYTES}\n"
             "note: hnf left out: it would emit 10000000020 matrices, above the default cap 1000000\n"
         )
 
@@ -402,8 +406,8 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
-            "error: listing the 25010001 divisors of an m of 16610 bits would cost 825330033 "
-            "cells, above the limit 131072\n"
+            "error: listing the 25010001 divisors of an m of 16610 bits would hold 36089431443 "
+            "bytes, above the limit 100000000\n"
         )
 
     @pytest.mark.parametrize(
@@ -411,10 +415,10 @@ class TestExitCodes:
         [
             (
                 "recursion",
-                1000,
+                7700,
                 "200560490130",
-                "the recursion's 2048 values for n=1000 at an m of 38 bits would hold 149504 "
-                "cells, above the limit 131072",
+                "the recursion's 2048 values for n=7700 at an m of 38 bits would hold 100186264 "
+                "bytes, above the limit 100000000",
             ),
             (
                 "recursion",
@@ -449,9 +453,9 @@ class TestExitCodes:
                 "ns, above the limit 2000000000",
             ),
             (
-                ("table", "--n", "2", "--max-m", "86764", "--method", "factorization-sum"),
-                "the factorization-sum sweep up to m=86764 would hold 1000008 divisor-table "
-                "pointers, above the limit 1000000",
+                ("table", "--n", "2", "--max-m", "300123", "--method", "factorization-sum"),
+                "the factorization-sum sweep's divisor table up to m=300123 would hold 100000020 "
+                "bytes, above the limit 100000000",
             ),
             (
                 ("verify", "--n-max", "5", "--m-max", "36984", "--t-order", "0"),
@@ -675,9 +679,8 @@ class TestEnumerate:
         proc = run_cli("enumerate", "--n", str(n), "--m", "2", "--limit", "1", timeout=10)
         assert proc.returncode == 3
         assert proc.stdout == ""
-        predicted = (n * (n - 1) // 2 + 1) * n * n * 2
         assert proc.stderr == (
-            f"error: enumerate_lines({n}, 2) would hold up to {predicted} characters in its "
+            f"error: enumerate_lines({n}, 2) would hold up to {_prefix_bytes(n, 2)} bytes in its "
             "prefixes, above the limit 100000000\n"
         )
 
@@ -827,13 +830,15 @@ class TestVerify:
         assert proc.returncode == 0
 
     def test_m_max_past_the_dirichlet_limit_exits_3_before_output(self, capsys):
-        code = cli.main(
-            ["verify", "--n-max", "1", "--m-max", str(MAX_DIRICHLET_LIMIT + 1), "--t-order", "0"]
-        )
+        # At n = 1 Dirichlet's list of 10 bytes an entry is the first budget past 9999999.
+        code = cli.main(["verify", "--n-max", "1", "--m-max", "10000000", "--t-order", "0"])
         assert code == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert str(MAX_DIRICHLET_LIMIT) in err
+        assert err == (
+            "error: dirichlet_coefficients(1, 10000000) would hold 100000010 bytes in its lists, "
+            "above the limit 100000000\n"
+        )
 
     @staticmethod
     def skew_rhs(monkeypatch, fault_n, fault_power):
@@ -890,22 +895,27 @@ class TestVerify:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: qbinomial-symmetry up to m={t_order + 1} ")
-        assert proc.stderr.endswith(" above the limit 1000000\n")
+        assert proc.stderr.endswith(" ns in its q-Pascal grids, above the limit 2000000000\n")
 
     def test_symmetry_budget_is_refused_before_the_first_line(self, monkeypatch, capsys):
-        # the rows up to m=2 hold 7 coefficients, and (3, 0) and (3, 3) add 4 + 1 more
-        monkeypatch.setattr(latcount.qcalc, "MAX_QPASCAL_COEFFICIENTS", 10)
+        # the first pair, (1, 0) and (1, 1), is over 10 bytes
+        monkeypatch.setattr(latcount.qcalc, "MAX_PREDICTED_BYTES", 10)
         code = cli.main(["verify", "--n-max", "1", "--m-max", "3", "--t-order", "6"])
         assert code == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert "up to m=7 " in err and "limit 10\n" in err
 
-    def test_symmetry_budget_admits_the_rows_up_to_m_40(self):
-        # rows up to m=40 hold 951,223 coefficients and up to m=41, 1,075,536
-        latcount.qcalc._check_symmetry_budget(40)
-        with pytest.raises(CapacityError, match="up to m=41 "):
-            latcount.qcalc._check_symmetry_budget(41)
+    def test_symmetry_budget_admits_the_grids_up_to_m_52(self, monkeypatch):
+        # the grids up to m=52 take 1,835,814,668 ns and up to m=53, 2,005,549,874
+        monkeypatch.setattr(latcount.qcalc, "gauss_binomial", lambda m, k: None)
+        assert latcount.qcalc.first_asymmetric_pair(52) is None
+        with pytest.raises(CapacityError) as excinfo:
+            latcount.qcalc.first_asymmetric_pair(53)
+        assert str(excinfo.value) == (
+            "qbinomial-symmetry up to m=53 (n-max + t-order) would take at least 2005549874 ns "
+            "in its q-Pascal grids, above the limit 2000000000"
+        )
 
     def test_symmetry_fault_exits_4(self, monkeypatch, capsys):
         real_binomial = latcount.qcalc.gauss_binomial
@@ -921,6 +931,24 @@ class TestVerify:
             "cross-method-agreement: pass (n <= 2, m <= 5)",
             "qbinomial-symmetry: fail at m=3 k=1",
             "generating-identity: pass (n <= 2, t-order <= 3)",
+        ]
+
+    def test_bridge_fault_exits_4(self, monkeypatch, capsys):
+        real_bridge = latcount.count.gauss_binomial_at
+
+        def skewed_bridge(m, k, q0):
+            # off by one at (5, 3): f_3(p^3) for every prime p
+            return real_bridge(m, k, q0) + ((m, k) == (5, 3))
+
+        monkeypatch.setattr(latcount.count, "gauss_binomial_at", skewed_bridge)
+        code = cli.main(["verify", "--n-max", "4", "--m-max", "200", "--t-order", "10"])
+        assert code == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "cross-method-agreement: fail at n=3 m=8 (methods disagree for n=3, m=8: "
+            "dirichlet=155, factorization-sum=155, gruber=155, recursion=155, "
+            "gauss_binomial_at=156)",
+            "qbinomial-symmetry: pass (m <= 14)",
+            "generating-identity: pass (n <= 4, t-order <= 10)",
         ]
 
     def test_cross_method_fault_exits_4(self, monkeypatch, capsys):
@@ -959,14 +987,14 @@ class TestSeries:
         )
 
     def test_q_pascal_row_over_the_cap_exits_3_before_output(self):
-        # (2000, 1)'s products touch 4,001,998 cells, inside their budget, so the
-        # first refusal is the rhs's second q-binomial.
-        proc = run_cli("series", "--n", "2000", "--t-order", "1")
+        # (2000, 2)'s products take 1.62 s, inside their budget, so the first refusal is
+        # the rhs's bytes, whose last q-binomial's row holds 4,000,000 coefficients.
+        proc = run_cli("series", "--n", "2000", "--t-order", "2")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
-            "error: gauss_binomial(2000, 1) would hold 2001000 coefficients in its last "
-            "q-Pascal row, above the limit 1000000\n"
+            "error: rhs_sum(2000, 2) would hold 201340160 bytes in its q-binomials, "
+            "above the limit 100000000\n"
         )
 
 
@@ -975,12 +1003,12 @@ class TestSeries:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == (
-            "error: rhs_sum(1, 1000000000) would hold 1000000001 coefficients in its "
-            "q-binomials, above the limit 1000000\n"
+            "error: rhs_sum(1, 1000000000) would hold 130000000150 bytes in its "
+            "q-binomials, above the limit 100000000\n"
         )
 
     def test_lhs_over_the_budget_exits_3_before_output(self):
-        # The largest order rhs_sum admits at n = 2; multiplied out, about a minute.
+        # An order rhs_sum admits at n = 2; multiplied out, about a minute.
         proc = run_cli("series", "--n", "2", "--t-order", "1412", timeout=10)
         assert proc.returncode == 3
         assert proc.stdout == ""

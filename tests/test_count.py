@@ -36,7 +36,8 @@ from latcount.arith import DivisorIndex, _divisor_table, factorize
 from latcount.count import FORMULA_METHODS, _exponents, _factorization_sum, check_enumeration_size
 from latcount.count import first_disagreement, left_out_methods
 from latcount.hnf import DEFAULT_ENUMERATION_CAP
-from latcount.series import MAX_DIRICHLET_LIMIT
+from latcount.core import MAX_PREDICTED_BYTES
+from latcount.series import _dirichlet_bytes
 from oracles import brute_factorization, brute_ordered_factorizations, brute_sigma
 from oracles import brute_tuple_sums, sieve_primes
 
@@ -350,7 +351,7 @@ class TestHarness:
         assert {r.value for r in results} == {2_623_530}
 
     def test_dirichlet_skipped_above_its_limit(self):
-        # 10000000019 is prime and far above MAX_DIRICHLET_LIMIT
+        # 10000000019 is prime, and Dirichlet's lists up to it far above MAX_PREDICTED_BYTES
         results = count_all_methods(2, 10000000019)
         assert [str(r.method) for r in results] == ["factorization-sum", "gruber", "recursion"]
         assert {r.value for r in results} == {brute_sigma(10000000019)}
@@ -363,7 +364,8 @@ class TestHarness:
             Method.HNF: "it would emit 2623530 matrices, above the default cap 1000000"
         }
         assert left_out_methods(2, 10000000019, 10000000020) == {
-            Method.DIRICHLET: "m=10000000019 is above its limit 1048576",
+            Method.DIRICHLET: f"it would hold {_dirichlet_bytes(2, 10000000019)} bytes in its "
+            "lists, above the limit 100000000",
             Method.HNF: "it would emit 10000000020 matrices, above the default cap 1000000",
         }
         # The last limit Dirichlet's time admits at n = 2.
@@ -376,8 +378,11 @@ class TestHarness:
             Method.DIRICHLET: "it would take 2000005056 ns in its convolutions, "
             "above the limit 2000000000"
         }
-        assert left_out_methods(2, MAX_DIRICHLET_LIMIT + 1, 1) == {
-            Method.DIRICHLET: "m=1048577 is above its limit 1048576"
+        # At n = 1, with no convolution, its list's bytes: the last limit admitted is 9,999,999.
+        assert left_out_methods(1, 9_999_999, 1) == {}
+        assert left_out_methods(1, 10**7, 1) == {
+            Method.DIRICHLET: "it would hold 100000010 bytes in its lists, "
+            "above the limit 100000000"
         }
 
     def test_all_never_refuses_for_dirichlet(self, monkeypatch):
@@ -558,7 +563,7 @@ class TestRequestDispatch:
     def test_recursion_table_builds_no_divisor_index(self, monkeypatch):
         expected = [count_by_recursion(4, m).value for m in range(1, 301)]
         # No budget edge either: with none left, the sweep still makes no table.
-        monkeypatch.setattr(latcount.count, "MAX_DIVISOR_TABLE_POINTERS", 0)
+        monkeypatch.setattr(latcount.count, "MAX_PREDICTED_BYTES", 0)
         self._forbid(monkeypatch, "DivisorIndex")
         self._forbid(monkeypatch, "_divisor_table")
         assert list(count_table(4, 300, Method.RECURSION)) == expected
@@ -575,15 +580,16 @@ class TestRequestDispatch:
         self._forbid(monkeypatch, "_divisor_table")
         self._forbid(monkeypatch, "DivisorIndex")
         message = (
-            "the factorization-sum sweep up to m=86764 would hold 1000008 divisor-table "
-            "pointers, above the limit 1000000"
+            "the factorization-sum sweep's divisor table up to m=300123 would hold 100000020 "
+            "bytes, above the limit 100000000"
         )
         for n in (2, 3):
             with pytest.raises(CapacityError) as excinfo:
-                count_table(n, 86_764, Method.FACTORIZATION_SUM)
+                count_table(n, 300_123, Method.FACTORIZATION_SUM)
             assert str(excinfo.value) == message
-        with pytest.raises(CapacityError, match="^the factorization-sum sweep up to m=86764 "):
-            first_disagreement(2, 86_764)
+        match = "^the factorization-sum sweep's divisor table up to m=300123 "
+        with pytest.raises(CapacityError, match=match):
+            first_disagreement(2, 300_123)
 
     def test_level_one_alone_makes_no_divisor_table(self, monkeypatch):
         # f_1 = 1 reads no divisor list, so neither the table nor its budget is reached.
@@ -592,10 +598,12 @@ class TestRequestDispatch:
         assert list(count_table(1, 86_764, Method.FACTORIZATION_SUM)) == [1] * 86_764
         assert first_disagreement(1, 86_764) is None
 
-    def test_divisor_budget_admits_max_m_to_86763(self):
-        budget = latcount.count.MAX_DIVISOR_TABLE_POINTERS
-        assert latcount.count._divisor_table_size(86_763) <= budget
-        assert latcount.count._divisor_table_size(86_764) > budget
+    def test_divisor_budget_admits_max_m_to_300122(self):
+        # 12 bytes a pointer and 180 a q; at n = 2 the time is under the limit there.
+        table_bytes = latcount.count._factorization_sum_sweep_bytes
+        assert table_bytes(2, 300_122) <= MAX_PREDICTED_BYTES < table_bytes(2, 300_123)
+        ns = latcount.count._factorization_sum_sweep_ns(2, 300_122, 2)
+        assert ns <= latcount.core.MAX_PREDICTED_NS
 
     @staticmethod
     def _traced_while_read(make):
@@ -803,8 +811,8 @@ class TestSweepBudgets:
         limit = latcount.core.MAX_PREDICTED_NS
         ns = latcount.count._factorization_sum_sweep_ns
         # verify makes levels 1 .. n, and table the n-th alone: the last max_m admitted at n,
-        # and the last n admitted at m = 2 and 4.  At n = 4 the divisor table's pointers
-        # bind first, at max_m = 86,763.
+        # and the last n admitted at m = 2 and 4.  At n = 4, max_m = 86,763, the old
+        # divisor-table edge, is inside the time.
         for n, max_m, lowest in [(5, 36_983, 1), (5, 42_903, 5)]:
             assert ns(n, max_m, lowest) <= limit < ns(n, max_m + 1, lowest), (n, max_m)
         assert ns(4, 86_763, 4) <= ns(4, 86_763, 1) <= limit
@@ -867,7 +875,7 @@ class TestRefusalsBeforeWork:
         cases = [
             # The matrix stream at n = 1000 held 1.43 GB; f_n(1) = 1 is under the cap.
             (lambda: run_count(2000, 1, "hnf"), "enumeration of (n=2000, m=1) would hold up to "
-             "15992008000000 characters in its prefixes, above the limit 100000000"),
+             "15992168363992 bytes in its prefixes, above the limit 100000000"),
             # 3.19 s, with nothing refusing it.
             (lambda: count_table(4, 10**6, Method.GRUBER), "the Gruber sweep up to n=4, "
              "m=1000000 would take at least 4595100000 ns, above the limit 2000000000"),
@@ -901,12 +909,12 @@ class TestRefusalsBeforeWork:
             Method.HNF: f"it would emit {2**1100 - 1} matrices, above the default cap 1000000"
         }
         assert left_out_methods(101, 1, 1) == {
-            Method.HNF: "it would hold up to 103050502 characters in its prefixes, "
+            Method.HNF: "it would hold up to 103761766 bytes in its prefixes, "
             "above the limit 100000000"
         }
         assert left_out_methods(100, 1, 1) == {}
         for stream in (enumerate_hnf, enumerate_lines):
-            with pytest.raises(CapacityError, match="would hold up to 103050502 characters"):
+            with pytest.raises(CapacityError, match="would hold up to 103761766 bytes"):
                 stream(101, 1)
         with pytest.raises(CapacityError, match=r"^enumeration of \(n=101, m=1\) would hold "):
             check_enumeration_size(101, 1)
@@ -930,22 +938,22 @@ class TestSingleCountBudgets:
             "the recursion's levels for n=392 at an m of 38 bits would take 2002692225 ns, "
             "above the limit 2000000000"
         )
-        # n = 1000 would hold its 2048 values at 73 cells each.
-        with pytest.raises(CapacityError, match="^the recursion's 2048 values for n=1000 at an m"):
-            count_by_recursion(1000, self.PRIMORIAL_31)
+        # n = 7700 would hold its 2048 values at over 48,000 bytes each.
+        with pytest.raises(CapacityError, match="^the recursion's 2048 values for n=7700 at an m"):
+            count_by_recursion(7700, self.PRIMORIAL_31)
 
     def test_recursion_refuses_m_s_divisor_list_as_the_index_does(self, monkeypatch):
-        # 2^8190's divisor list is admitted; at n = 3 its values are not.
-        assert count_by_recursion(2, 2**8190).value == 2**8191 - 1
+        # 2^19304's grid is admitted at n = 2, and 2^19305's is not.
+        assert count_by_recursion(2, 2**19304).value == 2**19305 - 1
         monkeypatch.setattr(latcount.count, "accumulate", None)
         for n in (1, 2, 3):
             with pytest.raises(CapacityError, match="^listing the 25010001 divisors of an m of"):
                 count_by_recursion(n, 10**5000)
         with pytest.raises(CapacityError) as excinfo:
-            count_by_recursion(3, 2**8190)
+            count_by_recursion(2, 2**19305)
         assert str(excinfo.value) == (
-            "the recursion's 8191 values for n=3 at an m of 8191 bits would hold 262112 cells, "
-            "above the limit 131072"
+            "the recursion's 19306 values for n=2 at an m of 19306 bits would hold 100004880 "
+            "bytes, above the limit 100000000"
         )
 
     def test_factorization_sum_refuses_past_its_cells_before_the_first_prefix(self):

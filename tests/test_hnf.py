@@ -19,7 +19,7 @@ from latcount import (
     validate_hnf,
 )
 from latcount import hnf
-from latcount.core import walk
+from latcount.core import MAX_PREDICTED_BYTES, walk
 from oracles import brute_hnf_matrices
 
 
@@ -214,18 +214,18 @@ class TestOdometer:
 
 class TestPrefixBudget:
     def test_the_prediction_is_refused_when_the_stream_is_made(self):
-        assert hnf._prefix_chars(100, 2) == 99_020_000 <= hnf.MAX_PREFIX_CHARS
+        assert hnf._prefix_bytes(100, 2) == 99_809_520 <= MAX_PREDICTED_BYTES
         assert next(enumerate_lines(100, 2)).startswith("1,0,0")
         with pytest.raises(CapacityError) as excinfo:
             enumerate_lines(101, 2)
         assert str(excinfo.value) == (
-            "enumerate_lines(101, 2) would hold up to 103050502 characters in its prefixes, "
+            "enumerate_lines(101, 2) would hold up to 103849766 bytes in its prefixes, "
             "above the limit 100000000"
         )
 
     def test_n_400_is_refused_at_once(self):
         # `enumerate --n 400 --m 2 --limit 1` was killed by the kernel with empty stdout
-        with pytest.raises(CapacityError, match=r"^enumerate_lines\(400, 2\) .* 25536320000 "):
+        with pytest.raises(CapacityError, match=r"^enumerate_lines\(400, 2\) .* 25544338320 bytes"):
             enumerate_lines(400, 2)
 
     def test_the_prediction_bounds_the_prefixes(self):
@@ -233,7 +233,7 @@ class TestPrefixBudget:
         for n, m in ((1, 7), (2, 12), (3, 30), (4, 12), (5, 6)):
             *_, last = enumerate_lines(n, m)
             levels = n * (n - 1) // 2 + 1
-            assert levels * len(last) <= hnf._prefix_chars(n, m)
+            assert levels * len(last) <= hnf._prefix_bytes(n, m)
 
     def test_bad_arguments_are_usage_errors_before_the_budget(self):
         for n, m in ((0, 2), (-1000, 2), (3, 0)):
@@ -285,7 +285,7 @@ class TestDigitBudget:
 
     def test_a_lifted_or_missing_limit_is_not_checked(self, monkeypatch):
         # as under the CLI, which lifts the limit, and on an interpreter without one
-        assert hnf._prefix_chars(2, 10**5000) == 2 * 4 * 5002
+        assert hnf._prefix_bytes(2, 10**5000) == 1_061_040
         sys.set_int_max_str_digits(0)
         enumerate_lines(2, 10**5000)
         monkeypatch.delattr(sys, "get_int_max_str_digits")

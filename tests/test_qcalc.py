@@ -1,5 +1,8 @@
 import math
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 import latcount.qcalc
@@ -13,8 +16,11 @@ from latcount import (
     gauss_binomial,
     gauss_binomial_at,
 )
-from latcount.qcalc import MAX_QPASCAL_COEFFICIENTS, first_asymmetric_pair
+from latcount.core import MAX_PREDICTED_BYTES, MAX_PREDICTED_NS
+from latcount.qcalc import first_asymmetric_pair
 from oracles import poly_mul, poly_value, q_factorial, qbinomial_by_quotient
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 
 class TestQPolynomial:
@@ -136,20 +142,42 @@ class TestGaussBinomial:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
-        assert "5987007" in str(refusal.value)
-        assert str(MAX_QPASCAL_COEFFICIENTS) in str(refusal.value)
+        assert str(refusal.value) == (
+            "gauss_binomial(2000, 3) would hold 300189310 bytes in its q-Pascal row, "
+            f"above the limit {MAX_PREDICTED_BYTES}"
+        )
 
     def test_cap_sits_between_the_largest_rows_in_use_and_the_first_refused(self):
         # (1000, 2) holds 999 * 999 coefficients, (120, 60) holds 61 * 1801.
         assert gauss_binomial(1000, 2).degree == 1996
         assert gauss_binomial(120, 60).degree == 3600
-        # (1001, 2) holds 1000 * 1000, exactly the cap.
-        assert gauss_binomial(1001, 2).degree == 1998
-        # For k = 1 the last row holds m(m+1)/2 coefficients: m = 1413 fits, 1414 does not.
-        assert 1413 * 1414 // 2 <= MAX_QPASCAL_COEFFICIENTS < 1414 * 1415 // 2
-        assert gauss_binomial(1413, 1).degree == 1412
-        with pytest.raises(CapacityError, match="1000405"):
-            gauss_binomial(1414, 1)
+        # For k = 1 the last row holds m(m+1)/2 coefficients, 10 bytes each with no int:
+        # m = 4457 fits, 4458 does not.
+        assert gauss_binomial(4457, 1).degree == 4456
+        with pytest.raises(CapacityError) as excinfo:
+            gauss_binomial(4458, 1)
+        assert str(excinfo.value) == (
+            "gauss_binomial(4458, 1) would hold 100015230 bytes in its q-Pascal row, "
+            "above the limit 100000000"
+        )
+
+    @pytest.mark.parametrize("m, k", [(40002, 40000), (333334, 333332), (250, 125)])
+    def test_a_grid_over_its_time_is_refused_at_once(self, m, k):
+        # The old coefficient cap admitted all three: (250, 125) ran 4.2 s, and (5002, 5000),
+        # 12,500,000 cells, 0.53 s, so (40002, 40000) would run about 35 s.  (333334, 333332)'s
+        # row is over the byte limit as well, which is asked first.
+        began = time.perf_counter()
+        with pytest.raises(CapacityError, match=rf"^gauss_binomial\({m}, {k}\) would "):
+            gauss_binomial(m, k)
+        assert time.perf_counter() - began < 0.1
+
+    def test_the_grids_in_use_still_answer(self):
+        assert gauss_binomial(5002, 5000).degree == 10000
+        assert gauss_binomial(120, 60).degree == 3600
+        # the last admitted grids of the two shapes, about 1.5 s each, are predicted, not run
+        for last, first in (((8816, 8814), (8817, 8815)), ((208, 104), (210, 105))):
+            ns = latcount.qcalc._grid_ns
+            assert ns(*last) <= MAX_PREDICTED_NS < ns(*first)
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):
@@ -167,13 +195,31 @@ class TestSymmetrySweep:
         calls = []
         monkeypatch.setattr(latcount.qcalc, "gauss_binomial", lambda m, k: calls.append((m, k)))
         with pytest.raises(CapacityError) as excinfo:
-            first_asymmetric_pair(41)
-        # the rows up to m=40 hold 951,223 coefficients; the sum first passes the cap at m=41
+            first_asymmetric_pair(53)
+        # the grids up to m=52 take 1,835,814,668 ns; the sum first passes the limit at m=53
         assert str(excinfo.value) == (
-            "qbinomial-symmetry up to m=41 (n-max + t-order) would hold at least 1006564 "
-            "coefficients in its last q-Pascal rows, above the limit 1000000"
+            "qbinomial-symmetry up to m=53 (n-max + t-order) would take at least 2005549874 ns "
+            "in its q-Pascal grids, above the limit 2000000000"
         )
         assert calls == []
+
+    def test_budget_is_over_ten_times_the_largest_benchmark_sweep(self, monkeypatch):
+        sys.path.insert(0, PERFBENCH)
+        try:
+            import workloads
+        finally:
+            sys.path.remove(PERFBENCH)
+        largest = max(n_max for n_max, _, _ in workloads.VERIFY_SHAPES)
+        bound = largest + max(workloads.VERIFY_T_ORDERS)
+        assert bound == 15
+        predictions = {}
+        monkeypatch.setattr(
+            latcount.qcalc, "check_budget", lambda p, limit, work: predictions.update({limit: p})
+        )
+        monkeypatch.setattr(latcount.qcalc, "gauss_binomial", lambda m, k: None)
+        first_asymmetric_pair(bound)
+        assert 10 * predictions[MAX_PREDICTED_BYTES] <= MAX_PREDICTED_BYTES
+        assert 10 * predictions[MAX_PREDICTED_NS] <= MAX_PREDICTED_NS
 
     def test_an_injected_fault_returns_the_first_failing_pair(self, monkeypatch):
         real_binomial = latcount.qcalc.gauss_binomial

@@ -22,8 +22,8 @@ from latcount import (
     lhs_product,
     rhs_sum,
 )
-from latcount.core import MAX_PREDICTED_NS
-from latcount.series import MAX_DIRICHLET_LIMIT, identity_sides
+from latcount.core import MAX_PREDICTED_BYTES, MAX_PREDICTED_NS
+from latcount.series import identity_sides
 from oracles import (
     brute_sigma,
     dirichlet_by_descending_divisors,
@@ -170,18 +170,42 @@ class TestGeneratingIdentity:
 
         monkeypatch.setattr(latcount.series, "gauss_binomial", unbuilt)
         with pytest.raises(CapacityError) as excinfo:
-            rhs_sum(2, 1413)
+            rhs_sum(2, 1950)
         assert str(excinfo.value) == (
-            "rhs_sum(2, 1413) would hold 1000405 coefficients in its q-binomials, "
-            "above the limit 1000000"
+            "rhs_sum(2, 1950) would take 2001238250 ns in its q-Pascal grids, "
+            "above the limit 2000000000"
+        )
+        with pytest.raises(CapacityError) as excinfo:
+            rhs_sum(1, 769_230)
+        assert str(excinfo.value) == (
+            "rhs_sum(1, 769230) would hold 100000050 bytes in its q-binomials, "
+            "above the limit 100000000"
         )
 
-    def test_rhs_budget_admits_998991_and_one_million_coefficients(self, monkeypatch):
+    def test_rhs_budget_admits_its_last_orders(self, monkeypatch):
+        # n = 2 is bound by its grids' time, one step for each pass, and n = 1 by its bytes
         monkeypatch.setattr(latcount.series, "gauss_binomial", lambda m, k: QPolynomial.one())
-        assert latcount.qcalc._last_row_size(1413, 1) == 998_991
-        assert latcount.qcalc._last_row_size(999_999, 0) == 1_000_000
-        for n, order in ((2, 1412), (1, 999_999)):
+        for n, order in ((2, 1949), (1, 769_229)):
             assert rhs_sum(n, order).truncation_order == order
+
+    def test_rhs_budget_is_over_ten_times_the_largest_benchmark_rhs(self, monkeypatch):
+        sys.path.insert(0, PERFBENCH)
+        try:
+            import workloads
+        finally:
+            sys.path.remove(PERFBENCH)
+        predictions = {}
+
+        def record(predicted, limit, work):
+            predictions[limit] = max(predictions.get(limit, 0), predicted)
+
+        monkeypatch.setattr(latcount.series, "check_budget", record)
+        monkeypatch.setattr(latcount.series, "gauss_binomial", lambda m, k: QPolynomial.one())
+        for triple in workloads.series_triples():
+            for n, order in triple:
+                rhs_sum(n, order)
+        assert 10 * predictions[MAX_PREDICTED_BYTES] <= MAX_PREDICTED_BYTES
+        assert 10 * predictions[MAX_PREDICTED_NS] <= MAX_PREDICTED_NS
 
     def test_lhs_cells_are_the_cells_of_its_products(self, monkeypatch):
         cells = 0
@@ -246,14 +270,14 @@ class TestGeneratingIdentity:
         assert slowest == latcount.series._lhs_ns(15, 19)
         assert 10 * slowest <= MAX_PREDICTED_NS
 
-    def test_geometric_factor_admits_998991_and_refuses_1000405_coefficients(self):
-        held = sum(len(c.coefficients) for c in geometric_factor(1, 1412).coefficients)
-        assert held == 998_991
+    def test_geometric_factor_admits_k_4455_and_refuses_4456(self):
+        held = sum(len(c.coefficients) for c in geometric_factor(1, 4455).coefficients)
+        assert held == latcount.qcalc._last_row_size(4456, 1) == 9_930_196
         with pytest.raises(CapacityError) as excinfo:
-            geometric_factor(1, 1413)
+            geometric_factor(1, 4456)
         assert str(excinfo.value) == (
-            "geometric_factor(1, 1413) would hold 1000405 coefficients in its monomials, "
-            "above the limit 1000000"
+            "geometric_factor(1, 4456) would hold 100015050 bytes in its monomials, "
+            "above the limit 100000000"
         )
 
     def test_n_one_lhs_admits_and_refuses_the_orders_the_rhs_does(self, monkeypatch):
@@ -263,20 +287,20 @@ class TestGeneratingIdentity:
         monkeypatch.setattr(
             QPolynomial, "monomial", classmethod(lambda cls, power: powers.append(power) or one)
         )
-        assert lhs_product(1, 999_999).truncation_order == 999_999
-        assert len(powers) == 10**6
+        assert lhs_product(1, 769_229).truncation_order == 769_229
+        assert len(powers) == 769_230
         powers.clear()
-        with pytest.raises(CapacityError, match=r"^geometric_factor\(0, 1000000\) would hold"):
-            lhs_product(1, 10**6)
+        with pytest.raises(CapacityError, match=r"^geometric_factor\(0, 769230\) would hold"):
+            lhs_product(1, 769_230)
         assert powers == []
 
     def test_n_one_over_the_budget_is_refused_before_allocating(self):
         tracemalloc.start()
         try:
             for side in (lhs_product, rhs_sum):
-                with pytest.raises(CapacityError, match="above the limit 1000000$"):
+                with pytest.raises(CapacityError, match="above the limit 100000000$"):
                     side(1, 10**6)
-            with pytest.raises(CapacityError, match="1000000001 coefficients"):
+            with pytest.raises(CapacityError, match="130000000150 bytes"):
                 verify_generating_identity(1, 10**9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -288,16 +312,16 @@ class TestGeneratingIdentity:
             assert identity_sides(n, order) == (lhs_product(n, order), rhs_sum(n, order))
 
     def test_a_q_pascal_row_over_its_cap_is_refused_before_any_product(self, monkeypatch):
-        # (2000, 1)'s products touch 4,001,998 cells, inside their budget, so the
-        # first refusal is the rhs's second q-binomial.
+        # (2000, 2)'s products take 1.62 s, inside their budget, so the first refusal
+        # is the rhs's bytes, whose last q-binomial's row holds 4,000,000 coefficients.
         products = []
         multiply = TSeries.__mul__
         monkeypatch.setattr(TSeries, "__mul__", lambda a, b: products.append(b) or multiply(a, b))
         with pytest.raises(CapacityError) as excinfo:
-            verify_generating_identity(2000, 1)
+            verify_generating_identity(2000, 2)
         assert str(excinfo.value) == (
-            "gauss_binomial(2000, 1) would hold 2001000 coefficients in its last q-Pascal row, "
-            "above the limit 1000000"
+            "rhs_sum(2000, 2) would hold 201340160 bytes in its q-binomials, "
+            "above the limit 100000000"
         )
         assert products == []
 
@@ -432,11 +456,12 @@ class TestDirichletCoefficients:
         assert peak < 2 * 10**6
 
     def test_limit_above_the_cap_is_refused_before_allocating(self):
-        assert len(dirichlet_coefficients(1, MAX_DIRICHLET_LIMIT)) == MAX_DIRICHLET_LIMIT + 1
+        # At n = 1 a list of 10 bytes an entry; at n = 5 each entry holds two ints as well.
+        assert len(dirichlet_coefficients(1, 9_999_999)) == 10**7
         tracemalloc.start()
         try:
-            for limit in (MAX_DIRICHLET_LIMIT + 1, 10**10):
-                with pytest.raises(CapacityError, match=str(MAX_DIRICHLET_LIMIT)):
+            for limit in (10**7, 10**10):
+                with pytest.raises(CapacityError, match="bytes in its lists, above the limit"):
                     dirichlet_coefficients(5, limit)
                 with pytest.raises(CapacityError):
                     count_by_dirichlet(5, limit)
@@ -447,7 +472,7 @@ class TestDirichletCoefficients:
 
     def test_cell_budget_edges_at_n_2(self):
         # At n = 2 the convolution's time refuses first, past 769,230; at n = 1 there is none,
-        # so the lists refuse 2^20 + 1.
+        # so the list's bytes refuse 10^7.
         assert latcount.series._dirichlet_ns(2, 769_230) <= MAX_PREDICTED_NS
         with pytest.raises(CapacityError) as excinfo:
             dirichlet_coefficients(2, 769_231)
@@ -456,10 +481,10 @@ class TestDirichletCoefficients:
             "above the limit 2000000000"
         )
         with pytest.raises(CapacityError) as excinfo:
-            dirichlet_coefficients(1, MAX_DIRICHLET_LIMIT + 1)
+            dirichlet_coefficients(1, 10**7)
         assert str(excinfo.value) == (
-            "Dirichlet coefficients up to 1048577 would need lists of 1048578 entries, "
-            "above the limit 1048576"
+            "dirichlet_coefficients(1, 10000000) would hold 100000010 bytes in its lists, "
+            f"above the limit {MAX_PREDICTED_BYTES}"
         )
 
     def test_cell_budget_edges_at_n_5(self):

@@ -1,22 +1,27 @@
-"""Find, and optionally time, the edge of every budget in README's budget table.
+"""Find, and optionally measure, the edge of every budget in README's budget table.
 
-    python tools/budget_edges.py [--time]
+    python tools/budget_edges.py [--measure]
 
 Each row of the table is one family of inputs with one free parameter x.
 The tool asks the library for its own prediction at x, which does no work:
 it calls the function with every `check_budget` of the package replaced by
 a recorder, which stops the call at the family's check and keeps the
 prediction and the limit it was checked against.  Any other budget the
-call asks first is checked as usual.  Bisecting x on that prediction gives
-the last input admitted and the first refused, and the table is printed
-from them, in README's Markdown.  README's table must equal this output
+call asks first is passed over, so that a family's edge is found past
+another budget's refusal; every check comes before its work, so none runs.
+Bisecting x on that prediction gives the last input admitted and the first
+refused, and the table is printed from them, in README's Markdown.  README's table must equal this output
 (tests/test_budget_edges.py).
 
-With --time, each time budget's last admitted input is also run in
-process, once, and its seconds are added as a last column; an Euler row
-runs the CLI's `euler-factor` with its lines written to a null sink.  The
-time models' costs are fitted so that every such input takes about
-1-2.6 s, and about 1.5 s on a quiet 2-vCPU VM.
+With --measure, each budget's last admitted input is also run, once, and
+what it cost is added as a last column.  A time row runs in process and
+prints its seconds; an Euler row runs the CLI's `euler-factor` with its
+lines written to a null sink.  The time models' costs are fitted so that
+every such input takes about 1-2.6 s, and about 1.5 s on a quiet 2-vCPU VM.
+A memory row runs in a fresh process under tracemalloc and prints its peak
+in MB; the byte models' costs are set so that every such peak lies between
+half its prediction and all of it, but for the matrix stream, which shares
+the text stream's model and holds far less.
 """
 
 from __future__ import annotations
@@ -24,23 +29,25 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 import latcount.arith  # noqa: E402
 import latcount.count  # noqa: E402
 import latcount.hnf  # noqa: E402
 import latcount.qcalc  # noqa: E402
 import latcount.series  # noqa: E402
-from latcount import cli, core  # noqa: E402
+from latcount import cli  # noqa: E402
 from latcount.arith import DivisorIndex  # noqa: E402
 from latcount.count import count_by_factorization_sum, count_by_gruber  # noqa: E402
 from latcount.count import count_by_recursion, count_table  # noqa: E402
-from latcount.hnf import enumerate_hnf  # noqa: E402
-from latcount.qcalc import _last_row_size, _symmetry_pairs, gauss_binomial  # noqa: E402
+from latcount.hnf import enumerate_hnf, enumerate_lines  # noqa: E402
+from latcount.qcalc import first_asymmetric_pair, gauss_binomial  # noqa: E402
 from latcount.series import dirichlet_coefficients, euler_factor, geometric_factor  # noqa: E402
 from latcount.series import lhs_product, rhs_sum  # noqa: E402
 
@@ -57,10 +64,9 @@ def prediction(call, key: str) -> tuple[int, int]:
     seen = []
 
     def record(predicted: int, limit: int, work: str) -> None:
-        if key not in work:
-            return core.check_budget(predicted, limit, work)
-        seen.append((predicted, limit))
-        raise _Stop
+        if key in work:
+            seen.append((predicted, limit))
+            raise _Stop
 
     saved = [module.check_budget for module in MODULES]
     for module in MODULES:
@@ -77,10 +83,14 @@ def prediction(call, key: str) -> tuple[int, int]:
     return seen[0]
 
 
-def symmetry_rows(bound: int) -> tuple[int, int]:
-    """The last q-Pascal rows the symmetry sweep up to bound sums, and their limit."""
-    sizes = (_last_row_size(m, k) + _last_row_size(m, m - k) for m, k in _symmetry_pairs(bound))
-    return sum(sizes), latcount.qcalc.MAX_QPASCAL_COEFFICIENTS
+def peak_mb(expression: str) -> float:
+    """The peak MB that tracemalloc traces while a fresh process evaluates expression."""
+    code = (
+        f"import sys, tracemalloc; sys.path.insert(0, {SRC!r}); import latcount.count\n"
+        f"tracemalloc.start(); {expression}; print(tracemalloc.get_traced_memory()[1])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return int(proc.stdout) / 10**6
 
 
 def _consume(levels) -> None:
@@ -100,17 +110,19 @@ def _fs_levels(n_max: int, max_m: int):
     return latcount.count._factorization_sum_table(n_max, max_m)
 
 
-def _family(name, what, call, text, key=None, run=None, start=1):
-    """One row: its name, what is predicted, x -> (prediction, limit), x -> input, and its run.
+def _family(name, what, call, text, key, run=None, start=1, peak=None):
+    """One row: its name, what is predicted, x -> (prediction, limit), x -> input, and its cost.
 
-    call(x) makes the call whose check holds key, or, without a key, gives the prediction and
-    its limit itself.  run(x), for a time budget, does the work of the input x.  start is an
-    x that is admitted.
+    call(x) makes the call whose check holds key.  run(x), for a time budget, does the work of
+    the input x; peak, for a memory budget, is the expression of that work with {} for x,
+    evaluated under latcount's qualified names.  start is an x that is admitted.
     """
-    predicted = call if key is None else lambda x: prediction(lambda: call(x), key)
-    return name, what, predicted, text, run, start
+    return name, what, lambda x: prediction(lambda: call(x), key), text, run, start, peak
 
 
+QPASCAL_BYTES = "bytes: 10 per coefficient slot, ints of C(m-1, s-1), 120 per entry"
+QPASCAL_NS = "ns: 50 per cell, 1 per 12 bits of C(m-1, s-1); 1000 per step"
+PREFIX_BYTES = "bytes: (n(n-1)/2 + 1) (n^2 (digits of m + 1) + 64), pieces, 300 kB"
 FS = "factorization-sum"
 FS_KEY = "factorization-sum sweep up to n="
 FS_SINGLE = "ns: 250 per 3-part tuple filled; per prefix popped 400, 150 per bit of n, 0.9 per bit"
@@ -125,28 +137,45 @@ DIRICHLET = "ns: (n-1) limit bits(limit) cells, 130 each and more as the values 
 EULER = "ns: 2.5 ps per squared bit printed, 20 fs per squared bit per step, 2000 per line"
 
 FAMILIES = [
-    _family("`gauss_binomial(m, 1)`", "coefficients in its last q-Pascal row",
-            lambda x: gauss_binomial(x, 1), lambda x: f"({x}, 1)", "last q-Pascal row", start=2),
-    _family("`geometric_factor(1, K)`", "coefficients in its monomials",
-            lambda x: geometric_factor(1, x), lambda x: f"(1, {x})", "in its monomials", start=0),
-    _family("`rhs_sum(1, K)`", "coefficients in its q-binomials",
-            lambda x: rhs_sum(1, x), lambda x: f"(1, {x})", "in its q-binomials", start=0),
-    _family("`first_asymmetric_pair(B)`, `verify`'s symmetry sweep",
-            "coefficients in every pair's last q-Pascal rows", symmetry_rows, lambda x: f"B = {x}"),
-    _family("`dirichlet_coefficients(1, limit)`'s lists", "entries, limit + 1",
-            lambda x: dirichlet_coefficients(1, x), lambda x: f"(1, {x})", "would need lists"),
-    _family("`enumerate_hnf(n, 2)` and `enumerate_lines(n, 2)`'s prefixes",
-            "characters, (n(n-1)/2 + 1) n^2 (digits of m + 1)",
-            lambda x: enumerate_hnf(x, 2), lambda x: f"({x}, 2)", "in its prefixes"),
-    _family("`DivisorIndex(2^r)`'s divisor list",
-            "cells: tau(m) divisors, each once more per 512 bits of m",
-            lambda x: DivisorIndex(2**x), lambda x: f"r = {x}", "divisors of an m"),
-    _family("`count_by_recursion(n, 2^8190)`'s values",
-            "cells: tau(m) values, each once more per 512 bits of m^(n-1)",
-            lambda x: count_by_recursion(x, 2**8190), lambda x: f"({x}, 2^8190)", "values for n="),
+    _family("`gauss_binomial(m, 1)`", QPASCAL_BYTES,
+            lambda x: gauss_binomial(x, 1), lambda x: f"({x}, 1)", "bytes in its q-Pascal row",
+            start=2, peak="latcount.qcalc.gauss_binomial({}, 1)"),
+    _family("`geometric_factor(1, K)`", "bytes: 10 per pointer to 0 or 1, 120 per monomial",
+            lambda x: geometric_factor(1, x), lambda x: f"(1, {x})", "in its monomials", start=0,
+            peak="latcount.series.geometric_factor(1, {})"),
+    _family("`rhs_sum(1, K)`", "bytes: the q-Pascal rows (n-1+K, n-1) and (n-1+K, K)",
+            lambda x: rhs_sum(1, x), lambda x: f"(1, {x})", "bytes in its q-binomials", start=0,
+            peak="latcount.series.rhs_sum(1, {})"),
+    _family("`dirichlet_coefficients(1, limit)`'s lists",
+            "bytes: 10 per entry; above n = 1, ints of m^n and of q^(n-1) twice",
+            lambda x: dirichlet_coefficients(1, x), lambda x: f"(1, {x})", "in its lists",
+            peak="latcount.series.dirichlet_coefficients(1, {})"),
+    *(
+        _family(f"`{stream}(n, 2)`'s prefixes", PREFIX_BYTES,
+                lambda x, stream=stream: call(x, 2), lambda x: f"({x}, 2)", "in its prefixes",
+                peak=f"next(latcount.hnf.{stream}({{}}, 2))")
+        for stream, call in (("enumerate_lines", enumerate_lines), ("enumerate_hnf", enumerate_hnf))
+    ),
+    _family("`DivisorIndex(2^r)`'s divisor list", "bytes: tau(m) (59 + bits(m) / 12)",
+            lambda x: DivisorIndex(2**x), lambda x: f"r = {x}", "divisors of an m",
+            peak="latcount.arith.DivisorIndex(2**{})"),
+    _family("`count_by_recursion(2, 2^r)`'s grid",
+            "bytes: its divisor list; per value 96, (2n - 2) bits(m) / 12; 200 per slice update",
+            lambda x: count_by_recursion(2, 2**x), lambda x: f"(2, 2^{x})", "values for n=",
+            peak="latcount.count.count_by_recursion(2, 2**{})"),
     _family(f'`count_table(2, max_m, "{FS}")`\'s divisor table',
-            "pointers: sum over q <= max_m of tau(q)",
-            lambda x: count_table(2, x, FS), lambda x: f"(2, {x})", "divisor-table pointers"),
+            "bytes: 12 per divisor-table pointer, 180 per m",
+            lambda x: count_table(2, x, FS), lambda x: f"(2, {x})", "divisor table up to",
+            peak=f"latcount.count.count_table(2, {{}}, {FS!r})"),
+    _family("`first_asymmetric_pair(B)`, `verify`'s symmetry sweep", QPASCAL_NS,
+            lambda x: first_asymmetric_pair(x), lambda x: f"B = {x}", "q-Pascal grids",
+            run=lambda x: first_asymmetric_pair(x)),
+    _family("`gauss_binomial(k + 2, k)`", QPASCAL_NS,
+            lambda x: gauss_binomial(x + 2, x), lambda x: f"({x + 2}, {x})", "q-Pascal grid",
+            run=lambda x: gauss_binomial(x + 2, x)),
+    _family("`gauss_binomial(2k, k)`", QPASCAL_NS,
+            lambda x: gauss_binomial(2 * x, x), lambda x: f"({2 * x}, {x})", "q-Pascal grid",
+            run=lambda x: gauss_binomial(2 * x, x)),
     _family("`count_by_factorization_sum(n, 2)`", FS_SINGLE,
             lambda x: count_by_factorization_sum(x, 2), lambda x: f"({x}, 2)",
             "factorizations of an m", run=lambda x: count_by_factorization_sum(x, 2)),
@@ -232,31 +261,30 @@ def edges(predicted, start: int) -> tuple[int, int]:
     return low, high
 
 
-def rows(timed: bool):
-    """README's table, a line at a time; with timed, each time budget's edge is run as well."""
+def rows(measured: bool):
+    """README's table, a line at a time; with measured, each budget's edge is run as well."""
     header = "| family | predicted | limit | last admitted | first refused |"
     rule = "|---|---|---|---|---|"
-    yield header + " seconds |" if timed else header
-    yield rule + "---|" if timed else rule
-    for name, what, predicted, text, run, start in FAMILIES:
+    yield header + " measured |" if measured else header
+    yield rule + "---|" if measured else rule
+    for name, what, predicted, text, run, start, peak in FAMILIES:
         last, first = edges(predicted, start)
         (admitted, limit), (refused, _) = predicted(last), predicted(first)
         cells = [name, what, f"{limit:,}", f"{text(last)}: {admitted:,}",
                  f"{text(first)}: {refused:,}"]
-        if timed:
-            seconds = ""
-            if run is not None:
-                began = time.perf_counter()
-                run(last)
-                seconds = f"{time.perf_counter() - began:.2f}"
-            cells.append(seconds)
+        if measured and run is not None:
+            began = time.perf_counter()
+            run(last)
+            cells.append(f"{time.perf_counter() - began:.2f} s")
+        elif measured:
+            cells.append(f"{peak_mb(peak.format(last)):.1f} MB")
         yield "| " + " | ".join(cells) + " |"
 
 
 def main(argv: list[str]) -> None:
-    if argv not in ([], ["--time"]):
-        raise SystemExit("usage: python tools/budget_edges.py [--time]")
-    for line in rows(timed=argv == ["--time"]):
+    if argv not in ([], ["--measure"]):
+        raise SystemExit("usage: python tools/budget_edges.py [--measure]")
+    for line in rows(measured=argv == ["--measure"]):
         print(line, flush=True)
 
 
